@@ -17,7 +17,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the committed corpus (internal/core/testdata/fuzz).
+# Short fuzz smoke over the committed corpora (internal/*/testdata/fuzz).
 # `go test` only fuzzes one target per invocation, so run them in turn.
 fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSchedulerInvariants -fuzztime=$(FUZZTIME)
@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzBlameInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzMachineIncremental -fuzztime=$(FUZZTIME)
 
 # Full benchmark sweep, converted by scripts/benchjson into the
 # machine-readable BENCH_10.json artifact (and schema-checked). Raise

@@ -751,10 +751,10 @@ func (d *DomainSet) PublishStats(reg *telemetry.Registry) {
 	reg.Counter(MetricDomainSteals).Add(d.steals)
 	for i, s := range d.shards {
 		suffix := fmt.Sprintf("_%d", i)
-		reg.Gauge(MetricDomainLoadBytes+suffix).Set(float64(s.rm.Usage(pp.ResourceLLC)))
-		reg.Gauge(MetricDomainPeakBytes+suffix).Set(float64(s.rm.Peak(pp.ResourceLLC)))
-		reg.Gauge(MetricDomainWaitlist+suffix).Set(float64(s.Waitlisted()))
-		reg.Counter(MetricDomainAdmitted+suffix+"_total").Add(s.stats.Admitted)
+		reg.Gauge(MetricDomainLoadBytes + suffix).Set(float64(s.rm.Usage(pp.ResourceLLC)))
+		reg.Gauge(MetricDomainPeakBytes + suffix).Set(float64(s.rm.Peak(pp.ResourceLLC)))
+		reg.Gauge(MetricDomainWaitlist + suffix).Set(float64(s.Waitlisted()))
+		reg.Counter(MetricDomainAdmitted + suffix + "_total").Add(s.stats.Admitted)
 	}
 	if d.rec != nil {
 		publishRecoveryStats(reg, d.rec.stats)

@@ -145,9 +145,9 @@ type RecoveryStats struct {
 // EnableRecovery).
 type recovery struct {
 	cfg      RecoveryConfig
-	base     []pp.Bytes   // LLC capacity split at EnableRecovery time
-	lossFrac []float64    // injected partial capacity loss per shard
-	failedAt []sim.Time   // crash time per shard, for the recovery histogram
+	base     []pp.Bytes // LLC capacity split at EnableRecovery time
+	lossFrac []float64  // injected partial capacity loss per shard
+	failedAt []sim.Time // crash time per shard, for the recovery histogram
 	stats    RecoveryStats
 
 	retryAttempt int        // backoff ticks armed since the last crash

@@ -67,8 +67,8 @@ const (
 	// publishes exactly what the unsharded scheduler does). The per-
 	// domain gauges carry a "_<index>" suffix — the registry uses flat
 	// Prometheus-style names, so the domain index is part of the name.
-	MetricDomainPlacements = "rda_domain_placements_total"   // periods assigned by the demand-aware placer
-	MetricDomainSteals     = "rda_domain_steals_total"       // aged waiters migrated cross-domain
+	MetricDomainPlacements = "rda_domain_placements_total" // periods assigned by the demand-aware placer
+	MetricDomainSteals     = "rda_domain_steals_total"     // aged waiters migrated cross-domain
 	MetricDomainLoadBytes  = "rda_domain_load_bytes"       // + "_<idx>": end-of-run LLC load per domain
 	MetricDomainPeakBytes  = "rda_domain_peak_bytes"       // + "_<idx>": peak LLC load per domain
 	MetricDomainWaitlist   = "rda_domain_waitlist_periods" // + "_<idx>": end-of-run waitlist depth per domain
@@ -77,11 +77,11 @@ const (
 	// Recovery counters and the time-to-recover histogram, published by
 	// DomainSet.PublishStats when EnableRecovery was called
 	// (domain_recovery.go).
-	MetricRecoveryFailures       = "rda_recovery_domain_failures_total" // injected shard crashes
-	MetricRecoveryCorruptions    = "rda_recovery_corruptions_total"     // injected ledger-corruption events
-	MetricRecoveryEvacuations    = "rda_recovery_evacuations_total"     // periods moved off failed shards
-	MetricRecoveryRetries        = "rda_recovery_retries_total"         // evacuation backoff ticks fired
-	MetricRecoveryForcedMoves    = "rda_recovery_forced_moves_total"    // actives moved to a shard that could not fit them
+	MetricRecoveryFailures       = "rda_recovery_domain_failures_total"  // injected shard crashes
+	MetricRecoveryCorruptions    = "rda_recovery_corruptions_total"      // injected ledger-corruption events
+	MetricRecoveryEvacuations    = "rda_recovery_evacuations_total"      // periods moved off failed shards
+	MetricRecoveryRetries        = "rda_recovery_retries_total"          // evacuation backoff ticks fired
+	MetricRecoveryForcedMoves    = "rda_recovery_forced_moves_total"     // actives moved to a shard that could not fit them
 	MetricRecoveryLadderFalls    = "rda_recovery_ladder_fallbacks_total" // stranded waiters handed to the admission ladder
 	MetricRecoveryDropped        = "rda_recovery_dropped_total"          // periods degraded to untracked by RecoverDrop
 	MetricRecoveryAuditRuns      = "rda_recovery_audit_runs_total"       // auditor passes over the shard set

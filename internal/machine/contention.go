@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"math"
-
 	"rdasched/internal/pp"
 	"rdasched/internal/proc"
 )
@@ -20,28 +18,12 @@ type contentionState struct {
 	Groups int
 }
 
-// contention computes the current LLC pressure from all Ready threads.
+// contention reads the current LLC pressure of the Ready threads off the
+// pressure ledger.
 func (m *Machine) contention() contentionState {
-	type key struct{ proc, phase int }
-	seen := make(map[key]struct{}, len(m.procs))
-	var pressure pp.Bytes
-	for _, t := range m.threads {
-		if t.state != Ready {
-			continue
-		}
-		k := key{t.proc.id, t.phase}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		// Partitioned phases press on the shared pool only up to their
-		// partition (§6 extension: a fenced streaming app cannot evict
-		// its neighbours beyond its allotment).
-		pressure += t.CurrentPhase().OccupancyBytes()
-	}
-	st := contentionState{PressureBytes: pressure, Groups: len(seen), Residency: 1}
-	if pressure > m.cfg.LLCCapacity {
-		st.Residency = float64(m.cfg.LLCCapacity) / float64(pressure)
+	st := contentionState{PressureBytes: m.pressure, Groups: m.groups, Residency: 1}
+	if m.pressure > m.cfg.LLCCapacity {
+		st.Residency = float64(m.cfg.LLCCapacity) / float64(m.pressure)
 	}
 	return st
 }
@@ -61,16 +43,16 @@ type perfParams struct {
 //	    + api·p_priv·c_priv
 //	    + api·(1-p_priv)·(1-MLP)·(h·c_llc + (1-h)·c_dram)
 //
-// where h = (1-StreamFrac)·HMax(reuse)·residency^γ: streaming accesses
-// never hit the LLC; resident-set accesses hit in proportion to how much
-// of the working set survives contention, sharpened by the LRU
-// over-capacity cliff (γ = Config.ResidencyExponent).
-func (m *Machine) phasePerf(ph *proc.Phase, ctn contentionState) perfParams {
+// where h = (1-StreamFrac)·HMax(reuse)·resid: streaming accesses never
+// hit the LLC; resident-set accesses hit in proportion to how much of the
+// working set survives contention, resid = residency^γ, sharpened by the
+// LRU over-capacity cliff (γ = Config.ResidencyExponent). The caller
+// computes resid once per reschedule; it is the same for every phase.
+func (m *Machine) phasePerf(ph *proc.Phase, resid float64) perfParams {
 	api := ph.AccessesPerInstr
 	llcPerInstr := api * (1 - ph.PrivateHitFrac)
 	// A partitioned phase keeps at most partition/WSS of its set
 	// resident, however empty the shared pool is.
-	resid := math.Pow(ctn.Residency, m.cfg.ResidencyExponent)
 	if ph.CachePartition > 0 && ph.WSS > 0 {
 		if own := float64(ph.OccupancyBytes()) / float64(ph.WSS); own < resid {
 			resid = own

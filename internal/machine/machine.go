@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rdasched/internal/energy"
+	"rdasched/internal/pp"
 	"rdasched/internal/proc"
 	"rdasched/internal/sim"
 )
@@ -56,10 +59,11 @@ func (s State) String() string {
 type Thread struct {
 	id        int
 	proc      *Process
-	idxInProc int
-	phase     int
-	remaining float64 // instructions left in current phase (incl. overhead)
-	penalty   float64 // stall instruction-equivalents (wake refill); drains
+	at        proc.Cursor // position in the program; at.Index is the phase index
+	ph        *proc.Phase // the current phase, nil once done
+	weight    float64     // CFS weight: the process's EffectiveWeight
+	remaining float64     // instructions left in current phase (incl. overhead)
+	penalty   float64     // stall instruction-equivalents (wake refill); drains
 	// before remaining and yields no flops or memory traffic — the
 	// traffic was already counted when the penalty was charged.
 	state State
@@ -85,30 +89,37 @@ func (t *Thread) ID() int { return t.id }
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.proc }
 
-// PhaseIndex returns the index of the thread's current phase.
-func (t *Thread) PhaseIndex() int { return t.phase }
+// PhaseIndex returns the virtual index of the thread's current phase:
+// its position with every repeated phase listed out (see proc.Cursor).
+func (t *Thread) PhaseIndex() int { return t.at.Index }
 
 // State returns the scheduling state.
 func (t *Thread) State() State { return t.state }
 
 // CurrentPhase returns the phase the thread is in, or nil when done.
-func (t *Thread) CurrentPhase() *proc.Phase {
-	if t.phase >= len(t.proc.spec.Program) {
-		return nil
-	}
-	return &t.proc.spec.Program[t.phase]
-}
+func (t *Thread) CurrentPhase() *proc.Phase { return t.ph }
 
 // Process is the runtime state of one simulated process.
 type Process struct {
-	id       int
-	spec     proc.Spec
-	threads  []*Thread
-	barriers map[int]int // phase index → arrivals
-	done     int
-	crashed  int // threads that died mid-phase (fault injection)
-	finish   sim.Time
+	id      int
+	spec    proc.Spec
+	threads []*Thread
+	// arrived counts the threads waiting at the barrier after phase
+	// barrierAt. At most one barrier is pending at a time: no thread
+	// passes a barrier before every live sibling has reached it.
+	barrierAt int
+	arrived   int
+	// groups is the process's part of the pressure ledger: one entry per
+	// phase index that has Ready threads.
+	groups  []group
+	done    int
+	crashed int // threads that died mid-phase (fault injection)
+	finish  sim.Time
 }
+
+// group is one (process, phase) entry of the pressure ledger: n Ready
+// threads of the process are in virtual phase index phase.
+type group struct{ phase, n int }
 
 // ID returns the machine-wide process id.
 func (p *Process) ID() int { return p.id }
@@ -209,14 +220,23 @@ type Machine struct {
 	procs   []*Process
 	threads []*Thread
 
+	// ready holds the Ready threads in id order, and pressure and groups
+	// sum the ledger of their (process, phase) groups. They change only
+	// where a thread's state or phase does: startPhase, finishPhase,
+	// completeBarrier, crashThread and wake. Id order keeps every float
+	// sum over them in the order a scan of all threads would use.
+	ready    []*Thread
+	pressure pp.Bytes
+	groups   int
+	unsat    []*Thread // computeShares scratch
+
 	lastUpdate  sim.Time
-	pending     *sim.Event
+	completion  *sim.Event // next phase completion; queued while any thread is Ready
 	busyCores   float64
 	timeline    []Sample
 	lastSample  sim.Time
 	sampleEvery sim.Duration
 	inEvent     bool
-	dirty       bool
 	ran         bool
 	doneProcs   int
 	counters    Counters
@@ -231,12 +251,14 @@ func New(cfg Config, gate Gate) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Machine{
+	m := &Machine{
 		cfg:   cfg,
 		eng:   sim.NewEngine(cfg.Seed),
 		meter: energy.NewMeter(cfg.Energy),
 		gate:  gate,
 	}
+	m.completion = m.eng.NewTimer(m.onCompletion)
+	return m
 }
 
 // Config returns the machine configuration.
@@ -266,9 +288,9 @@ func (m *Machine) AddProcess(spec proc.Spec) (*Process, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Process{id: len(m.procs), spec: spec, barriers: make(map[int]int)}
+	p := &Process{id: len(m.procs), spec: spec}
 	for i := 0; i < spec.Threads; i++ {
-		t := &Thread{id: len(m.threads), proc: p, idxInProc: i}
+		t := &Thread{id: len(m.threads), proc: p, ph: &spec.Program[0], weight: spec.EffectiveWeight()}
 		p.threads = append(p.threads, t)
 		m.threads = append(m.threads, t)
 	}
@@ -293,20 +315,30 @@ func (m *Machine) AddWorkload(w proc.Workload) error {
 // the engine is halted mid-run (crash-restart fault injection) it returns
 // ErrHalted; the machine stays live and Resume continues the run.
 func (m *Machine) Run() (*Result, error) {
+	if err := m.start(); err != nil {
+		return nil, err
+	}
+	return m.drive()
+}
+
+// start launches every thread through its first phase (gate admission in
+// thread order, like processes starting one after another at t=0) and
+// schedules the first completion.
+func (m *Machine) start() error {
 	if m.ran {
-		return nil, fmt.Errorf("machine: Run called twice")
+		return fmt.Errorf("machine: Run called twice")
 	}
 	m.ran = true
 	if len(m.procs) == 0 {
-		return nil, fmt.Errorf("machine: no processes")
+		return fmt.Errorf("machine: no processes")
 	}
-	// Launch every thread through phase 0 (gate admission in thread order,
-	// like processes starting one after another at t=0).
+	m.ready = make([]*Thread, 0, len(m.threads))
+	m.unsat = make([]*Thread, 0, len(m.threads))
 	for _, t := range m.threads {
-		m.startPhase(t, 0)
+		m.startPhase(t)
 	}
 	m.reschedule()
-	return m.drive()
+	return nil
 }
 
 // Resume continues a run that Run (or a previous Resume) left with
@@ -405,18 +437,26 @@ func (m *Machine) Unblock(t *Thread) {
 		panic(fmt.Sprintf("machine: Unblock of %s thread %d", t.state, t.id))
 	}
 	m.counters.Wakeups++
-	wake := func() {
-		m.chargeWakeRefill(t)
-		t.state = Ready
-	}
 	if m.cfg.WakeLatency <= 0 {
-		m.mutate(wake)
+		m.wake(t)
 		return
 	}
 	t.state = Waking
-	m.eng.After(m.cfg.WakeLatency, func() {
-		m.mutate(wake)
-	})
+	m.eng.After(m.cfg.WakeLatency, func() { m.wake(t) })
+}
+
+// wake makes a released thread Ready with correct advance/reschedule
+// framing: inside an event the reschedule is deferred to the event's end;
+// outside (timer callbacks) it happens immediately.
+func (m *Machine) wake(t *Thread) {
+	if !m.inEvent {
+		m.advance()
+	}
+	m.chargeWakeRefill(t)
+	m.setReady(t)
+	if !m.inEvent {
+		m.reschedule()
+	}
 }
 
 // chargeWakeRefill bills the cold-cache restart of a resumed thread: the
@@ -429,7 +469,7 @@ func (m *Machine) chargeWakeRefill(t *Thread) {
 	if m.cfg.WakeRefillFactor <= 0 {
 		return
 	}
-	ph := t.CurrentPhase()
+	ph := t.ph
 	if ph == nil {
 		return
 	}
@@ -437,20 +477,6 @@ func (m *Machine) chargeWakeRefill(t *Thread) {
 	exposed := m.cfg.DRAMCycles * (1 - m.cfg.MLPOverlap)
 	t.penalty += lines * exposed / m.cfg.BaseCPI
 	m.accumulate(lines, lines)
-}
-
-// mutate applies a state change with correct advance/reschedule framing:
-// inside an event the reschedule is deferred to the event's end; outside
-// (timer callbacks) it happens immediately.
-func (m *Machine) mutate(fn func()) {
-	if m.inEvent {
-		fn()
-		m.dirty = true
-		return
-	}
-	m.advance()
-	fn()
-	m.reschedule()
 }
 
 // advance integrates thread progress, counters, and energy from the last
@@ -464,10 +490,7 @@ func (m *Machine) advance() {
 	}
 	secs := dt.Seconds()
 	var llc, dram float64
-	for _, t := range m.threads {
-		if t.state != Ready {
-			continue
-		}
+	for _, t := range m.ready {
 		done := t.rate * secs
 		if done > t.remaining+t.penalty+1 {
 			done = t.remaining + t.penalty + 1 // clamp numerical overshoot
@@ -521,53 +544,41 @@ const completionEpsilon = 0.05
 // the total busy-core count (Σ shares). With uniform weights this
 // reduces to share = min(1, cores/ready).
 func (m *Machine) computeShares() float64 {
-	var unsat []*Thread
-	for _, t := range m.threads {
-		if t.state == Ready {
-			t.share = 0
-			unsat = append(unsat, t)
-		}
+	m.unsat = append(m.unsat[:0], m.ready...)
+	unsat := m.unsat
+	for _, t := range unsat {
+		t.share = 0
 	}
 	capacity := float64(m.cfg.Cores)
-	total := 0.0
+	capped := 0
 	for len(unsat) > 0 && capacity > 1e-12 {
 		var sumW float64
 		for _, t := range unsat {
-			sumW += t.proc.spec.EffectiveWeight()
+			sumW += t.weight
 		}
 		next := unsat[:0]
-		capped := false
 		for _, t := range unsat {
-			w := t.proc.spec.EffectiveWeight()
-			if capacity*w/sumW >= 1 {
+			if capacity*t.weight/sumW >= 1 {
 				t.share = 1
-				capped = true
 			} else {
 				next = append(next, t)
 			}
 		}
-		if capped {
+		if len(next) < len(unsat) {
 			// Recompute remaining capacity and iterate.
-			used := 0.0
-			for _, t := range m.threads {
-				if t.state == Ready && t.share == 1 {
-					used++
-				}
-			}
-			capacity = float64(m.cfg.Cores) - used
+			capped += len(unsat) - len(next)
+			capacity = float64(m.cfg.Cores - capped)
 			unsat = next
 			continue
 		}
 		for _, t := range unsat {
-			w := t.proc.spec.EffectiveWeight()
-			t.share = capacity * w / sumW
+			t.share = capacity * t.weight / sumW
 		}
 		unsat = nil
 	}
-	for _, t := range m.threads {
-		if t.state == Ready {
-			total += t.share
-		}
+	total := 0.0
+	for _, t := range m.ready {
+		total += t.share
 	}
 	// Clamp float accumulation noise: Σ shares can exceed the core count
 	// by an ulp after water-filling.
@@ -579,17 +590,8 @@ func (m *Machine) computeShares() float64 {
 
 // reschedule recomputes contention, rates, and the next completion event.
 func (m *Machine) reschedule() {
-	if m.pending != nil {
-		m.eng.Cancel(m.pending)
-		m.pending = nil
-	}
-	ready := 0
-	for _, t := range m.threads {
-		if t.state == Ready {
-			ready++
-		}
-	}
-	if ready == 0 {
+	m.eng.Cancel(m.completion)
+	if len(m.ready) == 0 {
 		return // threads are blocked/waking/done; timers or the gate move things along
 	}
 
@@ -604,36 +606,26 @@ func (m *Machine) reschedule() {
 	}
 
 	// Unconstrained rates, then a shared-bandwidth roofline.
+	resid := math.Pow(ctn.Residency, m.cfg.ResidencyExponent)
 	var traffic float64 // bytes/sec of DRAM transfers
-	for _, t := range m.threads {
-		if t.state != Ready {
-			continue
-		}
-		ph := t.CurrentPhase()
-		perf := m.phasePerf(ph, ctn)
+	for _, t := range m.ready {
+		perf := m.phasePerf(t.ph, resid)
 		t.llcPerInstr = perf.llcPerInstr
 		t.dramPerInstr = perf.dramPerInstr
-		t.flopsPerInstr = ph.FlopsPerInstr
+		t.flopsPerInstr = t.ph.FlopsPerInstr
 		t.rate = t.share * m.cfg.FreqHz / perf.cpi
 		traffic += t.rate * t.dramPerInstr * float64(m.cfg.LineSize)
 	}
+	scale := 1.0
 	if traffic > m.cfg.MemBandwidth {
-		scale := m.cfg.MemBandwidth / traffic
-		for _, t := range m.threads {
-			if t.state == Ready {
-				t.rate *= scale
-			}
-		}
+		scale = m.cfg.MemBandwidth / traffic
 	}
 
 	// Next completion.
 	next := math.Inf(1)
-	for _, t := range m.threads {
-		if t.state != Ready {
-			continue
-		}
-		dt := (t.remaining + t.penalty) / t.rate
-		if dt < next {
+	for _, t := range m.ready {
+		t.rate *= scale
+		if dt := (t.remaining + t.penalty) / t.rate; dt < next {
 			next = dt
 		}
 	}
@@ -644,19 +636,23 @@ func (m *Machine) reschedule() {
 	if d < 1 {
 		d = 1
 	}
-	m.pending = m.eng.After(d, m.onCompletion)
+	m.eng.Rearm(m.completion, d)
 }
 
-// onCompletion advances time and retires every phase that has finished.
+// onCompletion advances time and retires every phase that has finished,
+// visiting Ready threads in id order.
 func (m *Machine) onCompletion() {
-	m.pending = nil
 	m.advance()
 	m.inEvent = true
-	m.dirty = false
-	for _, t := range m.threads {
-		if t.state == Ready && t.remaining+t.penalty <= completionEpsilon {
-			m.finishPhase(t)
+	for i := 0; i < len(m.ready); i++ {
+		t := m.ready[i]
+		if t.remaining+t.penalty > completionEpsilon {
+			continue
 		}
+		m.finishPhase(t)
+		// Retiring t (and the gate calls inside) added and removed ready
+		// threads: resume after t's id, as a scan of all threads would.
+		i = m.readyPos(t.id+1) - 1
 	}
 	m.inEvent = false
 	m.reschedule()
@@ -666,8 +662,8 @@ func (m *Machine) onCompletion() {
 // next phase entry. A crashing thread dies instead: no pp_end reaches the
 // gate, no barrier is joined, and the rest of its program never runs.
 func (m *Machine) finishPhase(t *Thread) {
-	ph := t.CurrentPhase()
-	idx := t.phase
+	m.unready(t)
+	ph, idx := t.ph, t.at.Index
 	if t.crashing {
 		m.crashThread(t)
 		return
@@ -681,36 +677,41 @@ func (m *Machine) finishPhase(t *Thread) {
 	}
 	if ph.BarrierAfter && t.proc.spec.Threads > 1 {
 		p := t.proc
-		p.barriers[idx]++
-		if p.barriers[idx] < len(p.threads)-p.crashed {
+		if p.arrived > 0 && p.barrierAt != idx {
+			panic(fmt.Sprintf("machine: process %d reached barrier %d with barrier %d pending", p.id, idx, p.barrierAt))
+		}
+		p.barrierAt = idx
+		p.arrived++
+		if p.arrived < len(p.threads)-p.crashed {
 			t.state = BarrierWait
 			return
 		}
-		m.completeBarrier(p, idx, t)
+		m.completeBarrier(p, t)
 	}
-	t.phase++
-	m.startPhase(t, t.phase)
+	t.at.Next(t.proc.spec.Program)
+	m.startPhase(t)
 }
 
-// completeBarrier releases every sibling waiting at barrier idx. The
-// arriving thread (nil when a crash shrank the rendezvous target) advances
-// itself in finishPhase.
-func (m *Machine) completeBarrier(p *Process, idx int, arriving *Thread) {
-	delete(p.barriers, idx)
+// completeBarrier releases every sibling waiting at the pending barrier.
+// The arriving thread (nil when a crash shrank the rendezvous target)
+// advances itself in finishPhase.
+func (m *Machine) completeBarrier(p *Process, arriving *Thread) {
+	idx := p.barrierAt
+	p.arrived = 0
 	m.counters.Barriers++
 	for _, sib := range p.threads {
-		if sib != arriving && sib.state == BarrierWait && sib.phase == idx {
-			sib.phase++
-			m.startPhase(sib, sib.phase)
+		if sib != arriving && sib.state == BarrierWait && sib.at.Index == idx {
+			sib.at.Next(p.spec.Program)
+			m.startPhase(sib)
 		}
 	}
 }
 
 // crashThread kills t mid-period: the thread counts as finished for
 // process completion, its open progress period never sees a pp_end (the
-// scheduler's lease watchdog reclaims the load), and every pending
-// barrier of its process re-evaluates against the shrunken rendezvous
-// target so surviving siblings are not deadlocked by a dead peer.
+// scheduler's lease watchdog reclaims the load), and a pending barrier
+// of its process re-evaluates against the shrunken rendezvous target so
+// surviving siblings are not deadlocked by a dead peer.
 func (m *Machine) crashThread(t *Thread) {
 	t.state = Done
 	t.crashing = false
@@ -722,18 +723,18 @@ func (m *Machine) crashThread(t *Thread) {
 		p.finish = m.eng.Now()
 		m.doneProcs++
 	}
-	for idx := 0; idx < len(p.spec.Program); idx++ {
-		if n, ok := p.barriers[idx]; ok && n > 0 && n >= len(p.threads)-p.crashed {
-			m.completeBarrier(p, idx, nil)
-		}
+	if p.arrived > 0 && p.arrived >= len(p.threads)-p.crashed {
+		m.completeBarrier(p, nil)
 	}
 }
 
-// startPhase moves t into phase i, charging boundary overhead and asking
-// the gate for admission when the phase is declared.
-func (m *Machine) startPhase(t *Thread, i int) {
+// startPhase moves t, which is not Ready, into the phase at its cursor,
+// charging boundary overhead and asking the gate for admission when the
+// phase is declared.
+func (m *Machine) startPhase(t *Thread) {
 	prog := t.proc.spec.Program
-	if i >= len(prog) {
+	if t.at.Slot >= len(prog) {
+		t.ph = nil
 		t.state = Done
 		p := t.proc
 		p.done++
@@ -743,7 +744,8 @@ func (m *Machine) startPhase(t *Thread, i int) {
 		}
 		return
 	}
-	ph := &prog[i]
+	ph := &prog[t.at.Slot]
+	t.ph = ph
 	t.remaining = ph.Instr
 	if ph.CrashFrac > 0 {
 		// Fault injection: the thread dies after this fraction of the
@@ -756,11 +758,59 @@ func (m *Machine) startPhase(t *Thread, i int) {
 		// as zero-yield penalty so it consumes time without fabricating
 		// flops or memory traffic.
 		t.penalty += m.cfg.boundaryOverhead(ph.Instr)
-		if m.gate != nil && !m.gate.EnterPhase(t, i, ph) {
+		if m.gate != nil && !m.gate.EnterPhase(t, t.at.Index, ph) {
 			t.state = Blocked
 			m.counters.PPBlocks++
 			return
 		}
 	}
+	m.setReady(t)
+}
+
+// readyPos returns the index in m.ready of the first thread whose id is
+// at least id.
+func (m *Machine) readyPos(id int) int {
+	i, _ := slices.BinarySearchFunc(m.ready, id, func(t *Thread, id int) int { return cmp.Compare(t.id, id) })
+	return i
+}
+
+// setReady makes t Ready: it joins the ready set and its (process,
+// phase) group in the pressure ledger.
+func (m *Machine) setReady(t *Thread) {
 	t.state = Ready
+	m.ready = slices.Insert(m.ready, m.readyPos(t.id), t)
+	p := t.proc
+	for i := range p.groups {
+		if p.groups[i].phase == t.at.Index {
+			p.groups[i].n++
+			return
+		}
+	}
+	p.groups = append(p.groups, group{phase: t.at.Index, n: 1})
+	// Partitioned phases press on the shared pool only up to their
+	// partition (§6 extension: a fenced streaming app cannot evict its
+	// neighbours beyond its allotment).
+	m.pressure += t.ph.OccupancyBytes()
+	m.groups++
+}
+
+// unready takes Ready thread t out of the ready set and the ledger; the
+// caller gives it its next state or phase.
+func (m *Machine) unready(t *Thread) {
+	i := m.readyPos(t.id)
+	m.ready = slices.Delete(m.ready, i, i+1)
+	p := t.proc
+	for i := range p.groups {
+		g := &p.groups[i]
+		if g.phase != t.at.Index {
+			continue
+		}
+		if g.n--; g.n == 0 {
+			p.groups[i] = p.groups[len(p.groups)-1]
+			p.groups = p.groups[:len(p.groups)-1]
+			m.pressure -= t.ph.OccupancyBytes()
+			m.groups--
+		}
+		return
+	}
 }

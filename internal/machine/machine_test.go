@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -581,6 +583,48 @@ func BenchmarkMachineRun96Procs(b *testing.B) {
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMachineReschedule times the machine's per-event work in
+// steady state with n Ready threads: each engine event retires one
+// thread's phase, starts its next repetition, and recomputes shares,
+// rates and the next completion for all n. It reports host ns and heap
+// allocations per event.
+func BenchmarkMachineReschedule(b *testing.B) {
+	for _, n := range []int{12, 96, 768} {
+		b.Run(fmt.Sprintf("ready=%d", n), func(b *testing.B) {
+			m := New(testConfig(), nil)
+			for i := 0; i < n; i++ {
+				// Distinct lengths stagger the completions one per event.
+				ph := simplePhase(1e6+float64(i)*997, pp.MB(1), pp.ReuseHigh)
+				ph.Repeat = math.MaxInt32
+				if _, err := m.AddProcess(singleProc("p", ph)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := m.start(); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 4*n; i++ {
+				m.eng.Step()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fired := m.eng.Fired()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.eng.Step()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if len(m.ready) != n {
+				b.Fatalf("%d ready threads, want %d", len(m.ready), n)
+			}
+			events := float64(m.eng.Fired() - fired)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+		})
 	}
 }
 

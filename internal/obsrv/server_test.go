@@ -242,7 +242,7 @@ func TestEventsStream(t *testing.T) {
 			continue
 		}
 		var we struct {
-			Kind string `json:"kind"`
+			Kind string  `json:"kind"`
 			AtS  float64 `json:"at_s"`
 		}
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &we); err != nil {

@@ -80,6 +80,26 @@ type Phase struct {
 	// the progress period, without a pp_end and without reaching later
 	// phases or barriers. Fault injection only.
 	CrashFrac float64
+	// Repeat, when above 1, runs the phase that many times back to back:
+	// the program behaves exactly as if the phase were listed Repeat
+	// times in a row. Each repetition is its own phase to the machine and
+	// the scheduler — a separate progress period when Declared, with its
+	// own virtual phase index (see Cursor), boundary overhead, barrier and
+	// crash point. 0 and 1 both mean once. Per-phase transformations
+	// (jitter, scaling, fault plans) apply to the phase as a whole, so
+	// every repetition gets the same one. It lets a workload with
+	// hundreds of thousands of identical periods (Figure 11's innermost
+	// loop) stay one Phase instead of one copy per period.
+	Repeat int
+}
+
+// Repeats returns how many times the phase runs: Repeat, or 1 when
+// Repeat is 0.
+func (ph *Phase) Repeats() int {
+	if ph.Repeat > 1 {
+		return ph.Repeat
+	}
+	return 1
 }
 
 // OccupancyBytes returns how much LLC the phase can actually occupy: its
@@ -141,6 +161,8 @@ func (ph *Phase) Validate() error {
 		return fmt.Errorf("proc: phase %q negative declared working set", ph.Name)
 	case ph.CrashFrac < 0 || ph.CrashFrac > 1:
 		return fmt.Errorf("proc: phase %q crash fraction %v outside [0,1]", ph.Name, ph.CrashFrac)
+	case ph.Repeat < 0:
+		return fmt.Errorf("proc: phase %q negative repeat count %d", ph.Name, ph.Repeat)
 	}
 	return nil
 }
@@ -161,33 +183,63 @@ func (p Program) Validate() error {
 	return nil
 }
 
-// TotalInstr sums instruction counts across phases.
+// TotalInstr sums instruction counts across phases, repetitions
+// included.
 func (p Program) TotalInstr() float64 {
 	var sum float64
 	for i := range p {
-		sum += p[i].Instr
+		sum += p[i].Instr * float64(p[i].Repeats())
 	}
 	return sum
 }
 
-// TotalFlops sums flop counts across phases.
+// TotalFlops sums flop counts across phases, repetitions included.
 func (p Program) TotalFlops() float64 {
 	var sum float64
 	for i := range p {
-		sum += p[i].Instr * p[i].FlopsPerInstr
+		sum += p[i].Instr * p[i].FlopsPerInstr * float64(p[i].Repeats())
 	}
 	return sum
 }
 
-// DeclaredCount returns the number of declared (progress period) phases.
+// DeclaredCount returns the number of declared (progress period) phases
+// the program runs, repetitions included.
 func (p Program) DeclaredCount() int {
 	n := 0
 	for i := range p {
 		if p[i].Declared {
-			n++
+			n += p[i].Repeats()
 		}
 	}
 	return n
+}
+
+// Cursor is a position in the phase sequence a Program executes, in
+// which a phase with Repeat n occupies n consecutive virtual phase
+// indices. Everything that steps through a program at run time uses it,
+// so a repeated phase is indistinguishable from n listed copies. The
+// zero Cursor is at the first phase.
+type Cursor struct {
+	// Index is the virtual phase index: the phase's position in the
+	// program with every repetition listed out. Gates, barriers and
+	// admission keys use it.
+	Index int
+	// Slot is the current phase's index in the Program.
+	Slot int
+	// rep counts the finished repetitions of Program[Slot].
+	rep int
+}
+
+// Next steps c past its current phase in p and reports whether a phase
+// remains.
+func (c *Cursor) Next(p Program) bool {
+	c.Index++
+	if c.rep++; c.rep < p[c.Slot].Repeats() {
+		return true
+	}
+	c.rep = 0
+	c.Slot++
+	return c.Slot < len(p)
 }
 
 // Spec describes one process: how many threads and what each runs. All

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,6 +34,7 @@ func TestPhaseValidate(t *testing.T) {
 		func(p *Phase) { p.PrivateHitFrac = 2 },
 		func(p *Phase) { p.FlopsPerInstr = -1 },
 		func(p *Phase) { p.Reuse = pp.Reuse(9) },
+		func(p *Phase) { p.Repeat = -1 },
 	}
 	for i, m := range mut {
 		p := validPhase()
@@ -64,6 +66,38 @@ func TestProgramTotals(t *testing.T) {
 	}
 	if got := prog.DeclaredCount(); got != 1 {
 		t.Fatalf("DeclaredCount = %v", got)
+	}
+}
+
+func TestRepeatedProgram(t *testing.T) {
+	prog := Program{
+		{Name: "a", Instr: 100, FlopsPerInstr: 0.5, Reuse: pp.ReuseLow},
+		{Name: "b", Instr: 300, FlopsPerInstr: 1.0, Reuse: pp.ReuseLow, Declared: true, Repeat: 3},
+		{Name: "c", Instr: 10, Reuse: pp.ReuseLow, Repeat: 1},
+	}
+	if got := prog.TotalInstr(); got != 1010 {
+		t.Fatalf("TotalInstr = %v", got)
+	}
+	if got := prog.TotalFlops(); got != 950 {
+		t.Fatalf("TotalFlops = %v", got)
+	}
+	if got := prog.DeclaredCount(); got != 3 {
+		t.Fatalf("DeclaredCount = %v", got)
+	}
+	// The cursor walks the listed-out program: a, b, b, b, c.
+	var c Cursor
+	var slots []int
+	for {
+		if c.Index != len(slots) {
+			t.Fatalf("virtual index %d at step %d", c.Index, len(slots))
+		}
+		slots = append(slots, c.Slot)
+		if !c.Next(prog) {
+			break
+		}
+	}
+	if got := fmt.Sprint(slots); got != "[0 1 1 1 2]" {
+		t.Fatalf("cursor visited slots %s", got)
 	}
 }
 

@@ -18,13 +18,20 @@ import (
 // in instruction space, exactly as they execute single-threaded, and a
 // phase is instrumented when at least minOverlap of it falls inside one
 // period. Phases containing barriers are never instrumented (§3.4: no
-// blocking synchronization inside a period).
+// blocking synchronization inside a period). A repeated phase (Repeat >
+// 1) is rejected: periods may cover only some of its repetitions, which
+// one Phase cannot express.
 func Instrument(prog proc.Program, periods []Period, minOverlap float64) (proc.Program, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	if minOverlap <= 0 || minOverlap > 1 {
 		return nil, fmt.Errorf("profiler: overlap threshold %v outside (0,1]", minOverlap)
+	}
+	for i := range prog {
+		if prog[i].Repeats() > 1 {
+			return nil, fmt.Errorf("profiler: phase %d (%q) repeats %d times; list the repetitions to instrument them", i, prog[i].Name, prog[i].Repeat)
+		}
 	}
 	out := make(proc.Program, len(prog))
 	copy(out, prog)

@@ -102,6 +102,11 @@ func TestInstrumentValidation(t *testing.T) {
 	if _, err := Instrument(instrProgram(), nil, 1.5); err == nil {
 		t.Fatal("threshold >1 accepted")
 	}
+	repeated := instrProgram()
+	repeated[1].Repeat = 4
+	if _, err := Instrument(repeated, nil, 0.5); err == nil {
+		t.Fatal("repeated phase accepted")
+	}
 }
 
 func TestInstrumentNoPeriodsNoChange(t *testing.T) {

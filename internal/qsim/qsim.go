@@ -115,7 +115,7 @@ type qthread struct {
 	id      int
 	proc    int
 	program proc.Program
-	phase   int
+	at      proc.Cursor // at.Index keys periods and barriers
 	remain  float64
 	ent     sched.Entity
 	state   tstate
@@ -205,12 +205,12 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 	// tryAdmit applies the strict predicate to t's current phase; it
 	// returns false after parking t on the wait queue.
 	tryAdmit := func(t *qthread) bool {
-		ph := &t.program[t.phase]
+		ph := &t.program[t.at.Slot]
 		if admitted == nil || !ph.Declared {
 			return true
 		}
 		defer observeDecision()
-		k := pkey{t.proc, t.phase}
+		k := pkey{t.proc, t.at.Index}
 		if admitted[k] > 0 {
 			admitted[k]++
 			return true
@@ -231,21 +231,21 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 	}
 	// release ends t's participation in its period, freeing capacity and
 	// waking FIFO waiters that now fit.
-	release := func(t *qthread, phase int) []*qthread {
-		if admitted == nil || !t.program[phase].Declared {
+	release := func(t *qthread, phase proc.Cursor) []*qthread {
+		if admitted == nil || !t.program[phase.Slot].Declared {
 			return nil
 		}
-		k := pkey{t.proc, phase}
+		k := pkey{t.proc, phase.Index}
 		admitted[k]--
 		if admitted[k] > 0 {
 			return nil
 		}
 		delete(admitted, k)
-		admittedLoad -= t.program[phase].OccupancyBytes()
+		admittedLoad -= t.program[phase.Slot].OccupancyBytes()
 		defer observeDecision()
 		woken := waitq.WakeAll(func(w *qthread) bool {
-			wph := &w.program[w.phase]
-			wk := pkey{w.proc, w.phase}
+			wph := &w.program[w.at.Slot]
+			wk := pkey{w.proc, w.at.Index}
 			if admitted[wk] > 0 {
 				admitted[wk]++
 				return true
@@ -279,36 +279,35 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 	// advancePhase retires t's finished phase, handling barriers.
 	var advancePhase func(t *qthread) []*qthread
 	advancePhase = func(t *qthread) []*qthread {
-		ph := &t.program[t.phase]
+		ph := &t.program[t.at.Slot]
 		var released []*qthread
 		if ph.BarrierAfter && len(procThreads[t.proc]) > 1 {
-			barriers[t.proc][t.phase]++
-			if barriers[t.proc][t.phase] < len(procThreads[t.proc]) {
+			idx := t.at.Index
+			barriers[t.proc][idx]++
+			if barriers[t.proc][idx] < len(procThreads[t.proc]) {
 				t.state = barrier
 				return nil
 			}
-			delete(barriers[t.proc], t.phase)
+			delete(barriers[t.proc], idx)
 			for _, sib := range procThreads[t.proc] {
-				if sib != t && sib.state == barrier && sib.phase == t.phase {
-					sib.phase++
-					if sib.phase >= len(sib.program) {
+				if sib != t && sib.state == barrier && sib.at.Index == idx {
+					if !sib.at.Next(sib.program) {
 						sib.state = done
 						remainingThreads--
 					} else {
 						sib.state = ready
-						sib.remain = sib.program[sib.phase].Instr
+						sib.remain = sib.program[sib.at.Slot].Instr
 						released = append(released, sib)
 					}
 				}
 			}
 		}
-		t.phase++
-		if t.phase >= len(t.program) {
+		if !t.at.Next(t.program) {
 			t.state = done
 			remainingThreads--
 			return released
 		}
-		t.remain = t.program[t.phase].Instr
+		t.remain = t.program[t.at.Slot].Instr
 		return released
 	}
 
@@ -339,9 +338,9 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 		type key struct{ p, ph int }
 		groups := map[key]pp.Bytes{}
 		for _, t := range running {
-			k := key{t.proc, t.phase}
+			k := key{t.proc, t.at.Index}
 			if _, ok := groups[k]; !ok {
-				groups[k] = t.program[t.phase].WSS
+				groups[k] = t.program[t.at.Slot].WSS
 			}
 		}
 		var pressure pp.Bytes
@@ -357,7 +356,7 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 		// Execute the quantum.
 		var llcAcc, dramAcc, busy float64
 		for _, t := range running {
-			ph := &t.program[t.phase]
+			ph := &t.program[t.at.Slot]
 			h := (1 - ph.StreamFrac) * mc.HMax[ph.Reuse] * rEff
 			llcPerInstr := ph.AccessesPerInstr * (1 - ph.PrivateHitFrac)
 			exposed := 1 - mc.MLPOverlap
@@ -412,7 +411,7 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 				continue
 			}
 			t.evictAccum += pressure
-			if t.evictAccum+t.program[t.phase].WSS > mc.LLCCapacity {
+			if t.evictAccum+t.program[t.at.Slot].WSS > mc.LLCCapacity {
 				t.resident = false
 			}
 		}
@@ -430,7 +429,7 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 				continue
 			}
 			if t.remain <= 0.5 {
-				finished := t.phase
+				finished := t.at
 				released := advancePhase(t)
 				for _, w := range release(t, finished) {
 					w.state = ready

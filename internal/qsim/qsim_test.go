@@ -393,3 +393,44 @@ func TestMetricsRegistry(t *testing.T) {
 		t.Fatalf("metrics attachment changed the result:\n%+v\n%+v", res, res2)
 	}
 }
+
+// TestRepeatMatchesListedPhases runs phases with Repeat n and the same
+// phases listed n times under strict admission: qsim steps both through
+// proc.Cursor, so the runs are identical.
+func TestRepeatMatchesListedPhases(t *testing.T) {
+	const n = 5
+	qcfg := DefaultConfig()
+	qcfg.StrictAdmission = true
+	ph := func(name string, declared, barrier bool) proc.Phase {
+		return proc.Phase{
+			Name: name, Instr: 4e6, WSS: pp.MB(6), Reuse: pp.ReuseHigh,
+			AccessesPerInstr: 0.3, PrivateHitFrac: 0.8, FlopsPerInstr: 0.5,
+			Declared: declared, BarrierAfter: barrier,
+		}
+	}
+	// n periods, then n barrier-separated phases.
+	pp1, sync := ph("pp", true, false), ph("sync", false, true)
+	var listed proc.Program
+	for _, p := range []proc.Phase{pp1, sync} {
+		for i := 0; i < n; i++ {
+			listed = append(listed, p)
+		}
+	}
+	pp1.Repeat, sync.Repeat = n, n
+	repeated := proc.Program{pp1, sync}
+	run := func(prog proc.Program) *Result {
+		spec := proc.Spec{Name: "mt", Threads: 2, Program: prog}
+		res, err := Run(proc.Workload{Name: "rep", Procs: proc.Replicate(spec, 4)}, qcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := run(repeated), run(listed)
+	if *got != *want {
+		t.Fatalf("repeated phases ran differently from listed ones:\n%+v\n%+v", *got, *want)
+	}
+	if w := 4 * 2 * 2 * n * 4e6; math.Abs(got.Instructions-w) > 1 {
+		t.Fatalf("instructions = %v, want %v", got.Instructions, w)
+	}
+}

@@ -100,6 +100,30 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 	return e.At(e.now.Add(d), fn)
 }
 
+// NewTimer returns an event that fires fn but is not scheduled yet; Rearm
+// schedules it. A caller that re-arms one callback over and over (the
+// machine's next-completion event) reuses a single Event this way
+// instead of allocating one per After.
+func (e *Engine) NewTimer(fn func()) *Event {
+	return &Event{fire: fn, index: -1}
+}
+
+// Rearm schedules ev, an event from NewTimer, to fire d after the current
+// time, moving it if it is still pending. It takes the next sequence
+// number exactly as After does, so the firing order is the one Cancel
+// followed by After would give.
+func (e *Engine) Rearm(ev *Event, d Duration) {
+	if ev.index >= 0 {
+		heap.Remove(&e.queue, ev.index)
+	}
+	if d < 0 {
+		d = 0
+	}
+	ev.at, ev.seq, ev.cancel = e.now.Add(d), e.seq, false
+	e.seq++
+	heap.Push(&e.queue, ev)
+}
+
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {

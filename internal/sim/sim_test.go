@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -116,6 +117,54 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	}
 	if len(got) != 8 {
 		t.Fatalf("fired %d events, want 8", len(got))
+	}
+}
+
+// TestEngineRearm checks that re-arming one timer fires in exactly the
+// order Cancel followed by After gives, whether the timer is pending,
+// fired or cancelled, and that it allocates nothing.
+func TestEngineRearm(t *testing.T) {
+	var want, got []string
+	log := func(l *[]string, e *Engine, s string) func() {
+		return func() { *l = append(*l, fmt.Sprintf("%s@%d", s, e.Now())) }
+	}
+	// Reference: a fresh event per (re)schedule.
+	ref := NewEngine(1)
+	var cur *Event
+	arm := func(d Duration) {
+		ref.Cancel(cur)
+		cur = ref.After(d, log(&want, ref, "timer"))
+	}
+	ref.At(0, func() { arm(20); ref.After(20, log(&want, ref, "peer")) })
+	ref.At(5, func() { arm(15) })  // move while pending, ties the peer
+	ref.At(30, func() { arm(10) }) // re-arm after it fired
+	ref.At(35, func() { ref.Cancel(cur); arm(5) })
+	ref.Run()
+
+	e := NewEngine(1)
+	tm := e.NewTimer(log(&got, e, "timer"))
+	if tm.When() != 0 || e.Pending() != 0 {
+		t.Fatal("NewTimer scheduled its event")
+	}
+	e.At(0, func() { e.Rearm(tm, 20); e.After(20, log(&got, e, "peer")) })
+	e.At(5, func() { e.Rearm(tm, 15) })
+	e.At(30, func() { e.Rearm(tm, 10) })
+	e.At(35, func() { e.Cancel(tm); e.Rearm(tm, 5) })
+	e.Run()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rearmed timer fired %v, fresh events %v", got, want)
+	}
+
+	e = NewEngine(1)
+	tm = e.NewTimer(func() {})
+	e.After(1, func() {})
+	next := e.seq
+	e.Rearm(tm, 1)
+	if tm.seq != next || e.seq != next+1 {
+		t.Fatalf("Rearm took sequence %d and left %d, want %d and %d", tm.seq, e.seq, next, next+1)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Rearm(tm, 1); e.Step() }); n != 0 {
+		t.Fatalf("Rearm+Step allocates %v times", n)
 	}
 }
 

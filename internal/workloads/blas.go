@@ -160,6 +160,8 @@ func BLAS3() proc.Workload { return blasGroup(3, "BLAS-3") }
 // process whose computation is split into the given number of
 // equal-sized progress periods (1 = outermost loop, 512 = middle loop,
 // 512² = innermost loop), or zero periods (no progress tracking at all).
+// The periods are identical, so the program is one declared phase with
+// Repeat set to the period count.
 func DgemmGranularity(periods int) (proc.Workload, error) {
 	var k blasKernel
 	for _, c := range blasKernels() {
@@ -170,26 +172,18 @@ func DgemmGranularity(periods int) (proc.Workload, error) {
 	if periods < 0 {
 		return proc.Workload{}, fmt.Errorf("workloads: negative period count %d", periods)
 	}
-	var prog proc.Program
-	if periods == 0 {
-		ph := kernelSpec(k).Program[1]
-		ph.Declared = false
-		prog = proc.Program{ph}
-	} else {
-		per := k.instr / float64(periods)
-		ph := proc.Phase{
-			Name: "dgemm-slice", Instr: per, WSS: k.wss, Reuse: k.reuse,
+	ph := kernelSpec(k).Program[1]
+	ph.Declared = false
+	if periods > 0 {
+		ph = proc.Phase{
+			Name: "dgemm-slice", Instr: k.instr / float64(periods), WSS: k.wss, Reuse: k.reuse,
 			AccessesPerInstr: k.accessesPerInstr, PrivateHitFrac: k.privateHitFrac,
 			StreamFrac: k.streamFrac, FlopsPerInstr: k.flopsPerInstr, Declared: true,
-		}
-		prog = make(proc.Program, periods)
-		for i := range prog {
-			prog[i] = ph
-			prog[i].Name = fmt.Sprintf("dgemm-slice-%d", i)
+			Repeat: periods,
 		}
 	}
 	return proc.Workload{
 		Name:  fmt.Sprintf("dgemm-granularity-%d", periods),
-		Procs: []proc.Spec{{Name: "dgemm", Threads: 1, Program: prog}},
+		Procs: []proc.Spec{{Name: "dgemm", Threads: 1, Program: proc.Program{ph}}},
 	}, nil
 }

@@ -151,7 +151,8 @@ func TestByName(t *testing.T) {
 }
 
 func TestDgemmGranularity(t *testing.T) {
-	for _, n := range []int{0, 1, 512} {
+	// 512*512 is Figure 11's innermost-loop count: one repeated phase.
+	for _, n := range []int{0, 1, 512, 512 * 512} {
 		w, err := DgemmGranularity(n)
 		if err != nil {
 			t.Fatalf("DgemmGranularity(%d): %v", n, err)

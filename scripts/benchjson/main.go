@@ -62,10 +62,12 @@ func main() {
 	flag.Parse()
 
 	if *check != "" {
-		if err := validate(*check); err != nil {
+		n, err := validate(*check)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *check, err)
 			os.Exit(1)
 		}
+		fmt.Printf("%s: %d benchmarks, valid\n", *check, n)
 		return
 	}
 	if *diff {
@@ -73,7 +75,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -diff needs exactly two artifacts: old.json new.json")
 			os.Exit(2)
 		}
-		regressions, err := diffArtifacts(flag.Arg(0), flag.Arg(1), *threshold)
+		regressions, err := diffArtifacts(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -166,36 +168,37 @@ func parse(r io.Reader) (*Doc, error) {
 	return doc, nil
 }
 
-func validate(path string) error {
+// validate checks an artifact against the schema and returns its
+// benchmark count.
+func validate(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var doc Doc
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		return err
+		return 0, err
 	}
 	if doc.Version != 1 {
-		return fmt.Errorf("unsupported version %d", doc.Version)
+		return 0, fmt.Errorf("unsupported version %d", doc.Version)
 	}
 	if len(doc.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmarks recorded")
+		return 0, fmt.Errorf("no benchmarks recorded")
 	}
 	for _, b := range doc.Benchmarks {
 		if b.Name == "" || !strings.HasPrefix(b.Name, "Benchmark") {
-			return fmt.Errorf("bad benchmark name %q", b.Name)
+			return 0, fmt.Errorf("bad benchmark name %q", b.Name)
 		}
 		if b.Iterations <= 0 {
-			return fmt.Errorf("%s: nonpositive iteration count %d", b.Name, b.Iterations)
+			return 0, fmt.Errorf("%s: nonpositive iteration count %d", b.Name, b.Iterations)
 		}
 		if _, ok := b.Metrics["ns/op"]; !ok {
-			return fmt.Errorf("%s: no ns/op metric", b.Name)
+			return 0, fmt.Errorf("%s: no ns/op metric", b.Name)
 		}
 	}
-	fmt.Printf("%s: %d benchmarks, valid\n", path, len(doc.Benchmarks))
-	return nil
+	return len(doc.Benchmarks), nil
 }
 
 // load reads and structurally validates one artifact for -diff.
@@ -217,11 +220,11 @@ func load(path string) (*Doc, error) {
 // key identifies a benchmark across artifacts: same package, same name.
 func key(b Benchmark) string { return b.Package + "." + b.Name }
 
-// diffArtifacts prints a per-benchmark ns/op comparison of old vs new
-// and returns how many shared benchmarks regressed past the threshold.
+// diffArtifacts writes a per-benchmark ns/op comparison of old vs new to
+// w and returns how many shared benchmarks regressed past the threshold.
 // Benchmarks only present on one side are listed as added/removed and
 // never count as regressions.
-func diffArtifacts(oldPath, newPath string, threshold float64) (int, error) {
+func diffArtifacts(w io.Writer, oldPath, newPath string, threshold float64) (int, error) {
 	oldDoc, err := load(oldPath)
 	if err != nil {
 		return 0, err
@@ -240,12 +243,12 @@ func diffArtifacts(oldPath, newPath string, threshold float64) (int, error) {
 		seen[key(nb)] = true
 		ob, ok := oldBy[key(nb)]
 		if !ok {
-			fmt.Printf("ADDED    %-50s %12.1f ns/op\n", nb.Name, nb.Metrics["ns/op"])
+			fmt.Fprintf(w, "ADDED    %-50s %12.1f ns/op\n", nb.Name, nb.Metrics["ns/op"])
 			continue
 		}
 		oldNs, newNs := ob.Metrics["ns/op"], nb.Metrics["ns/op"]
 		if oldNs <= 0 {
-			fmt.Printf("SKIP     %-50s old ns/op %g not comparable\n", nb.Name, oldNs)
+			fmt.Fprintf(w, "SKIP     %-50s old ns/op %g not comparable\n", nb.Name, oldNs)
 			continue
 		}
 		delta := (newNs - oldNs) / oldNs
@@ -256,12 +259,12 @@ func diffArtifacts(oldPath, newPath string, threshold float64) (int, error) {
 		} else if delta < -threshold {
 			verdict = "improved"
 		}
-		fmt.Printf("%-8s %-50s %12.1f -> %12.1f ns/op  %+6.1f%%\n",
+		fmt.Fprintf(w, "%-8s %-50s %12.1f -> %12.1f ns/op  %+6.1f%%\n",
 			verdict, nb.Name, oldNs, newNs, delta*100)
 	}
 	for _, ob := range oldDoc.Benchmarks {
 		if !seen[key(ob)] {
-			fmt.Printf("REMOVED  %-50s %12.1f ns/op\n", ob.Name, ob.Metrics["ns/op"])
+			fmt.Fprintf(w, "REMOVED  %-50s %12.1f ns/op\n", ob.Name, ob.Metrics["ns/op"])
 		}
 	}
 	return regressions, nil

@@ -1,0 +1,198 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+func TestParse(t *testing.T) {
+	cases := []struct {
+		name    string
+		in      string
+		want    []Benchmark
+		context map[string]string
+		wantErr bool
+	}{
+		{
+			name: "procs suffix stripped",
+			in:   "BenchmarkFoo-8   100   123 ns/op",
+			want: []Benchmark{{Name: "BenchmarkFoo", Procs: 8, Iterations: 100, Metrics: map[string]float64{"ns/op": 123}}},
+		},
+		{
+			name: "no procs suffix",
+			in:   "BenchmarkFoo   100   123 ns/op",
+			want: []Benchmark{{Name: "BenchmarkFoo", Iterations: 100, Metrics: map[string]float64{"ns/op": 123}}},
+		},
+		{
+			name: "sub-benchmark keeps inner dashes",
+			in:   "BenchmarkHub/no-subscribers-2   5000   40.5 ns/op\nBenchmarkHub/no-subscribers   5000   40.5 ns/op",
+			want: []Benchmark{
+				{Name: "BenchmarkHub/no-subscribers", Procs: 2, Iterations: 5000, Metrics: map[string]float64{"ns/op": 40.5}},
+				{Name: "BenchmarkHub/no-subscribers", Iterations: 5000, Metrics: map[string]float64{"ns/op": 40.5}},
+			},
+		},
+		{
+			name: "custom units",
+			in:   "BenchmarkMachineReschedule/ready=12-2   20000   653.0 ns/op   0 allocs/event   653.0 ns/event   16 B/op",
+			want: []Benchmark{{Name: "BenchmarkMachineReschedule/ready=12", Procs: 2, Iterations: 20000,
+				Metrics: map[string]float64{"ns/op": 653, "allocs/event": 0, "ns/event": 653, "B/op": 16}}},
+		},
+		{
+			name: "context lines",
+			in: "goos: linux\ngoarch: amd64\npkg: rdasched/internal/sim\ncpu: Some CPU @ 2.0GHz\n" +
+				"BenchmarkA-2   10   1 ns/op\npkg: rdasched/internal/core\nBenchmarkB-2   10   2 ns/op\nPASS\nok  \trdasched/internal/core\t0.1s",
+			want: []Benchmark{
+				{Name: "BenchmarkA", Package: "rdasched/internal/sim", Procs: 2, Iterations: 10, Metrics: map[string]float64{"ns/op": 1}},
+				{Name: "BenchmarkB", Package: "rdasched/internal/core", Procs: 2, Iterations: 10, Metrics: map[string]float64{"ns/op": 2}},
+			},
+			context: map[string]string{"goos": "linux", "goarch": "amd64", "cpu": "Some CPU @ 2.0GHz"},
+		},
+		{
+			name: "non-result lines skipped",
+			in:   "BenchmarkFoo\n--- BENCH: BenchmarkFoo-2\nBenchmarkFoo-2   many   1 ns/op\nBenchmarkFoo-2   10   1 ns/op   2",
+		},
+		{
+			name:    "bad metric value",
+			in:      "BenchmarkFoo-2   10   fast ns/op",
+			wantErr: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, err := parse(strings.NewReader(tc.in))
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("parse accepted a malformed metric")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(doc.Benchmarks, tc.want) {
+				t.Fatalf("benchmarks\n got %+v\nwant %+v", doc.Benchmarks, tc.want)
+			}
+			if tc.context == nil {
+				tc.context = map[string]string{}
+			}
+			if !reflect.DeepEqual(doc.Context, tc.context) {
+				t.Fatalf("context %v, want %v", doc.Context, tc.context)
+			}
+		})
+	}
+}
+
+// writeDoc writes an artifact body to a temporary file and returns its
+// path.
+func writeDoc(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestCheck(t *testing.T) {
+	cases := []struct {
+		name string
+		body string
+		ok   bool
+	}{
+		{"valid", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1}}]}`, true},
+		{"not json", `BenchmarkA 10 1 ns/op`, false},
+		{"unknown field", `{"version":1,"extra":true,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1}}]}`, false},
+		{"wrong version", `{"version":2,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1}}]}`, false},
+		{"no benchmarks", `{"version":1,"benchmarks":[]}`, false},
+		{"bad name", `{"version":1,"benchmarks":[{"name":"TestA","iterations":10,"metrics":{"ns/op":1}}]}`, false},
+		{"zero iterations", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":0,"metrics":{"ns/op":1}}]}`, false},
+		{"no ns/op", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"B/op":1}}]}`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := validate(writeDoc(t, tc.body))
+			if tc.ok && (err != nil || n != 1) {
+				t.Fatalf("valid artifact rejected: %d, %v", n, err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("malformed artifact accepted")
+			}
+		})
+	}
+	if _, err := validate(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("missing artifact accepted")
+	}
+}
+
+// artifact renders a version-1 artifact with one benchmark per
+// name → ns/op entry, all in package p.
+func artifact(t *testing.T, ns map[string]float64) string {
+	t.Helper()
+	doc := Doc{Version: 1}
+	for name, v := range ns {
+		doc.Benchmarks = append(doc.Benchmarks, Benchmark{Name: name, Package: "p", Iterations: 1, Metrics: map[string]float64{"ns/op": v}})
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeDoc(t, string(data))
+}
+
+func TestDiff(t *testing.T) {
+	cases := []struct {
+		name        string
+		old, new    map[string]float64
+		threshold   float64
+		regressions int
+		lines       []string // substrings the report must contain
+	}{
+		{"within threshold", map[string]float64{"BenchmarkA": 100}, map[string]float64{"BenchmarkA": 109}, 0.10, 0, []string{"ok "}},
+		{"at threshold", map[string]float64{"BenchmarkA": 100}, map[string]float64{"BenchmarkA": 110}, 0.10, 0, []string{"ok "}},
+		{"past threshold", map[string]float64{"BenchmarkA": 100}, map[string]float64{"BenchmarkA": 111}, 0.10, 1, []string{"REGRESSED", "+11.0%"}},
+		{"looser threshold", map[string]float64{"BenchmarkA": 100}, map[string]float64{"BenchmarkA": 130}, 0.50, 0, []string{"ok "}},
+		{"improved", map[string]float64{"BenchmarkA": 100}, map[string]float64{"BenchmarkA": 50}, 0.10, 0, []string{"improved"}},
+		{"added", map[string]float64{"BenchmarkA": 100}, map[string]float64{"BenchmarkA": 100, "BenchmarkB": 1e9}, 0.10, 0, []string{"ADDED    BenchmarkB"}},
+		{"removed", map[string]float64{"BenchmarkA": 100, "BenchmarkB": 1}, map[string]float64{"BenchmarkA": 100}, 0.10, 0, []string{"REMOVED  BenchmarkB"}},
+		{"zero baseline", map[string]float64{"BenchmarkA": 0}, map[string]float64{"BenchmarkA": 100}, 0.10, 0, []string{"SKIP"}},
+		{"counts every regression", map[string]float64{"BenchmarkA": 1, "BenchmarkB": 1}, map[string]float64{"BenchmarkA": 2, "BenchmarkB": 3}, 0.10, 2, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			n, err := diffArtifacts(&out, artifact(t, tc.old), artifact(t, tc.new), tc.threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.regressions {
+				t.Fatalf("%d regressions, want %d:\n%s", n, tc.regressions, out.String())
+			}
+			for _, l := range tc.lines {
+				if !strings.Contains(out.String(), l) {
+					t.Fatalf("report lacks %q:\n%s", l, out.String())
+				}
+			}
+		})
+	}
+}
+
+func TestDiffRejectsBadArtifacts(t *testing.T) {
+	good := artifact(t, map[string]float64{"BenchmarkA": 1})
+	for name, bad := range map[string]string{
+		"not json":      writeDoc(t, "{"),
+		"wrong version": writeDoc(t, `{"version":3,"benchmarks":[]}`),
+		"missing":       filepath.Join(t.TempDir(), "missing.json"),
+	} {
+		var out strings.Builder
+		if _, err := diffArtifacts(&out, good, bad, 0.1); err == nil {
+			t.Errorf("%s: new artifact accepted", name)
+		}
+		if _, err := diffArtifacts(&out, bad, good, 0.1); err == nil {
+			t.Errorf("%s: old artifact accepted", name)
+		}
+	}
+}
