@@ -200,6 +200,8 @@ var (
 	ErrInvalidDomain = core.ErrInvalidDomain
 	// ErrInvalidRecoveryConfig: a RecoveryConfig EnableRecovery refuses.
 	ErrInvalidRecoveryConfig = core.ErrInvalidRecoveryConfig
+	// ErrInvalidRunConfig: a RunConfig that RunConfig.Validate, and so Run, refuses.
+	ErrInvalidRunConfig = perf.ErrInvalidRunConfig
 	// ErrHalted: the run died at FaultPlan.KillAt — the error a killed
 	// checkpointed run wraps (errors.Is), leaving the directory behind
 	// for Restore.

@@ -334,6 +334,14 @@ func TestFacadeSentinels(t *testing.T) {
 	if err := s.Resources().Decrement(huge); !errors.Is(err, rdasched.ErrLoadUnderflow) {
 		t.Fatalf("decrement on empty table: %v, want ErrLoadUnderflow", err)
 	}
+	w, err := rdasched.WorkloadByName("water_nsq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metricsOfBaseline := rdasched.RunConfig{Machine: rdasched.DefaultMachine(), Telemetry: true}
+	if _, _, err := rdasched.Run(w, metricsOfBaseline); !errors.Is(err, rdasched.ErrInvalidRunConfig) {
+		t.Fatalf("telemetry without a policy: %v, want ErrInvalidRunConfig", err)
+	}
 }
 
 func TestFacadeDemand(t *testing.T) {

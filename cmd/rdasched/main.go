@@ -94,11 +94,11 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print the telemetry registry (Prometheus text exposition) after the report")
 		jobs      = flag.Int("jobs", 1, "concurrent repetitions (output is identical for any value)")
 		governor  = flag.Bool("governor", false, "attach the adaptive admission governor (policy degradation, misdeclaration quarantine, waitlist aging)")
-		domains   = flag.Int("domains", 0, "shard the LLC into N admission domains with demand-aware placement and cross-domain steal (0 = unsharded)")
+		domains   = flag.Int("domains", 0, "shard the LLC into N admission domains with demand-aware placement and cross-domain steal (0 and 1 both run one domain)")
 		domFaults = flag.Float64("domain-faults", 0, "crash admission domain 0 at this many virtual seconds (healing at 2x) and evacuate its periods; needs -domains >= 2")
-		obsDir    = flag.String("obs-dir", "", "write a self-contained HTML observability report (blame matrix, critical path, SLO burn rate) into this directory; needs a scheduling policy")
+		obsDir    = flag.String("obs-dir", "", "write a self-contained HTML observability report (blame matrix, critical path, SLO burn rate) into this directory; needs -policy strict or compromise")
 		sloMS     = flag.Float64("slo-ms", 0, "admission-latency SLO objective in virtual milliseconds for the -obs-dir report (0 = default 50ms)")
-		ckptDir   = flag.String("checkpoint-dir", "", "append an admission journal and periodic state snapshots into this directory while running; needs a scheduling policy and -reps 1")
+		ckptDir   = flag.String("checkpoint-dir", "", "append an admission journal and periodic state snapshots into this directory while running (repetition i > 0 writes into its rep<i> subdirectory); needs -policy strict or compromise")
 		ckptEvery = flag.Float64("checkpoint-every", 0, "virtual seconds between periodic snapshots under -checkpoint-dir (0 = journal-only after the attach snapshot)")
 		restore   = flag.String("restore", "", "restore the gate from this checkpoint directory and resume the killed run to completion")
 		killAt    = flag.Float64("kill-at", 0, "kill the process at this virtual second (crash injection; pair with -checkpoint-dir, then resume with -restore)")
@@ -174,12 +174,56 @@ func main() {
 		Repetitions: *reps,
 		JitterFrac:  *jitter,
 		Seed:        *seed,
-		Telemetry:   *metrics || *tracePath != "" || *listen != "",
+		Telemetry:   *metrics || *tracePath != "" || (*listen != "" && pol != nil),
 		Trace:       *tracePath != "",
 		Jobs:        *jobs,
 		Domains:     *domains,
 	}
 	rc.Pace, _ = obsrv.ParsePace(*pace) // validated above
+	if *obsDir != "" {
+		rc.Blame = true
+		slo := blame.DefaultSLOConfig()
+		if *sloMS > 0 {
+			slo.Objective = sim.Duration(*sloMS * float64(sim.Millisecond))
+		}
+		rc.SLO = &slo
+	}
+	if *domFaults > 0 {
+		at := sim.FromSeconds(*domFaults)
+		rc.Faults = &faults.Plan{DomainFaults: []faults.DomainFault{
+			{Kind: faults.DomainCrash, Domain: 0, At: at, Heal: at},
+		}}
+	}
+	if *governor {
+		cfg := core.DefaultGovernorConfig()
+		rc.Governor = &cfg
+	}
+	if *ckptDir != "" {
+		rc.Checkpoint = &persist.Config{Dir: *ckptDir, Every: sim.FromSeconds(*ckptEvery)}
+	}
+	if *killAt > 0 {
+		if rc.Faults == nil {
+			rc.Faults = &faults.Plan{}
+		}
+		rc.Faults.KillAt = sim.FromSeconds(*killAt)
+	}
+	if *restore != "" {
+		res, err := persist.Restore(*restore)
+		if err != nil {
+			fatal(err)
+		}
+		rc.Restore = res
+		rc.Repetitions = 1 // a checkpoint belongs to a single repetition
+		fmt.Fprintf(os.Stderr, "rdasched: restored seq %d (snapshot %d + %d replayed), resuming from %.3fs virtual\n",
+			res.Seq, res.SnapshotSeq, res.Replayed, res.KillAt.Seconds())
+	}
+	// Refuse flag combinations the run could not honor (say -metrics
+	// under the default policy, which has no scheduler to observe)
+	// before binding the -listen address.
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "rdasched:", err)
+		os.Exit(2)
+	}
 	if *listen != "" {
 		srv, err := obsrv.Serve(obsrv.Config{Addr: *listen})
 		if err != nil {
@@ -204,57 +248,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "rdasched: introspection shutdown:", err)
 			}
 		}()
-	}
-	if *domains >= 1 && pol == nil {
-		fatal(fmt.Errorf("-domains needs a scheduling policy (-policy strict or compromise)"))
-	}
-	if *obsDir != "" {
-		if pol == nil {
-			fatal(fmt.Errorf("-obs-dir needs a scheduling policy (-policy strict or compromise)"))
-		}
-		rc.Blame = true
-		slo := blame.DefaultSLOConfig()
-		if *sloMS > 0 {
-			slo.Objective = sim.Duration(*sloMS * float64(sim.Millisecond))
-		}
-		rc.SLO = &slo
-	}
-	if *domFaults > 0 {
-		if *domains < 2 {
-			fatal(fmt.Errorf("-domain-faults needs -domains >= 2 (a crashed shard needs a survivor to evacuate to)"))
-		}
-		at := sim.FromSeconds(*domFaults)
-		rc.Faults = &faults.Plan{DomainFaults: []faults.DomainFault{
-			{Kind: faults.DomainCrash, Domain: 0, At: at, Heal: at},
-		}}
-		rcfg := core.DefaultRecoveryConfig()
-		rc.Recovery = &rcfg
-	}
-	if *governor {
-		if pol == nil {
-			fatal(fmt.Errorf("-governor needs a scheduling policy (-policy strict or compromise)"))
-		}
-		cfg := core.DefaultGovernorConfig()
-		rc.Governor = &cfg
-	}
-	if *ckptDir != "" {
-		rc.Checkpoint = &persist.Config{Dir: *ckptDir, Every: sim.FromSeconds(*ckptEvery)}
-	}
-	if *killAt > 0 {
-		if rc.Faults == nil {
-			rc.Faults = &faults.Plan{}
-		}
-		rc.Faults.KillAt = sim.FromSeconds(*killAt)
-	}
-	if *restore != "" {
-		res, err := persist.Restore(*restore)
-		if err != nil {
-			fatal(err)
-		}
-		rc.Restore = res
-		rc.Repetitions = 1 // a checkpoint belongs to a single repetition
-		fmt.Fprintf(os.Stderr, "rdasched: restored seq %d (snapshot %d + %d replayed), resuming from %.3fs virtual\n",
-			res.Seq, res.SnapshotSeq, res.Replayed, res.KillAt.Seconds())
 	}
 	mean, sd, err := perf.Run(w, rc)
 	if err != nil {

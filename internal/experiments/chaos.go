@@ -113,12 +113,13 @@ func RunChaos(opt Options) (*ChaosResult, error) {
 	for _, c := range cfgs {
 		for _, rate := range ChaosRates {
 			rc := perf.RunConfig{
-				Machine:       opt.Machine,
-				Policy:        c.Policy,
-				Repetitions:   opt.Repetitions,
-				JitterFrac:    opt.JitterFrac,
-				Lease:         lease,
-				AdmitDeadline: deadline,
+				Machine:     opt.Machine,
+				Policy:      c.Policy,
+				Repetitions: opt.Repetitions,
+				JitterFrac:  opt.JitterFrac,
+			}
+			if c.Policy != nil {
+				rc.Lease, rc.AdmitDeadline = lease, deadline
 			}
 			if c.Governed {
 				g := gcfg

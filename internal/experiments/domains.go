@@ -135,18 +135,17 @@ func RunDomains(opt Options) (*DomainResult, error) {
 		w := scaleWorkload(base, opt.Scale)
 		age := domainStealAge(w)
 		for _, n := range DomainCounts {
-			cells = append(cells, cell{
-				label: fmt.Sprintf("domains %s n %d", base.Name, n),
-				w:     w,
-				rc: perf.RunConfig{
-					Machine:     opt.Machine,
-					Policy:      core.StrictPolicy{},
-					Repetitions: opt.Repetitions,
-					JitterFrac:  opt.JitterFrac,
-					Domains:     n,
-					StealAge:    age,
-				},
-			})
+			rc := perf.RunConfig{
+				Machine:     opt.Machine,
+				Policy:      core.StrictPolicy{},
+				Repetitions: opt.Repetitions,
+				JitterFrac:  opt.JitterFrac,
+				Domains:     n,
+			}
+			if n >= 2 {
+				rc.StealAge = age
+			}
+			cells = append(cells, cell{label: fmt.Sprintf("domains %s n %d", base.Name, n), w: w, rc: rc})
 		}
 	}
 	ms, err := measure(cells, opt)

@@ -146,8 +146,8 @@ func measure(cells []cell, opt Options) ([]measured, error) {
 		c := cells[jobCell[i]]
 		rc := c.rc
 		rc.Seed = runner.Seed(opt.Seed, uint64(i))
-		rc.Telemetry = rc.Telemetry || opt.Telemetry || opt.TraceDir != "" || opt.ObsDir != ""
-		rc.Trace = rc.Trace || opt.TraceDir != ""
+		rc.Telemetry = rc.Telemetry || (rc.Policy != nil && (opt.Telemetry || opt.TraceDir != "" || opt.ObsDir != ""))
+		rc.Trace = rc.Trace || (rc.Policy != nil && opt.TraceDir != "")
 		if opt.ObsDir != "" && rc.Policy != nil {
 			rc.Blame = true
 			if rc.SLO == nil {

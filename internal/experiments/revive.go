@@ -176,8 +176,10 @@ func runRevival(c reviveCell, w proc.Workload, opt Options, lease, deadline sim.
 		Lease:         lease,
 		AdmitDeadline: deadline,
 		Domains:       c.domains,
-		StealAge:      domainStealAge(w),
 		Telemetry:     true,
+	}
+	if c.domains >= 2 {
+		rc.StealAge = domainStealAge(w)
 	}
 	base, err := perf.Sample(w, rc, 0)
 	if err != nil {

@@ -106,15 +106,14 @@ type Process struct {
 	threads []*Thread
 	// arrived counts the threads waiting at the barrier after phase
 	// barrierAt. At most one barrier is pending at a time: no thread
-	// passes a barrier before every live sibling has reached it.
+	// passes a barrier before every sibling has reached it.
 	barrierAt int
 	arrived   int
 	// groups is the process's part of the pressure ledger: one entry per
 	// phase index that has Ready threads.
-	groups  []group
-	done    int
-	crashed int // threads that died mid-phase (fault injection)
-	finish  sim.Time
+	groups []group
+	done   int
+	finish sim.Time
 }
 
 // group is one (process, phase) entry of the pressure ledger: n Ready
@@ -223,7 +222,7 @@ type Machine struct {
 	// ready holds the Ready threads in id order, and pressure and groups
 	// sum the ledger of their (process, phase) groups. They change only
 	// where a thread's state or phase does: startPhase, finishPhase,
-	// completeBarrier, crashThread and wake. Id order keeps every float
+	// completeBarrier and wake. Id order keeps every float
 	// sum over them in the order a scan of all threads would use.
 	ready    []*Thread
 	pressure pp.Bytes
@@ -682,25 +681,25 @@ func (m *Machine) finishPhase(t *Thread) {
 		}
 		p.barrierAt = idx
 		p.arrived++
-		if p.arrived < len(p.threads)-p.crashed {
+		if p.arrived < len(p.threads) {
 			t.state = BarrierWait
 			return
 		}
-		m.completeBarrier(p, t)
+		m.completeBarrier(p)
 	}
 	t.at.Next(t.proc.spec.Program)
 	m.startPhase(t)
 }
 
 // completeBarrier releases every sibling waiting at the pending barrier.
-// The arriving thread (nil when a crash shrank the rendezvous target)
-// advances itself in finishPhase.
-func (m *Machine) completeBarrier(p *Process, arriving *Thread) {
+// The last thread to arrive is not waiting; it advances itself in
+// finishPhase.
+func (m *Machine) completeBarrier(p *Process) {
 	idx := p.barrierAt
 	p.arrived = 0
 	m.counters.Barriers++
 	for _, sib := range p.threads {
-		if sib != arriving && sib.state == BarrierWait && sib.at.Index == idx {
+		if sib.state == BarrierWait && sib.at.Index == idx {
 			sib.at.Next(p.spec.Program)
 			m.startPhase(sib)
 		}
@@ -708,23 +707,22 @@ func (m *Machine) completeBarrier(p *Process, arriving *Thread) {
 }
 
 // crashThread kills t mid-period: the thread counts as finished for
-// process completion, its open progress period never sees a pp_end (the
-// scheduler's lease watchdog reclaims the load), and a pending barrier
-// of its process re-evaluates against the shrunken rendezvous target so
-// surviving siblings are not deadlocked by a dead peer.
+// process completion, and its open progress period never sees a pp_end
+// (the scheduler's lease watchdog reclaims the load). No sibling can be
+// waiting at a barrier: every thread runs the same program, so one at a
+// later barrier would have passed this crashing phase and died in it.
 func (m *Machine) crashThread(t *Thread) {
+	p := t.proc
+	if p.arrived > 0 {
+		panic(fmt.Sprintf("machine: process %d crashed a thread with %d at barrier %d", p.id, p.arrived, p.barrierAt))
+	}
 	t.state = Done
 	t.crashing = false
 	m.counters.Crashes++
-	p := t.proc
-	p.crashed++
 	p.done++
 	if p.done == len(p.threads) {
 		p.finish = m.eng.Now()
 		m.doneProcs++
-	}
-	if p.arrived > 0 && p.arrived >= len(p.threads)-p.crashed {
-		m.completeBarrier(p, nil)
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 	"rdasched/internal/telemetry/trace"
 )
 
-// Metrics are the paper's evaluation metrics for one workload run.
+// Metrics are the paper's evaluation metrics for one workload run. A
+// field fed by a RunConfig option stays zero without it (RunConfig.Validate).
 type Metrics struct {
 	// SystemJ is energy consumed by CPU + caches + DRAM (Figure 7).
 	SystemJ float64
@@ -66,10 +67,9 @@ type Metrics struct {
 	GovernorRestores     float64
 	GovernorReservations float64
 
-	// Domain counters (zero unless RunConfig.Domains >= 2): periods
-	// assigned by the demand-aware placer and aged waiters migrated
-	// cross-domain. A single-domain set makes no placement decisions,
-	// so Domains=1 reports zeros exactly like the unsharded scheduler.
+	// Domain counters (zero unless RunConfig.Domains >= 2; a single
+	// domain makes no placement decisions): periods assigned by the
+	// demand-aware placer and aged waiters migrated cross-domain.
 	DomainPlacements float64
 	DomainSteals     float64
 
@@ -107,7 +107,8 @@ type Metrics struct {
 	SLO *blame.SLOResult `json:"-"`
 }
 
-// RunConfig describes one measured configuration.
+// RunConfig describes one measured configuration; Validate refuses
+// every field a run could not honor.
 type RunConfig struct {
 	// Machine is the hardware model (machine.DefaultConfig for Table 1).
 	Machine machine.Config
@@ -116,8 +117,7 @@ type RunConfig struct {
 	// are stripped, so no progress-period API overhead is charged and no
 	// admission control happens.
 	Policy core.Policy
-	// Reserve withholds LLC capacity from admission (§6 extension; only
-	// meaningful with a non-nil Policy).
+	// Reserve withholds LLC capacity from admission (§6 extension).
 	Reserve pp.Bytes
 	// Repetitions is the number of measured runs to average (the paper
 	// uses 4). 0 means 1.
@@ -144,27 +144,22 @@ type RunConfig struct {
 	// Governor, when non-nil and enabled, attaches the adaptive
 	// admission governor (overload-aware policy degradation,
 	// misdeclaration quarantine, waitlist aging) to each repetition's
-	// scheduler. Only meaningful with a non-nil Policy.
+	// scheduler.
 	Governor *core.GovernorConfig
 
 	// Domains shards the scheduler into N per-domain admission monitors
 	// with demand-aware placement and cross-domain steal of aged
-	// waiters (core.DomainSet). 0 runs the unsharded scheduler; 1 runs
-	// a single-domain set, bit-identical to 0 (the differential suite
-	// pins this). Only meaningful with a non-nil Policy.
+	// waiters (core.DomainSet). 0 and 1 both run a single domain.
 	Domains int
 	// StealAge tunes the cross-domain steal age bar (0 selects
-	// core.DefaultStealAge, negative disables stealing). Only
-	// meaningful with Domains >= 2.
+	// core.DefaultStealAge).
 	StealAge sim.Duration
 	// Recovery configures the domain fault/recovery subsystem; nil with
 	// Faults.DomainFaults scheduled selects core.DefaultRecoveryConfig.
-	// Only meaningful with Domains >= 2.
 	Recovery *core.RecoveryConfig
 
 	// Telemetry attaches a fresh metrics registry to each repetition's
-	// scheduler (Metrics.Telemetry). Only meaningful with a non-nil
-	// Policy — the baseline has no scheduler to observe.
+	// scheduler (Metrics.Telemetry).
 	Telemetry bool
 	// Trace subscribes a span collector to each repetition's decision
 	// stream (Metrics.Spans).
@@ -172,12 +167,11 @@ type RunConfig struct {
 	// Blame subscribes the causal wait-attribution collector
 	// (internal/telemetry/blame) to each repetition's decision stream
 	// (Metrics.Blame). With Telemetry also set, the rda_blame_* families
-	// publish into the repetition's registry. Only meaningful with a
-	// non-nil Policy.
+	// publish into the repetition's registry.
 	Blame bool
 	// SLO, when non-nil, attaches an admission-latency SLO monitor with
 	// multi-window burn-rate alerting (Metrics.SLO; rda_slo_* families
-	// with Telemetry). Only meaningful with a non-nil Policy.
+	// with Telemetry).
 	SLO *blame.SLOConfig
 
 	// Checkpoint, when non-nil, attaches the crash-safe admission
@@ -186,17 +180,15 @@ type RunConfig struct {
 	// directly; repetition i > 0 into Dir/rep<i>. Combined with
 	// Faults.KillAt the run dies mid-schedule (machine.ErrHalted),
 	// leaving the checkpoint directory as the only survivor.
-	// Incompatible with Faults.DomainFaults (the recovery subsystem's
-	// injected state is not journaled) and with Restore.
 	Checkpoint *persist.Config
 	// Restore, when non-nil, resumes a killed run from a loaded
 	// checkpoint: the pre-kill prefix is re-executed (the simulation is
 	// deterministic), verified byte-for-byte against the restored state,
 	// and then a scheduler built purely from the checkpoint takes over
-	// the machine for the remainder. Requires Repetitions <= 1.
+	// the machine for the remainder.
 	Restore *persist.Restored
 	// Jobs fans repetitions out across a worker pool (internal/runner);
-	// <= 1 runs them serially. Results are bit-identical for every
+	// 0 and 1 run them serially. Results are bit-identical for every
 	// value: each repetition is a pure function of (w, rc, rep), and
 	// samples are aggregated in repetition order.
 	Jobs int
@@ -216,6 +208,103 @@ type RunConfig struct {
 	Pace float64
 }
 
+// ErrInvalidRunConfig marks a RunConfig that Validate refuses.
+var ErrInvalidRunConfig = errors.New("perf: invalid run configuration")
+
+// Validate reports whether every field rc sets can take effect; each
+// violation wraps ErrInvalidRunConfig. It refuses out-of-range values,
+// scheduler settings without a Policy (the baseline has no scheduler),
+// steal and domain-fault settings below two domains, Recovery without
+// domain faults, checkpoint/restore combinations the journal cannot
+// honor, and a nested SLO, Checkpoint or Recovery config its own
+// Validate refuses. Sample calls it first.
+func (rc RunConfig) Validate() error {
+	switch {
+	case rc.Repetitions < 0:
+		return invalid("negative Repetitions %d", rc.Repetitions)
+	case rc.Jobs < 0:
+		return invalid("negative Jobs %d", rc.Jobs)
+	case rc.Domains < 0:
+		return invalid("negative Domains %d", rc.Domains)
+	case rc.Pace < 0:
+		return invalid("negative Pace %g", rc.Pace)
+	case rc.StealAge < 0 || rc.Lease < 0 || rc.AdmitDeadline < 0:
+		return invalid("negative StealAge, Lease or AdmitDeadline")
+	case rc.Reserve < 0 || rc.Reserve > rc.Machine.LLCCapacity:
+		return invalid("Reserve %v outside [0, LLC capacity %v]", rc.Reserve, rc.Machine.LLCCapacity)
+	case !(rc.JitterFrac >= 0 && rc.JitterFrac < 1):
+		return invalid("JitterFrac %g outside [0, 1)", rc.JitterFrac)
+	}
+	if rc.Policy == nil {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"Reserve", rc.Reserve != 0},
+			{"Lease", rc.Lease != 0},
+			{"AdmitDeadline", rc.AdmitDeadline != 0},
+			{"Governor", rc.Governor != nil},
+			{"Domains > 1", rc.Domains > 1},
+			{"Telemetry", rc.Telemetry},
+			{"Trace", rc.Trace},
+			{"Blame", rc.Blame},
+			{"SLO", rc.SLO != nil},
+			{"Checkpoint", rc.Checkpoint != nil},
+			{"Restore", rc.Restore != nil},
+		} {
+			if f.set {
+				return invalid("%s needs a scheduling policy", f.name)
+			}
+		}
+	}
+	var dfs []faults.DomainFault
+	if rc.Faults != nil {
+		dfs = rc.Faults.DomainFaults
+	}
+	if rc.Domains < 2 && (rc.StealAge != 0 || len(dfs) > 0) {
+		return invalid("StealAge and domain faults need Domains >= 2")
+	}
+	for i, df := range dfs {
+		if df.Domain < 0 || df.Domain >= rc.Domains {
+			return invalid("domain fault %d targets domain %d of %d", i, df.Domain, rc.Domains)
+		}
+		if df.At <= 0 {
+			return invalid("domain fault %d at non-positive time %vs", i, df.At.Seconds())
+		}
+	}
+	if rc.Recovery != nil && len(dfs) == 0 {
+		return invalid("Recovery needs domain faults")
+	}
+	if rc.Checkpoint != nil && rc.Restore != nil {
+		return invalid("Checkpoint and Restore in the same run")
+	}
+	if (rc.Checkpoint != nil || rc.Restore != nil) && len(dfs) > 0 {
+		return invalid("Checkpoint or Restore with domain faults (recovery state is not journaled)")
+	}
+	if rc.Restore != nil && (rc.Reps() > 1 || rc.Restore.KillAt <= 0) {
+		return invalid("Restore needs one repetition and a checkpoint with a kill time")
+	}
+	var err error
+	if rc.SLO != nil {
+		err = rc.SLO.Validate()
+	}
+	if rc.Checkpoint != nil && err == nil {
+		err = rc.Checkpoint.Validate()
+	}
+	if rc.Recovery != nil && err == nil {
+		err = rc.Recovery.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidRunConfig, err)
+	}
+	return nil
+}
+
+// invalid formats one Validate violation.
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidRunConfig}, args...)...)
+}
+
 // ErrStopped reports a run halted by an external stop request
 // (obsrv.Server.RequestStop — the CLIs' SIGTERM path). Callers that
 // asked for the stop should treat it as a clean, intentional end of
@@ -231,28 +320,16 @@ func (rc RunConfig) Reps() int {
 }
 
 // Run measures a workload and returns the mean metrics and their
-// standard deviation across repetitions. With rc.Jobs > 1 the
-// repetitions run concurrently on a worker pool; the result is
-// bit-identical to the serial loop because every repetition is a pure
-// function of its index and samples are aggregated in repetition
-// order.
+// standard deviation across repetitions, run on max(rc.Jobs, 1) workers.
+// The result is bit-identical for every worker count: each repetition is
+// a pure function of its index, samples aggregate in repetition order,
+// and every repetition runs even when another fails.
 func Run(w proc.Workload, rc RunConfig) (mean, stddev Metrics, err error) {
-	if rc.Jobs > 1 {
-		samples, err := runner.Map(rc.Jobs, rc.Reps(), func(i int) (Metrics, error) {
-			return Sample(w, rc, i)
-		})
-		if err != nil {
-			return Metrics{}, Metrics{}, fmt.Errorf("perf: %w", err)
-		}
-		return Aggregate(samples)
-	}
-	var samples []Metrics
-	for i := 0; i < rc.Reps(); i++ {
-		m, err := Sample(w, rc, i)
-		if err != nil {
-			return Metrics{}, Metrics{}, fmt.Errorf("perf: repetition %d: %w", i, err)
-		}
-		samples = append(samples, m)
+	samples, err := runner.Map(max(rc.Jobs, 1), rc.Reps(), func(i int) (Metrics, error) {
+		return Sample(w, rc, i)
+	})
+	if err != nil {
+		return Metrics{}, Metrics{}, fmt.Errorf("perf: %w", err)
 	}
 	return Aggregate(samples)
 }
@@ -261,8 +338,12 @@ func Run(w proc.Workload, rc RunConfig) (mean, stddev Metrics, err error) {
 // function of (w, rc, rep): the jitter stream derives from rc.Seed and
 // rep alone, never from a generator shared across repetitions, so
 // repetitions may run concurrently — in any order, on any worker — and
-// still produce the exact metrics a serial loop would.
+// still produce the exact metrics a serial loop would. It refuses a
+// configuration Validate rejects.
 func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
+	if err := rc.Validate(); err != nil {
+		return Metrics{}, err
+	}
 	if err := w.Validate(); err != nil {
 		return Metrics{}, err
 	}
@@ -275,72 +356,36 @@ func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
 	return runOnce(w, rc, uint64(rep))
 }
 
-// admission is the scheduler surface runOnce drives; *core.Scheduler
-// and *core.DomainSet both satisfy it, so the measurement path is the
-// same whether the run is sharded or not.
-type admission interface {
-	machine.Gate
-	SetWaker(core.Waker)
-	SetClock(core.Clock)
-	SetTimer(core.Timer)
-	SetLease(sim.Duration)
-	SetAdmissionDeadline(sim.Duration)
-	EnableGovernor(core.GovernorConfig)
-	SetMetrics(*telemetry.Registry)
-	AddSink(core.EventSink)
-	SetReplaySink(core.ReplaySink)
-	ExportState() core.State
-	ImportState(core.State, core.ThreadResolver) error
-	Detach()
-	Quiesce() int
-	Stats() core.Stats
-	GovernorStats() core.GovernorStats
-	PublishStats(*telemetry.Registry)
-}
-
-// newGate builds the admission gate for one repetition (nil for the
-// uninstrumented baseline). Extracted from runOnce so the restore path
-// can build a second, identical gate to import the checkpoint into.
-func newGate(rc RunConfig, cfg machine.Config) (admission, *core.DomainSet, error) {
+// newGate builds the admission gate for one repetition, a DomainSet of
+// max(rc.Domains, 1) shards (nil for the uninstrumented baseline).
+// Extracted from runOnce so the restore path can build a second,
+// identical gate to import the checkpoint into.
+func newGate(rc RunConfig, cfg machine.Config) (*core.DomainSet, error) {
 	if rc.Policy == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	if rc.Domains >= 1 {
-		// RunConfig keeps the old "negative StealAge disables stealing"
-		// contract; the core config expresses that as DisableSteal.
-		dcfg := core.DomainConfig{Domains: rc.Domains, StealAge: rc.StealAge}
-		if rc.StealAge < 0 {
-			dcfg.StealAge, dcfg.DisableSteal = 0, true
-		}
-		dset, err := core.NewDomainSet(rc.Policy, cfg.LLCCapacity, dcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Track memory bandwidth as a second resource, split across the
-		// domains like the LLC budget.
-		dset.SetResourceCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
-		if rc.Reserve > 0 {
-			dset.SetReserve(rc.Reserve)
-		}
-		if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
-			rcfg := core.DefaultRecoveryConfig()
-			if rc.Recovery != nil {
-				rcfg = *rc.Recovery
-			}
-			if err := dset.EnableRecovery(rcfg); err != nil {
-				return nil, nil, err
-			}
-		}
-		return dset, dset, nil
+	dset, err := core.NewDomainSet(rc.Policy, cfg.LLCCapacity,
+		core.DomainConfig{Domains: max(rc.Domains, 1), StealAge: rc.StealAge})
+	if err != nil {
+		return nil, err
 	}
-	s := core.New(rc.Policy, cfg.LLCCapacity)
 	// Track memory bandwidth as a second resource: periods declaring
-	// BWDemand are gated against the machine's DRAM roofline.
-	s.Resources().SetCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
+	// BWDemand are gated against the machine's DRAM roofline, split
+	// across the domains like the LLC budget.
+	dset.SetResourceCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
 	if rc.Reserve > 0 {
-		s.SetReserve(rc.Reserve)
+		dset.SetReserve(rc.Reserve)
 	}
-	return s, nil, nil
+	if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
+		rcfg := core.DefaultRecoveryConfig()
+		if rc.Recovery != nil {
+			rcfg = *rc.Recovery
+		}
+		if err := dset.EnableRecovery(rcfg); err != nil {
+			return nil, err
+		}
+	}
+	return dset, nil
 }
 
 // runSinks holds the observers shared by a repetition's gates. The
@@ -365,7 +410,7 @@ type introspection struct {
 	srv   *obsrv.Server
 	pacer *obsrv.Pacer
 	eng   *sim.Engine
-	gate  admission
+	gate  *core.DomainSet
 	sk    *runSinks
 }
 
@@ -391,7 +436,7 @@ func (in *introspection) step(now sim.Time) {
 
 // bind wires one gate to the machine and attaches the (lazily created)
 // observers.
-func (sk *runSinks) bind(schd admission, m *machine.Machine, rc RunConfig) error {
+func (sk *runSinks) bind(schd *core.DomainSet, m *machine.Machine, rc RunConfig) error {
 	schd.SetWaker(m)
 	schd.SetClock(m.Now)
 	schd.SetTimer(m.Engine())
@@ -432,32 +477,6 @@ func (sk *runSinks) bind(schd admission, m *machine.Machine, rc RunConfig) error
 		schd.AddSink(rc.Obsrv.Hub())
 		if sk.reg != nil {
 			rc.Obsrv.SetRegistry(sk.reg)
-		}
-	}
-	return nil
-}
-
-// validatePersist rejects checkpoint/restore configurations the journal
-// cannot honor.
-func validatePersist(rc RunConfig) error {
-	if rc.Checkpoint == nil && rc.Restore == nil {
-		return nil
-	}
-	if rc.Policy == nil {
-		return fmt.Errorf("perf: checkpoint/restore requires an admission policy (the baseline has no gate state)")
-	}
-	if rc.Checkpoint != nil && rc.Restore != nil {
-		return fmt.Errorf("perf: checkpointing and restoring in the same run is not supported")
-	}
-	if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
-		return fmt.Errorf("perf: checkpoint/restore is incompatible with domain faults (recovery state is not journaled)")
-	}
-	if rc.Restore != nil {
-		if rc.Reps() > 1 {
-			return fmt.Errorf("perf: restore requires Repetitions <= 1 (a checkpoint belongs to one repetition)")
-		}
-		if rc.Restore.KillAt <= 0 {
-			return fmt.Errorf("perf: restored checkpoint has no kill time (was the run actually killed?)")
 		}
 	}
 	return nil
@@ -518,23 +537,17 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	cfg := rc.Machine
 	cfg.Seed = rc.Seed*1000 + rep
 
-	if err := validatePersist(rc); err != nil {
-		return Metrics{}, err
-	}
 	if rc.Policy == nil {
 		w = Undeclare(w)
 	}
-	schd, dset, err := newGate(rc, cfg)
+	schd, err := newGate(rc, cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
-	var gate machine.Gate
-	if schd != nil {
-		gate = schd
-	}
-	m := machine.New(cfg, gate)
+	m := machine.New(cfg, nil)
 	sk := &runSinks{}
 	if schd != nil {
+		m.SetGate(schd)
 		if err := sk.bind(schd, m, rc); err != nil {
 			return Metrics{}, err
 		}
@@ -566,10 +579,8 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		eng := m.Engine()
 		eng.After(killAt, eng.Halt)
 	}
-	if dset != nil && rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
-		if err := armDomainFaults(dset, m.Engine(), rc.Faults.DomainFaults); err != nil {
-			return Metrics{}, err
-		}
+	if rc.Faults != nil && len(rc.Faults.DomainFaults) > 0 {
+		armDomainFaults(schd, m.Engine(), rc.Faults.DomainFaults)
 	}
 	var cp *persist.Checkpointer
 	if rc.Checkpoint != nil {
@@ -620,7 +631,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 			}
 			return Metrics{}, fmt.Errorf("perf: process killed at %v: %w", m.Now(), err)
 		}
-		schd, dset, res, err = resumeRestored(m, rc, cfg, schd, sk, tr)
+		schd, res, err = resumeRestored(m, rc, cfg, schd, sk, tr)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -628,6 +639,8 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	reg, col, bcol, smon := sk.reg, sk.col, sk.bcol, sk.smon
 	var rob core.Stats
 	var gov core.GovernorStats
+	var dst core.DomainStats
+	var rst core.RecoveryStats
 	if schd != nil {
 		// End-of-run reclamation: periods still registered lost their
 		// owners (leaked ends, crashed threads); return their load so the
@@ -635,6 +648,8 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		schd.Quiesce()
 		rob = schd.Stats()
 		gov = schd.GovernorStats()
+		dst = schd.DomainStats()
+		rst = schd.RecoveryStats()
 		if reg != nil {
 			schd.PublishStats(reg)
 		}
@@ -660,12 +675,6 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	if smon != nil {
 		slo = smon.Result()
 		slo.Publish(reg)
-	}
-	var dst core.DomainStats
-	var rst core.RecoveryStats
-	if dset != nil {
-		dst = dset.DomainStats()
-		rst = dset.RecoveryStats()
 	}
 	if cp != nil {
 		// Surface any sticky journal I/O error: a run whose checkpoint
@@ -754,35 +763,35 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 // snapshot or journal misrepresents changes the resumed schedule, and
 // the E9 golden (byte-identical final tables vs. the unkilled run)
 // catches it.
-func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old admission, sk *runSinks, tr *stateTracker) (admission, *core.DomainSet, *machine.Result, error) {
+func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old *core.DomainSet, sk *runSinks, tr *stateTracker) (*core.DomainSet, *machine.Result, error) {
 	if tr.err != nil {
-		return nil, nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
+		return nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
 	}
 	live := old.ExportState()
 	want := tr.st
 	want.At = live.At
 	lb, err := live.Canonical()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	wb, err := want.Canonical()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if !bytes.Equal(lb, wb) {
-		return nil, nil, nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
+		return nil, nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
 			m.Now(), len(wb), len(lb))
 	}
 	old.Detach()
-	schd, dset, err := newGate(rc, cfg)
+	schd, err := newGate(rc, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := sk.bind(schd, m, rc); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := schd.ImportState(want, m.ThreadByID); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if sk.in != nil {
 		// The imported gate owns the rest of the run; /state must track
@@ -793,24 +802,16 @@ func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old ad
 	m.Engine().Resume()
 	res, err := m.Resume()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return schd, dset, res, nil
+	return schd, res, nil
 }
 
-// armDomainFaults schedules a plan's domain-level faults on the run's
-// event engine, in plan order. Each fault validates its target index up
-// front so a misconfigured sweep fails at arm time, not mid-run; faults
+// armDomainFaults schedules a plan's domain-level faults, which
+// Validate has checked, on the run's event engine in plan order; faults
 // with a positive Heal arm the matching RecoverDomain alongside.
-func armDomainFaults(dset *core.DomainSet, eng *sim.Engine, dfs []faults.DomainFault) error {
-	for i, df := range dfs {
-		if df.Domain < 0 || df.Domain >= dset.NumDomains() {
-			return fmt.Errorf("perf: domain fault %d targets domain %d of %d", i, df.Domain, dset.NumDomains())
-		}
-		if df.At <= 0 {
-			return fmt.Errorf("perf: domain fault %d at non-positive time %v", i, df.At)
-		}
-		df := df
+func armDomainFaults(dset *core.DomainSet, eng *sim.Engine, dfs []faults.DomainFault) {
+	for _, df := range dfs {
 		eng.After(df.At, func() {
 			var err error
 			switch df.Kind {
@@ -833,7 +834,6 @@ func armDomainFaults(dset *core.DomainSet, eng *sim.Engine, dfs []faults.DomainF
 			})
 		}
 	}
-	return nil
 }
 
 // Undeclare strips every Declared flag: the workload as it runs on the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -255,38 +256,53 @@ func TestRestoreErrors(t *testing.T) {
 	})
 }
 
-// TestValidatePersistRejections pins the perf-layer scope guards.
-func TestValidatePersistRejections(t *testing.T) {
+// TestKilledRepetitionsSameCheckpointTree pins that a killed
+// multi-repetition run leaves the same checkpoint tree at every Jobs
+// value: each repetition runs to its own kill and writes its own
+// directory, whether the repetitions run serially or concurrently.
+func TestKilledRepetitionsSameCheckpointTree(t *testing.T) {
 	w := reviveWorkload()
-	dir := t.TempDir()
-	t.Run("checkpoint-without-policy", func(t *testing.T) {
-		rc := perf.RunConfig{Machine: machine.DefaultConfig(),
-			Checkpoint: &persist.Config{Dir: dir}}
-		if _, err := perf.Sample(w, rc, 0); err == nil {
-			t.Fatal("baseline checkpoint accepted")
-		}
-	})
-	t.Run("restore-multi-rep", func(t *testing.T) {
+	base, err := perf.Sample(w, reviveConfig(core.StrictPolicy{}, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killAt := sim.FromSeconds(base.ElapsedSec * 0.5)
+	tree := func(jobs int) map[string][]byte {
+		dir := t.TempDir()
 		rc := reviveConfig(core.StrictPolicy{}, 0)
-		rc.Repetitions = 2
-		rc.Restore = &persist.Restored{KillAt: sim.FromSeconds(1)}
-		if _, err := perf.Sample(w, rc, 0); err == nil {
-			t.Fatal("multi-repetition restore accepted")
+		rc.Repetitions, rc.Jobs = 2, jobs
+		rc.Faults = &faults.Plan{KillAt: killAt}
+		rc.Checkpoint = &persist.Config{Dir: dir, Every: killAt / 4}
+		if _, _, err := perf.Run(w, rc); !errors.Is(err, machine.ErrHalted) {
+			t.Fatalf("jobs %d: Run = %v, want machine.ErrHalted", jobs, err)
 		}
-	})
-	t.Run("restore-without-kill", func(t *testing.T) {
-		rc := reviveConfig(core.StrictPolicy{}, 0)
-		rc.Restore = &persist.Restored{}
-		if _, err := perf.Sample(w, rc, 0); err == nil {
-			t.Fatal("restore without a kill time accepted")
+		files := map[string][]byte{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, err := filepath.Rel(dir, path)
+			if err != nil {
+				return err
+			}
+			files[rel], err = os.ReadFile(path)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Run("checkpoint-and-restore", func(t *testing.T) {
-		rc := reviveConfig(core.StrictPolicy{}, 0)
-		rc.Checkpoint = &persist.Config{Dir: dir}
-		rc.Restore = &persist.Restored{KillAt: sim.FromSeconds(1)}
-		if _, err := perf.Sample(w, rc, 0); err == nil {
-			t.Fatal("checkpoint+restore accepted")
+		return files
+	}
+	serial, parallel := tree(1), tree(4)
+	if _, ok := serial[filepath.Join("rep1", "meta.json")]; !ok {
+		t.Fatalf("serial run left no checkpoint for repetition 1: %d files", len(serial))
+	}
+	if len(serial) != len(parallel) {
+		t.Fatalf("jobs 1 left %d files, jobs 4 left %d", len(serial), len(parallel))
+	}
+	for name, b := range serial {
+		if !bytes.Equal(b, parallel[name]) {
+			t.Errorf("%s differs between jobs 1 and jobs 4", name)
 		}
-	})
+	}
 }
