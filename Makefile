@@ -30,6 +30,8 @@ fuzz:
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzMachineIncremental -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/profiler -run='^$$' -fuzz=FuzzWindowsMatchesOracle -fuzztime=$(FUZZTIME)
 
 # Full benchmark sweep, converted by scripts/benchjson into the
 # machine-readable BENCH_10.json artifact (and schema-checked). Raise

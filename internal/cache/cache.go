@@ -1,10 +1,11 @@
 // Package cache implements a trace-driven, set-associative cache simulator
 // with a configurable multi-level hierarchy (private L1/L2 per core plus a
 // shared last-level cache). It substitutes for the real E5-2420 cache
-// hierarchy the paper measured: the profiler replays load/store address
-// streams through it to measure footprints, working sets, and reuse, and
-// the validation suite uses it to sanity-check the analytic contention
-// model in internal/machine.
+// hierarchy the paper measured. The cache calibration
+// (experiments.RunCalibration) replays co-running address streams through
+// it to justify the analytic contention model's residency exponent in
+// internal/machine; the profiler does not use it, since it counts
+// footprint, working set and reuse from the address stream directly.
 package cache
 
 import (
@@ -94,18 +95,18 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	// stamp orders lines for LRU (last touch) or FIFO (fill time).
-	stamp uint64
-}
-
-// Cache is a single set-associative cache level.
+// Cache is a single set-associative cache level. Its lines live in two
+// flat arrays indexed set*assoc + way: tags holds each way's block number
+// (addr >> lineShift) and stamps its LRU touch or FIFO fill tick, with
+// stamp 0 marking an invalid way. Ticks start at 1, so a valid line never
+// carries stamp 0, and valid stamps within a set are distinct.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	tags       []uint64
+	stamps     []uint64
 	numSets    uint64
+	setMask    uint64 // numSets-1 when numSets is a power of two
+	pow2Sets   bool
 	lineShift  uint
 	tick       uint64
 	randState  uint64
@@ -119,17 +120,16 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lines := int64(cfg.Size / cfg.LineSize)
-	numSets := lines / int64(cfg.Assoc)
+	lines := int(cfg.Size / cfg.LineSize)
+	numSets := uint64(lines / cfg.Assoc)
 	c := &Cache{
 		cfg:       cfg,
-		sets:      make([][]line, numSets),
-		numSets:   uint64(numSets),
+		tags:      make([]uint64, lines),
+		stamps:    make([]uint64, lines),
+		numSets:   numSets,
+		setMask:   numSets - 1,
+		pow2Sets:  numSets&(numSets-1) == 0,
 		randState: 0x2545f4914f6cdd1d,
-	}
-	backing := make([]line, lines)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Assoc:cfg.Assoc], backing[cfg.Assoc:]
 	}
 	for sz := cfg.LineSize; sz > 1; sz >>= 1 {
 		c.lineShift++
@@ -155,83 +155,89 @@ func (c *Cache) OccupancyBytes() pp.Bytes {
 }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() int { return len(c.sets) * c.cfg.Assoc }
+func (c *Cache) Lines() int { return len(c.tags) }
 
-func (c *Cache) indexTag(addr uint64) (set uint64, tag uint64) {
-	blk := addr >> c.lineShift
-	return blk % c.numSets, blk / c.numSets
+// set returns the ways of the set block blk maps to.
+func (c *Cache) set(blk uint64) (tags, stamps []uint64) {
+	var idx uint64
+	if c.pow2Sets {
+		idx = blk & c.setMask
+	} else {
+		idx = blk % c.numSets
+	}
+	base := int(idx) * c.cfg.Assoc
+	end := base + c.cfg.Assoc
+	return c.tags[base:end:end], c.stamps[base:end:end]
 }
 
 // Access touches addr, returning true on hit. On a miss the line is filled
-// (allocate-on-miss for both loads and stores, matching an inclusive
-// write-allocate hierarchy) and the victim, if any, is evicted.
+// (allocate-on-miss for both loads and stores) and the victim, if any, is
+// evicted.
 func (c *Cache) Access(addr uint64) bool {
-	hit, _ := c.AccessEvict(addr)
+	hit, _, _ := c.AccessEvict(addr)
 	return hit
 }
 
-// AccessEvict is Access but also reports the evicted line's address (line
-// aligned) when an eviction happened. evictedOK is false on hits and on
-// fills into invalid ways.
-func (c *Cache) AccessEvict(addr uint64) (hit bool, evicted uint64) {
+// AccessEvict is Access but also reports the eviction a miss caused:
+// evicted is true when the fill replaced a valid line, and victim is
+// then that line's line-aligned address (which may be 0). On hits and
+// on fills into invalid ways, evicted is false and victim is 0.
+//
+// The victim is the first invalid way of the set, else the oldest line
+// (lowest stamp) under LRU and FIFO, or a pseudo-random way under Random.
+func (c *Cache) AccessEvict(addr uint64) (hit bool, victim uint64, evicted bool) {
 	c.tick++
 	c.stats.Accesses++
-	setIdx, tag := c.indexTag(addr)
-	set := c.sets[setIdx]
+	blk := addr >> c.lineShift
+	tags, stamps := c.set(blk)
 
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for i, t := range tags {
+		if t == blk && stamps[i] != 0 {
 			c.stats.Hits++
 			if c.cfg.Policy == LRU {
-				set[i].stamp = c.tick
+				stamps[i] = c.tick
 			}
-			return true, 0
+			return true, 0, false
 		}
 	}
 	c.stats.Misses++
 
-	// Prefer an invalid way.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+	// One strict-minimum scan: it stops at the first invalid way, and
+	// otherwise ends on the oldest line.
+	way := 0
+	for i, s := range stamps {
+		if s == 0 {
+			way = i
 			break
 		}
+		if s < stamps[way] {
+			way = i
+		}
 	}
-	if victim < 0 {
-		switch c.cfg.Policy {
-		case LRU, FIFO:
-			oldest := uint64(1<<64 - 1)
-			for i := range set {
-				if set[i].stamp < oldest {
-					oldest = set[i].stamp
-					victim = i
-				}
-			}
-		case Random:
+	if stamps[way] == 0 {
+		c.population++
+	} else {
+		if c.cfg.Policy == Random {
 			c.randState ^= c.randState << 13
 			c.randState ^= c.randState >> 7
 			c.randState ^= c.randState << 17
-			victim = int(c.randState % uint64(len(set)))
+			way = int(c.randState % uint64(c.cfg.Assoc))
 		}
 		c.stats.Evictions++
-		evLine := &set[victim]
-		evictedAddr := c.reconstruct(setIdx, evLine.tag)
-		evLine.tag = tag
-		evLine.stamp = c.tick
-		return false, evictedAddr
+		victim, evicted = tags[way]<<c.lineShift, true
 	}
-	set[victim] = line{tag: tag, valid: true, stamp: c.tick}
-	c.population++
-	return false, 0
+	tags[way] = blk
+	stamps[way] = c.tick
+	return false, victim, evicted
 }
 
 // Probe reports whether addr is resident without updating replacement
 // state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	setIdx, tag := c.indexTag(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
+	blk := addr >> c.lineShift
+	tags, stamps := c.set(blk)
+	for i, t := range tags {
+		if t == blk && stamps[i] != 0 {
 			return true
 		}
 	}
@@ -240,15 +246,6 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Flush invalidates all lines and (unlike ResetStats) counts nothing.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.stamps)
 	c.population = 0
-}
-
-func (c *Cache) reconstruct(setIdx, tag uint64) uint64 {
-	blk := tag*c.numSets + setIdx
-	return blk << c.lineShift
 }

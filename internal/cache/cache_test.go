@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"rdasched/internal/pp"
+	"rdasched/internal/sim"
 )
 
 func smallCfg() Config {
@@ -63,12 +65,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 		c.Access(i * 64)
 	}
 	c.Access(0) // make line 0 most recent; line 1 now LRU
-	hit, evicted := c.AccessEvict(4 * 64)
+	hit, victim, evicted := c.AccessEvict(4 * 64)
 	if hit {
 		t.Fatal("fifth distinct line hit")
 	}
-	if evicted != 64 {
-		t.Fatalf("evicted %#x, want %#x (LRU line 1)", evicted, 64)
+	if !evicted || victim != 64 {
+		t.Fatalf("evicted %v %#x, want %#x (LRU line 1)", evicted, victim, 64)
 	}
 	if !c.Probe(0) || c.Probe(64) {
 		t.Fatal("LRU victim selection wrong")
@@ -81,9 +83,33 @@ func TestFIFOEvictionOrder(t *testing.T) {
 		c.Access(i * 64)
 	}
 	c.Access(0) // re-touch does NOT rescue line 0 under FIFO
-	_, evicted := c.AccessEvict(4 * 64)
-	if evicted != 0 {
-		t.Fatalf("evicted %#x, want 0 (first-filled)", evicted)
+	_, victim, evicted := c.AccessEvict(4 * 64)
+	if !evicted || victim != 0 {
+		t.Fatalf("evicted %v %#x, want line 0 (first-filled)", evicted, victim)
+	}
+}
+
+// TestEvictAddressZero pins AccessEvict's flag: the line at address 0
+// is a real victim, distinct from the "no eviction" of a hit or of a
+// fill into an invalid way, although both report victim address 0.
+func TestEvictAddressZero(t *testing.T) {
+	c := New(Config{Name: "direct", Size: 128, LineSize: 64, Assoc: 1, Policy: LRU})
+	if hit, victim, evicted := c.AccessEvict(0x10); hit || evicted || victim != 0 {
+		t.Fatalf("cold fill = (%v, %#x, %v), want a miss with no eviction", hit, victim, evicted)
+	}
+	if hit, _, evicted := c.AccessEvict(0); !hit || evicted {
+		t.Fatalf("re-touch = (hit %v, evicted %v), want a hit with no eviction", hit, evicted)
+	}
+	// 0x80 maps to set 0 of this 2-set direct-mapped cache.
+	hit, victim, evicted := c.AccessEvict(0x80)
+	if hit || !evicted || victim != 0 {
+		t.Fatalf("conflict fill = (%v, %#x, %v), want the line at address 0 evicted", hit, victim, evicted)
+	}
+	if c.Probe(0) || !c.Probe(0x80) {
+		t.Fatal("line 0 still resident after its eviction")
+	}
+	if s := c.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
 }
 
@@ -212,6 +238,33 @@ func TestHierarchyRouting(t *testing.T) {
 	}
 }
 
+// TestHierarchyNotInclusive pins that an LLC eviction does not
+// back-invalidate the private levels: after other cores' traffic evicts
+// core 0's line from the shared LLC, core 0 still hits it in its L1,
+// while another core must fetch it from memory.
+func TestHierarchyNotInclusive(t *testing.T) {
+	h := NewHierarchy(E5_2420())
+	const addr = 0x40
+	if lvl, _ := h.Access(0, addr); lvl != Memory {
+		t.Fatalf("cold access served by %v", lvl)
+	}
+	// Stream twice the LLC's capacity through cores 1..11 so every LLC
+	// set is refilled many times over.
+	llcLines := uint64(h.Config().LLC.Size / h.Config().LLC.LineSize)
+	for i := uint64(1); i <= 2*llcLines; i++ {
+		h.Access(1+int(i%11), addr+i*64)
+	}
+	if h.llc.Probe(addr) {
+		t.Fatal("line still in the LLC; the stream did not evict it")
+	}
+	if lvl, _ := h.Access(0, addr); lvl != L1 {
+		t.Fatalf("owner's re-access served by %v, want L1 (no back-invalidation)", lvl)
+	}
+	if lvl, _ := h.Access(1, addr); lvl != Memory {
+		t.Fatalf("other core's access served by %v, want Memory", lvl)
+	}
+}
+
 func TestHierarchyValidate(t *testing.T) {
 	cfg := E5_2420()
 	if err := cfg.Validate(); err != nil {
@@ -284,5 +337,56 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Access(i%12, uint64(i)*64%(32<<20))
+	}
+}
+
+// BenchmarkHierarchyReplay replays the cache calibration's most
+// over-committed co-run (experiments.RunCalibration): 12 threads with
+// 4 MiB working sets each on the E5-2420 hierarchy, interleaved in
+// 512-access bursts, with uniform random and cyclic access. One op is
+// one round of bursts; ns/access and allocs/access divide by its 12×512
+// accesses. The hierarchy is warmed with one full sweep before timing.
+func BenchmarkHierarchyReplay(b *testing.B) {
+	const (
+		threads = 12
+		wss     = 4 << 20
+		burst   = 512
+	)
+	for _, pattern := range []string{"random", "cyclic"} {
+		b.Run(pattern, func(b *testing.B) {
+			h := NewHierarchy(E5_2420())
+			rng := sim.NewRNG(0xca11b)
+			var pos [threads]uint64
+			next := func(i int) uint64 {
+				base := uint64(i) << 30
+				if pattern == "random" {
+					return base + (rng.Uint64n(wss) &^ 63)
+				}
+				a := base + pos[i]
+				pos[i] = (pos[i] + 64) % wss
+				return a
+			}
+			round := func() {
+				for i := 0; i < threads; i++ {
+					for k := 0; k < burst; k++ {
+						h.Access(i, next(i))
+					}
+				}
+			}
+			for done := 0; done < wss/64; done += burst {
+				round()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				round()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			accesses := float64(b.N * threads * burst)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/accesses, "ns/access")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/accesses, "allocs/access")
+		})
 	}
 }

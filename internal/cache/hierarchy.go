@@ -71,8 +71,11 @@ func (hc HierarchyConfig) Validate() error {
 }
 
 // Hierarchy is a set of per-core private caches in front of a shared LLC.
-// Access routing is inclusive and allocate-on-miss at every level, the
-// standard approximation for Sandy Bridge-era Intel parts.
+// Access is allocate-on-miss at every level: a miss fills the line into
+// each level it passed. The levels are not kept inclusive: an LLC
+// eviction does not back-invalidate L1 or L2, so a line that other cores'
+// traffic evicts from the LLC is still served from its owner's private
+// levels until they evict it themselves.
 type Hierarchy struct {
 	cfg HierarchyConfig
 	l1  []*Cache
@@ -135,8 +138,8 @@ func (h *Hierarchy) ResetStats() {
 	}
 }
 
-// Flush invalidates every level (e.g., between profiler windows when
-// cold-start behaviour is wanted).
+// Flush invalidates every level (e.g., between replays when cold-start
+// behaviour is wanted).
 func (h *Hierarchy) Flush() {
 	h.llc.Flush()
 	for i := range h.l1 {

@@ -1,0 +1,223 @@
+package cache
+
+import (
+	"testing"
+
+	"rdasched/internal/pp"
+	"rdasched/internal/sim"
+)
+
+// oracleLine and oracleCache are the original per-set implementation
+// the flat-array Cache replaced: a slice of lines per set, a valid flag,
+// tags split from the block number by division, and separate scans for
+// the hit, the first invalid way and the oldest way. They are kept as
+// the differential oracle for FuzzCacheMatchesOracle.
+type oracleLine struct {
+	tag   uint64
+	valid bool
+	stamp uint64
+}
+
+type oracleCache struct {
+	cfg        Config
+	sets       [][]oracleLine
+	numSets    uint64
+	lineShift  uint
+	tick       uint64
+	randState  uint64
+	stats      Stats
+	population int
+}
+
+func newOracleCache(cfg Config) *oracleCache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	lines := int64(cfg.Size / cfg.LineSize)
+	numSets := lines / int64(cfg.Assoc)
+	c := &oracleCache{
+		cfg:       cfg,
+		sets:      make([][]oracleLine, numSets),
+		numSets:   uint64(numSets),
+		randState: 0x2545f4914f6cdd1d,
+	}
+	backing := make([]oracleLine, lines)
+	for i := range c.sets {
+		c.sets[i], backing = backing[:cfg.Assoc:cfg.Assoc], backing[cfg.Assoc:]
+	}
+	for sz := cfg.LineSize; sz > 1; sz >>= 1 {
+		c.lineShift++
+	}
+	return c
+}
+
+func (c *oracleCache) indexTag(addr uint64) (set uint64, tag uint64) {
+	blk := addr >> c.lineShift
+	return blk % c.numSets, blk / c.numSets
+}
+
+func (c *oracleCache) accessEvict(addr uint64) (hit bool, victim uint64, evicted bool) {
+	c.tick++
+	c.stats.Accesses++
+	setIdx, tag := c.indexTag(addr)
+	set := c.sets[setIdx]
+
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			c.stats.Hits++
+			if c.cfg.Policy == LRU {
+				set[i].stamp = c.tick
+			}
+			return true, 0, false
+		}
+	}
+	c.stats.Misses++
+
+	way := -1
+	for i := range set {
+		if !set[i].valid {
+			way = i
+			break
+		}
+	}
+	if way < 0 {
+		switch c.cfg.Policy {
+		case LRU, FIFO:
+			oldest := uint64(1<<64 - 1)
+			for i := range set {
+				if set[i].stamp < oldest {
+					oldest = set[i].stamp
+					way = i
+				}
+			}
+		case Random:
+			c.randState ^= c.randState << 13
+			c.randState ^= c.randState >> 7
+			c.randState ^= c.randState << 17
+			way = int(c.randState % uint64(len(set)))
+		}
+		c.stats.Evictions++
+		l := &set[way]
+		victim = (l.tag*c.numSets + setIdx) << c.lineShift
+		l.tag = tag
+		l.stamp = c.tick
+		return false, victim, true
+	}
+	set[way] = oracleLine{tag: tag, valid: true, stamp: c.tick}
+	c.population++
+	return false, 0, false
+}
+
+func (c *oracleCache) probe(addr uint64) bool {
+	setIdx, tag := c.indexTag(addr)
+	for _, l := range c.sets[setIdx] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *oracleCache) flush() {
+	for i := range c.sets {
+		for j := range c.sets[i] {
+			c.sets[i][j] = oracleLine{}
+		}
+	}
+	c.population = 0
+}
+
+// oracleGeometry derives a valid cache geometry from four fuzz bytes:
+// line sizes 1 B–128 B, 1–24 ways and 1–80 sets, so single-set and
+// non-power-of-two set counts are both common.
+func oracleGeometry(shift, assoc, sets, policy uint8) Config {
+	cfg := Config{
+		Name:     "fuzz",
+		LineSize: pp.Bytes(1) << (shift % 8),
+		Assoc:    1 + int(assoc%24),
+		Policy:   ReplacementPolicy(policy % 3),
+	}
+	cfg.Size = cfg.LineSize * pp.Bytes(cfg.Assoc) * pp.Bytes(1+int(sets%80))
+	return cfg
+}
+
+// checkAgainstOracle drives a Cache and the oracle with one address
+// stream, flushing both part-way, and fails on the first difference in
+// any access's hit, victim and evicted flag, or in Stats, Occupancy and
+// Probe. Addresses mix line 0 (address 0 itself included), a region
+// about twice the capacity so sets conflict and lines are re-hit, and
+// arbitrary 64-bit addresses, whose large block numbers exercise tag
+// and victim-address reconstruction.
+func checkAgainstOracle(t *testing.T, cfg Config, seed uint64) {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	c, o := New(cfg), newOracleCache(cfg)
+	span := 2 * uint64(cfg.Size)
+	addr := func() uint64 {
+		switch r := rng.Intn(16); {
+		case r == 0:
+			return 0
+		case r == 1:
+			return rng.Uint64n(uint64(cfg.LineSize))
+		case r == 2:
+			return rng.Uint64()
+		default:
+			return rng.Uint64n(span)
+		}
+	}
+	const steps = 1500
+	flushAt := rng.Intn(steps)
+	for i := 0; i < steps; i++ {
+		if i == flushAt {
+			c.Flush()
+			o.flush()
+			if c.Occupancy() != 0 || c.Stats() != o.stats {
+				t.Fatalf("%+v seed %d: after Flush occupancy %d stats %+v, oracle stats %+v",
+					cfg, seed, c.Occupancy(), c.Stats(), o.stats)
+			}
+		}
+		a := addr()
+		hit, victim, evicted := c.AccessEvict(a)
+		wantHit, wantVictim, wantEvicted := o.accessEvict(a)
+		if hit != wantHit || victim != wantVictim || evicted != wantEvicted {
+			t.Fatalf("%+v seed %d step %d addr %#x: (hit %v, victim %#x, evicted %v), oracle (%v, %#x, %v)",
+				cfg, seed, i, a, hit, victim, evicted, wantHit, wantVictim, wantEvicted)
+		}
+		if c.Stats() != o.stats || c.Occupancy() != o.population {
+			t.Fatalf("%+v seed %d step %d: stats %+v occupancy %d, oracle %+v %d",
+				cfg, seed, i, c.Stats(), c.Occupancy(), o.stats, o.population)
+		}
+		for _, p := range []uint64{a, victim, addr()} {
+			if c.Probe(p) != o.probe(p) {
+				t.Fatalf("%+v seed %d step %d: Probe(%#x) = %v, oracle %v",
+					cfg, seed, i, p, c.Probe(p), o.probe(p))
+			}
+		}
+	}
+}
+
+// FuzzCacheMatchesOracle compares the flat-array Cache with the
+// original per-set implementation on random geometry, policy and
+// address streams.
+func FuzzCacheMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, shift, assoc, sets, policy uint8) {
+		checkAgainstOracle(t, oracleGeometry(shift, assoc, sets, policy), seed)
+	})
+}
+
+// TestCacheMatchesOracle sweeps fixed seeds through the same check as
+// FuzzCacheMatchesOracle, plus the three E5-2420 levels.
+func TestCacheMatchesOracle(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := sim.NewRNG(seed ^ 0x5eed)
+		b := func() uint8 { return uint8(rng.Intn(256)) }
+		checkAgainstOracle(t, oracleGeometry(b(), b(), b(), b()), seed)
+	}
+	hc := E5_2420()
+	for i, cfg := range []Config{hc.L1, hc.L2, hc.LLC} {
+		for _, p := range []ReplacementPolicy{LRU, FIFO, Random} {
+			cfg.Policy = p
+			checkAgainstOracle(t, cfg, uint64(i))
+		}
+	}
+}

@@ -149,6 +149,7 @@ func TestRunWSSPredictionAccuracyBand(t *testing.T) {
 	if res.Table().Rows() != 4 {
 		t.Error("table rows wrong")
 	}
+	checkGolden(t, "fig12", res.Table())
 }
 
 func TestRunInterferenceShape(t *testing.T) {

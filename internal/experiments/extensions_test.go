@@ -100,6 +100,7 @@ func TestCalibrationBracketsModel(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, "calibration", res.Table())
 }
 
 func TestFactorSweep(t *testing.T) {

@@ -10,11 +10,11 @@ import (
 )
 
 // Golden-file tests pin the rendered report.Table output for Table 1,
-// Table 2, and one figure table, so pure formatting drift (column
-// widths, separators, headers) is caught separately from numeric drift
-// in the model. Regenerate with:
+// Table 2, Figures 11 and 12, the cache calibration and E4–E9, so pure
+// formatting drift (column widths, separators, headers) is caught
+// separately from numeric drift in the model. Regenerate with:
 //
-//	go test ./internal/experiments -run TestGolden -update
+//	go test ./internal/experiments -update
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden files")
 

@@ -244,7 +244,8 @@ func Footprint(refs []Ref) int {
 // FootprintBytes returns Footprint scaled to bytes.
 func FootprintBytes(refs []Ref) pp.Bytes { return pp.Bytes(Footprint(refs)) * 64 }
 
-// String renders a short trace summary.
+// Summary renders a short trace summary: reference, memory-reference
+// and jump counts, and the footprint.
 func Summary(refs []Ref) string {
 	mem := 0
 	for _, r := range refs {

@@ -10,6 +10,7 @@ package profiler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rdasched/internal/memtrace"
 	"rdasched/internal/pp"
@@ -95,27 +96,21 @@ func Windows(s memtrace.Stream, cfg Config) ([]WindowStats, error) {
 		return nil, err
 	}
 	var out []WindowStats
-	touches := make(map[uint64]uint32)
+	touches := newTouchTable(minTableSlots)
 	jumps := make(map[int]uint64)
 	var cur WindowStats
 	cur.TopSite = -1
+	var wssEntries int
 	windowEnd := cfg.WindowInstr
 
 	flush := func(end uint64) {
 		cur.EndInstr = end
-		var fpEntries, wssEntries int
-		var total uint64
-		for _, n := range touches {
-			fpEntries++
-			total += uint64(n)
-			if int(n) >= cfg.MinTouches {
-				wssEntries++
-			}
-		}
-		cur.Footprint = pp.Bytes(fpEntries) * cfg.EntryBytes
+		cur.Footprint = pp.Bytes(touches.used) * cfg.EntryBytes
 		cur.WSS = pp.Bytes(wssEntries) * cfg.EntryBytes
-		if fpEntries > 0 {
-			cur.ReuseRatio = float64(total) / float64(fpEntries)
+		if touches.used > 0 {
+			// Every reference touches exactly one entry, so the
+			// window's touches sum to its reference count.
+			cur.ReuseRatio = float64(cur.Refs) / float64(touches.used)
 		}
 		top, topCount := -1, uint64(0)
 		for site, n := range jumps {
@@ -127,7 +122,8 @@ func Windows(s memtrace.Stream, cfg Config) ([]WindowStats, error) {
 		out = append(out, cur)
 
 		cur = WindowStats{Index: cur.Index + 1, StartInstr: end, TopSite: -1}
-		clear(touches)
+		wssEntries = 0
+		touches.reset()
 		clear(jumps)
 	}
 
@@ -147,12 +143,99 @@ func Windows(s memtrace.Stream, cfg Config) ([]WindowStats, error) {
 			continue
 		}
 		cur.Refs++
-		touches[r.Addr/uint64(cfg.EntryBytes)]++
+		// An entry joins the working set as its count reaches
+		// MinTouches; the table counts footprint entries itself.
+		if int(touches.touch(r.Addr/uint64(cfg.EntryBytes))) == cfg.MinTouches {
+			wssEntries++
+		}
 	}
-	if cur.Refs > 0 || len(jumps) > 0 || len(touches) > 0 {
+	if cur.Refs > 0 || len(jumps) > 0 {
 		flush(lastInstr + 1)
 	}
 	return out, nil
+}
+
+// Touch-table geometry. An entry key's 16-entry run (key >> bucketBits)
+// hashes to a 16-slot bucket and key & bucketMask picks the slot within
+// it, so a dense working set fills whole buckets and stays contiguous in
+// memory instead of scattering over the table.
+const (
+	bucketBits = 4
+	bucketMask = 1<<bucketBits - 1
+	// minTableSlots is the initial table size, a power of two.
+	minTableSlots = 1 << 10
+	// maxLoadPct is the occupancy (in percent of slots) past which the
+	// table doubles.
+	maxLoadPct = 70
+)
+
+// touchTable counts touches per entry in one window: an open-addressed
+// table with linear probing, where a zero count marks an empty slot. It
+// keeps its capacity across windows, as a cleared map does.
+type touchTable struct {
+	keys   []uint64
+	counts []uint32
+	used   int  // occupied slots: the window's distinct entries
+	shift  uint // 64 - log2(bucket count), for the bucket hash
+}
+
+// newTouchTable returns an empty table with the given number of slots,
+// a power of two of at least one bucket.
+func newTouchTable(slots int) touchTable {
+	return touchTable{
+		keys:   make([]uint64, slots),
+		counts: make([]uint32, slots),
+		shift:  64 - uint(bits.TrailingZeros(uint(slots>>bucketBits))),
+	}
+}
+
+// find returns the slot holding key, or the empty slot where it belongs:
+// the first probe is slot key&bucketMask of the bucket its run hashes to
+// (Fibonacci hashing onto the bucket count).
+func (t *touchTable) find(key uint64) int {
+	mask := len(t.keys) - 1
+	bucket := (key >> bucketBits) * 0x9e3779b97f4a7c15 >> t.shift
+	i := int(bucket<<bucketBits | key&bucketMask)
+	for t.counts[i] != 0 && t.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// touch counts one touch of key and returns its new count.
+func (t *touchTable) touch(key uint64) uint32 {
+	i := t.find(key)
+	if t.counts[i] == 0 {
+		if (t.used+1)*100 > len(t.keys)*maxLoadPct {
+			t.grow()
+			i = t.find(key)
+		}
+		t.keys[i] = key
+		t.used++
+	}
+	t.counts[i]++
+	return t.counts[i]
+}
+
+// grow doubles the table and reinserts every counted entry.
+func (t *touchTable) grow() {
+	old := *t
+	*t = newTouchTable(2 * len(old.keys))
+	for j, n := range old.counts {
+		if n != 0 {
+			i := t.find(old.keys[j])
+			t.keys[i], t.counts[i] = old.keys[j], n
+		}
+	}
+	t.used = old.used
+}
+
+// reset empties the table, keeping its capacity.
+func (t *touchTable) reset() {
+	if t.used > 0 {
+		clear(t.counts)
+		t.used = 0
+	}
 }
 
 // similar reports whether two windows exhibit the same resource access
