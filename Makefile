@@ -27,6 +27,8 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDomainInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRecoveryInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzBlameInvariants -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzHTMLMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/telemetry/trace -run='^$$' -fuzz=FuzzChromeMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzMachineIncremental -fuzztime=$(FUZZTIME)

@@ -72,7 +72,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent replications (output is identical for any value)")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
-		traceDir = flag.String("trace-dir", "", "write one Chrome/Perfetto trace-event JSON file per measured cell into this directory")
+		traceDir = flag.String("trace-dir", "", "write one Chrome/Perfetto trace-event JSON file per scheduled (non-default-policy) cell into this directory")
 		obsDir   = flag.String("obs-dir", "", "write one self-contained HTML observability report (blame matrix, critical path, SLO burn rate) per measured cell into this directory")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of this process to the file")
 		memProf  = flag.String("memprofile", "", "write a heap profile of this process to the file on exit")

@@ -23,11 +23,13 @@ func TestGoldenE6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunDomains(e6Opts())
+	opt, dir := withExports(t, e6Opts())
+	res, err := RunDomains(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "e6", res.Table())
+	checkObservedGolden(t, "e6", dir)
 }
 
 // TestDomainsSkewedSpeedup asserts the experiment's headline claim

@@ -50,11 +50,13 @@ type Options struct {
 	// observational — tables and goldens are unchanged.
 	Telemetry bool
 	// TraceDir, when non-empty, writes one Chrome trace-event JSON file
-	// per cell (named after the cell label) into the directory, loadable
-	// in Perfetto or chrome://tracing. Implies Telemetry. Files are
-	// written in cell order with virtual-clock timestamps only, so a
-	// trace is bit-identical for every Jobs value. With ObsDir also set,
-	// traces additionally carry the SLO burn-rate counter tracks.
+	// per scheduled cell (named after the cell label) into the directory,
+	// loadable in Perfetto or chrome://tracing. Cells running the Linux
+	// default policy have no scheduler and no spans, so they get no file.
+	// Implies Telemetry. Files are written in cell order with
+	// virtual-clock timestamps only, so a trace is bit-identical for
+	// every Jobs value. With ObsDir also set, traces additionally carry
+	// the SLO burn-rate counter tracks.
 	TraceDir string
 	// ObsDir, when non-empty, subscribes the causal wait-attribution
 	// collector and an admission-latency SLO monitor to every scheduled
@@ -221,7 +223,8 @@ func traceFileName(label string) string {
 	return b.String() + ".json"
 }
 
-// writeTraces exports one Chrome trace file per cell, in cell order.
+// writeTraces exports one Chrome trace file per scheduled cell, in cell
+// order; default-policy cells are skipped, as measure skips their Trace.
 // Cells that also carry an SLO evaluation (ObsDir runs) get the
 // burn-rate counter tracks alongside the spans; without one the file
 // is byte-identical to the historical WriteChrome output.
@@ -230,6 +233,9 @@ func writeTraces(cells []cell, ms []measured, dir string) error {
 		return fmt.Errorf("experiments: %w", err)
 	}
 	for ci := range cells {
+		if cells[ci].rc.Policy == nil {
+			continue
+		}
 		path := filepath.Join(dir, traceFileName(cells[ci].label))
 		f, err := os.Create(path)
 		if err != nil {

@@ -29,11 +29,13 @@ func TestGoldenE7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunHeal(e7Opts())
+	opt, dir := withExports(t, e7Opts())
+	res, err := RunHeal(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "e7", res.Table())
+	checkObservedGolden(t, "e7", dir)
 }
 
 // TestHealRecoveryWins asserts the experiment's headline claim

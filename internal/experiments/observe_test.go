@@ -70,11 +70,13 @@ func TestGoldenE8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunObserve(observeOpts())
+	opt, dir := withExports(t, observeOpts())
+	res, err := RunObserve(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "e8", res.Table())
+	checkObservedGolden(t, "e8", dir)
 }
 
 // TestDeterminismObserve: the E8 table is byte-identical for every

@@ -19,6 +19,7 @@ func TestE5Overload(t *testing.T) {
 	opt.Repetitions = 1
 	opt.JitterFrac = 0
 	opt.Scale = 0.1
+	opt, dir := withExports(t, opt)
 	res, err := RunOverload(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +36,7 @@ func TestE5Overload(t *testing.T) {
 
 	t.Run("golden", func(t *testing.T) {
 		checkGolden(t, "e5", res.Table())
+		checkObservedGolden(t, "e5", dir)
 	})
 
 	// The headline claim: at the hardest cell the governed Strict beats

@@ -22,11 +22,13 @@ func TestGoldenE9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunRevive(e9Opts())
+	opt, dir := withExports(t, e9Opts())
+	res, err := RunRevive(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "e9", res.Table())
+	checkObservedGolden(t, "e9", dir)
 }
 
 // TestReviveDeterministicResume asserts the experiment's claim directly,

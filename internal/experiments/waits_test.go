@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,6 +144,50 @@ func TestTraceDirWritesPerCellFiles(t *testing.T) {
 	for name, b := range serial {
 		if !bytes.Equal(b, parallel[name]) {
 			t.Fatalf("trace %s differs between Jobs=1 and Jobs=4", name)
+		}
+	}
+}
+
+// TestTraceDirSkipsDefaultCells: a default-policy cell has no scheduler
+// and no spans, so TraceDir writes no file for it, and every file it does
+// write has the non-empty traceEvents array scripts/jsoncheck requires.
+func TestTraceDirSkipsDefaultCells(t *testing.T) {
+	dir := t.TempDir()
+	opt := quickOpts()
+	opt.Repetitions = 1
+	opt.TraceDir = dir
+	if _, err := RunChaos(opt); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, c := range chaosConfigs() {
+		if c.Policy != nil {
+			want += len(ChaosRates)
+		}
+	}
+	if len(entries) != want {
+		t.Fatalf("trace files = %d, want one per scheduled cell (%d)", len(entries), want)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), "default") {
+			t.Errorf("default-policy cell wrote trace %s", e.Name())
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if len(doc.TraceEvents) == 0 {
+			t.Errorf("%s: traceEvents is empty", e.Name())
 		}
 	}
 }

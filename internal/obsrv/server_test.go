@@ -47,6 +47,11 @@ func serve(t *testing.T) *obsrv.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// A connection the client dialed but never sent a request on
+		// stays StateNew on the server, and Shutdown only treats it as
+		// idle after 5 s, the whole timeout below. Close the client's
+		// idle connections first so a loaded machine cannot hit that.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Close(ctx); err != nil {

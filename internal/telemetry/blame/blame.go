@@ -123,20 +123,14 @@ type Report struct {
 }
 
 // Merge folds other into r in repetition order: timelines concatenate,
-// matrix cells and path segments add, totals sum.
+// matrix cells and path segments add, totals sum. Both matrices must
+// hold Matrix's order invariant, as every Report and Merge result does.
 func (r *Report) Merge(other *Report) {
 	if other == nil {
 		return
 	}
 	r.Periods = append(r.Periods, other.Periods...)
-	cells := make(map[[2]int]sim.Duration, len(r.Matrix))
-	for _, c := range r.Matrix {
-		cells[[2]int{c.BlockerProc, c.WaiterProc}] += c.Blamed
-	}
-	for _, c := range other.Matrix {
-		cells[[2]int{c.BlockerProc, c.WaiterProc}] += c.Blamed
-	}
-	r.Matrix = sortMatrix(cells)
+	r.Matrix = mergeMatrix(r.Matrix, other.Matrix)
 	r.Path.Run += other.Path.Run
 	r.Path.WaitBlamed += other.Path.WaitBlamed
 	r.Path.WaitUnattributed += other.Path.WaitUnattributed
@@ -415,6 +409,38 @@ func (c *Collector) Report() *Report {
 	return r
 }
 
+// mergeMatrix sums two matrices ordered by (BlockerProc, WaiterProc) in
+// one pass, into a fresh matrix in the same order with zero sums
+// omitted.
+func mergeMatrix(a, b []MatrixCell) []MatrixCell {
+	out := make([]MatrixCell, 0, max(len(a), len(b)))
+	for len(a) > 0 || len(b) > 0 {
+		var c MatrixCell
+		switch {
+		case len(b) == 0 || len(a) > 0 && cellBefore(a[0], b[0]):
+			c, a = a[0], a[1:]
+		case len(a) == 0 || cellBefore(b[0], a[0]):
+			c, b = b[0], b[1:]
+		default:
+			c = a[0]
+			c.Blamed += b[0].Blamed
+			a, b = a[1:], b[1:]
+		}
+		if c.Blamed != 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// cellBefore orders matrix cells by (BlockerProc, WaiterProc).
+func cellBefore(x, y MatrixCell) bool {
+	if x.BlockerProc != y.BlockerProc {
+		return x.BlockerProc < y.BlockerProc
+	}
+	return x.WaiterProc < y.WaiterProc
+}
+
 func sortMatrix(cells map[[2]int]sim.Duration) []MatrixCell {
 	out := make([]MatrixCell, 0, len(cells))
 	for k, v := range cells {
@@ -423,11 +449,6 @@ func sortMatrix(cells map[[2]int]sim.Duration) []MatrixCell {
 		}
 		out = append(out, MatrixCell{BlockerProc: k[0], WaiterProc: k[1], Blamed: v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].BlockerProc != out[j].BlockerProc {
-			return out[i].BlockerProc < out[j].BlockerProc
-		}
-		return out[i].WaiterProc < out[j].WaiterProc
-	})
+	sort.Slice(out, func(i, j int) bool { return cellBefore(out[i], out[j]) })
 	return out
 }

@@ -1,11 +1,13 @@
 package blame
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"html"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rdasched/internal/sim"
@@ -20,6 +22,13 @@ import (
 // inline SVG rendered at write time. Nothing in the document derives
 // from the wall clock, so a deterministic run writes a byte-identical
 // report.
+//
+// The document streams to the writer through a bufio.Writer, section by
+// section. The heatmap, the only section whose size grows with the
+// square of the process count, appends each cell's <rect> with strconv
+// from strings computed once per row, column and process name.
+// oracle_test.go keeps a fmt-based writer that WriteHTML must match
+// byte for byte.
 
 // ReportMeta labels an HTML report.
 type ReportMeta struct {
@@ -46,39 +55,39 @@ type htmlPayload struct {
 }
 
 // WriteHTML writes the report (and, when non-nil, the SLO evaluation)
-// as one self-contained HTML document.
+// as one self-contained HTML document. The embedded payload is encoded
+// before anything is written, so an encoding error writes nothing.
 func WriteHTML(w io.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) error {
 	if rpt == nil {
 		return fmt.Errorf("blame: WriteHTML needs a report")
 	}
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>wait-blame report · %s under %s</title>\n",
-		html.EscapeString(meta.Workload), html.EscapeString(meta.Policy))
-	b.WriteString("<style>\n" + reportCSS + "</style>\n</head>\n<body>\n")
-
-	fmt.Fprintf(&b, "<h1>Causal wait-attribution report</h1>\n<p class=\"sub\">workload <b>%s</b> · policy <b>%s</b> · %d waitlisted periods · %d denies</p>\n",
-		html.EscapeString(meta.Workload), html.EscapeString(meta.Policy),
-		len(rpt.Periods), rpt.Denies)
-
-	writeSummary(&b, rpt, slo)
-	writePathBar(&b, rpt.Path)
-	writeHeatmap(&b, meta, rpt)
-	writeTopK(&b, meta, rpt, 10)
-	if slo != nil {
-		writeBurnTimeline(&b, slo)
-	}
-
-	// Machine-readable payload, last so readers see the visuals first.
-	b.WriteString("<script type=\"application/json\" id=\"rda-data\">")
 	data, err := json.Marshal(htmlPayload{Meta: meta, Blame: rpt, SLO: slo})
 	if err != nil {
 		return fmt.Errorf("blame: %w", err)
 	}
+	b := bufio.NewWriterSize(w, 64<<10)
+	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
+	fmt.Fprintf(b, "<title>wait-blame report · %s under %s</title>\n",
+		html.EscapeString(meta.Workload), html.EscapeString(meta.Policy))
+	b.WriteString("<style>\n" + reportCSS + "</style>\n</head>\n<body>\n")
+
+	fmt.Fprintf(b, "<h1>Causal wait-attribution report</h1>\n<p class=\"sub\">workload <b>%s</b> · policy <b>%s</b> · %d waitlisted periods · %d denies</p>\n",
+		html.EscapeString(meta.Workload), html.EscapeString(meta.Policy),
+		len(rpt.Periods), rpt.Denies)
+
+	writeSummary(b, rpt, slo)
+	writePathBar(b, rpt.Path)
+	writeHeatmap(b, meta, rpt)
+	writeTopK(b, meta, rpt, 10)
+	if slo != nil {
+		writeBurnTimeline(b, slo)
+	}
+
+	// Machine-readable payload, last so readers see the visuals first.
+	b.WriteString("<script type=\"application/json\" id=\"rda-data\">")
 	b.Write(data)
 	b.WriteString("</script>\n</body>\n</html>\n")
-	_, err = io.WriteString(w, b.String())
-	return err
+	return b.Flush()
 }
 
 const reportCSS = `body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;max-width:60em;color:#222}
@@ -89,9 +98,15 @@ th{background:#f4f4f4}td:first-child,th:first-child{text-align:left}
 .card b{display:block;font-size:1.3em}svg{margin:.5em 0}
 `
 
-func secs(d sim.Duration) string { return fmt.Sprintf("%.6f s", d.Seconds()) }
+func secs(d sim.Duration) string { return string(appendSecs(nil, d)) }
 
-func writeSummary(b *strings.Builder, rpt *Report, slo *SLOResult) {
+// appendSecs appends d in seconds with six decimals, the bytes fmt's
+// "%.6f s" gives: %.6f makes this same AppendFloat call.
+func appendSecs(dst []byte, d sim.Duration) []byte {
+	return append(strconv.AppendFloat(dst, d.Seconds(), 'f', 6, 64), " s"...)
+}
+
+func writeSummary(b *bufio.Writer, rpt *Report, slo *SLOResult) {
 	pct := func(part sim.Duration) string {
 		if rpt.TotalWait == 0 {
 			return "–"
@@ -110,7 +125,7 @@ func writeSummary(b *strings.Builder, rpt *Report, slo *SLOResult) {
 }
 
 // writePathBar renders the makespan decomposition as one stacked bar.
-func writePathBar(b *strings.Builder, p Path) {
+func writePathBar(b *bufio.Writer, p Path) {
 	if p.Makespan <= 0 {
 		return
 	}
@@ -149,7 +164,7 @@ func writePathBar(b *strings.Builder, p Path) {
 
 // writeHeatmap renders the interference matrix as an SVG grid: rows are
 // blockers, columns waiters, shade ∝ blamed share of the worst cell.
-func writeHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
+func writeHeatmap(b *bufio.Writer, meta ReportMeta, rpt *Report) {
 	b.WriteString("<h2>Interference matrix: who blocked whom</h2>\n")
 	if len(rpt.Matrix) == 0 {
 		b.WriteString("<p class=\"sub\">no blamed wait — nothing interfered.</p>\n")
@@ -168,43 +183,66 @@ func writeHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
 		procs = append(procs, p)
 	}
 	sort.Ints(procs)
-	idx := map[int]int{}
+	n := len(procs)
+	idx := make(map[int]int, n)
 	for i, p := range procs {
 		idx[p] = i
 	}
-	cells := map[[2]int]sim.Duration{}
+	cells := make([]sim.Duration, n*n) // cells[blocker*n + waiter]
 	for _, c := range rpt.Matrix {
-		cells[[2]int{idx[c.BlockerProc], idx[c.WaiterProc]}] = c.Blamed
+		cells[idx[c.BlockerProc]*n+idx[c.WaiterProc]] = c.Blamed
 	}
 	const cell, label = 34.0, 120.0
-	w := label + cell*float64(len(procs)) + 8
-	h := label + cell*float64(len(procs)) + 8
+	w := label + cell*float64(n) + 8
+	h := label + cell*float64(n) + 8
 	fmt.Fprintf(b, "<svg width=\"%.0f\" height=\"%.0f\" role=\"img\" aria-label=\"interference heatmap\">\n", w, h)
+	// A process's name and its grid offset serve as its row (blocker)
+	// and its column (waiter) alike: format each once.
+	names := make([]string, n)
+	offsets := make([]string, n)
 	for i, p := range procs {
+		names[i] = html.EscapeString(meta.procName(p))
+		offsets[i] = strconv.FormatFloat(label+cell*float64(i), 'f', 1, 64)
 		// Column header (waiter), rotated; row label (blocker).
 		fmt.Fprintf(b, "<text x=\"%.1f\" y=\"%.1f\" font-size=\"11\" transform=\"rotate(-45 %.1f %.1f)\">%s</text>\n",
-			label+cell*float64(i)+6, label-6, label+cell*float64(i)+6, label-6, html.EscapeString(meta.procName(p)))
+			label+cell*float64(i)+6, label-6, label+cell*float64(i)+6, label-6, names[i])
 		fmt.Fprintf(b, "<text x=\"4\" y=\"%.1f\" font-size=\"11\">%s</text>\n",
-			label+cell*float64(i)+cell/2+4, html.EscapeString(meta.procName(p)))
+			label+cell*float64(i)+cell/2+4, names[i])
 	}
+	size := strconv.FormatFloat(cell-2, 'f', 0, 64)
+	var buf []byte
 	for bi := range procs {
 		for wi := range procs {
-			v := cells[[2]int{bi, wi}]
+			v := cells[bi*n+wi]
 			frac := 0.0
 			if max > 0 {
 				frac = float64(v) / float64(max)
 			}
-			fmt.Fprintf(b, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.0f\" height=\"%.0f\" fill=\"rgba(178,34,34,%.3f)\" stroke=\"#ddd\"><title>%s → %s: %s</title></rect>\n",
-				label+cell*float64(wi), label+cell*float64(bi), cell-2, cell-2, frac,
-				html.EscapeString(meta.procName(procs[bi])),
-				html.EscapeString(meta.procName(procs[wi])), secs(v))
+			buf = append(buf[:0], "<rect x=\""...)
+			buf = append(buf, offsets[wi]...)
+			buf = append(buf, "\" y=\""...)
+			buf = append(buf, offsets[bi]...)
+			buf = append(buf, "\" width=\""...)
+			buf = append(buf, size...)
+			buf = append(buf, "\" height=\""...)
+			buf = append(buf, size...)
+			buf = append(buf, "\" fill=\"rgba(178,34,34,"...)
+			buf = strconv.AppendFloat(buf, frac, 'f', 3, 64)
+			buf = append(buf, ")\" stroke=\"#ddd\"><title>"...)
+			buf = append(buf, names[bi]...)
+			buf = append(buf, " → "...)
+			buf = append(buf, names[wi]...)
+			buf = append(buf, ": "...)
+			buf = appendSecs(buf, v)
+			buf = append(buf, "</title></rect>\n"...)
+			b.Write(buf)
 		}
 	}
 	b.WriteString("</svg>\n<p class=\"sub\">rows block columns; shade ∝ blamed wait.</p>\n")
 }
 
 // writeTopK renders the k worst-waiting periods with their top blocker.
-func writeTopK(b *strings.Builder, meta ReportMeta, rpt *Report, k int) {
+func writeTopK(b *bufio.Writer, meta ReportMeta, rpt *Report, k int) {
 	b.WriteString("<h2>Longest waits and their blockers</h2>\n")
 	if len(rpt.Periods) == 0 {
 		b.WriteString("<p class=\"sub\">no period was ever waitlisted.</p>\n")
@@ -235,7 +273,7 @@ func writeTopK(b *strings.Builder, meta ReportMeta, rpt *Report, k int) {
 
 // writeBurnTimeline renders the burn-rate samples as one polyline per
 // (replication, window), with the alert threshold as a dashed rule.
-func writeBurnTimeline(b *strings.Builder, slo *SLOResult) {
+func writeBurnTimeline(b *bufio.Writer, slo *SLOResult) {
 	b.WriteString("<h2>SLO burn rate</h2>\n")
 	fmt.Fprintf(b, "<p class=\"sub\">objective: wait ≤ %s for %.1f%% of admissions · alert at %.1fx budget burn in every window</p>\n",
 		secs(slo.Config.Objective), 100*slo.Config.Target, slo.Config.AlertBurn)

@@ -232,10 +232,14 @@ func (m *SLOMonitor) Result() *SLOResult {
 // process group (rep*1000, matching the trace package's pid scheme).
 func (r *SLOResult) TraceCounters() []trace.Counter {
 	out := make([]trace.Counter, 0, len(r.Samples)*len(r.Config.Windows))
+	var names []string // names[i] is window i's track, formatted once
 	for _, s := range r.Samples {
 		for i, b := range s.Burn {
+			for len(names) <= i {
+				names = append(names, fmt.Sprintf("slo_burn_w%d", len(names)))
+			}
 			out = append(out, trace.Counter{
-				Name: fmt.Sprintf("slo_burn_w%d", i),
+				Name: names[i],
 				At:   s.At, Value: b, Pid: s.Rep * 1000,
 			})
 		}

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
 
 	"rdasched/internal/sim"
 )
@@ -22,83 +25,16 @@ import (
 //     period renders as the "period" slice alone;
 //   - rejects and late ends render as instant events.
 //
-// Marshaling goes through encoding/json structs — field order is
-// declaration order, floats use strconv's shortest round-trip form —
-// so a trace is byte-for-byte deterministic in its spans.
-
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// The document is appended into one byte slice in exactly the layout
+// json.MarshalIndent(doc, "", " ") gives the event structs of the
+// reference encoder in oracle_test.go: fields in declaration order,
+// "dur" and "s" omitted when zero or empty, args in sorted key order,
+// numbers in encoding/json's float form and strings with its HTML-safe
+// escapes. A trace is therefore byte-for-byte deterministic in its
+// spans.
 
 // usec converts virtual picoseconds to trace microseconds.
 func usec[T ~int64](v T) float64 { return float64(v) / 1e6 }
-
-// chromeEvents converts spans to trace events in span order.
-func chromeEvents(spans []Span) []chromeEvent {
-	events := make([]chromeEvent, 0, len(spans))
-	for _, sp := range spans {
-		pid := sp.Rep*1000 + sp.Proc
-		name := fmt.Sprintf("proc%d/phase%d", sp.Proc, sp.Phase)
-		if sp.Proc < 0 {
-			// Governor ladder transitions: period-less marks with the
-			// level in Phase; render them on their own track.
-			name = "governor"
-		}
-		if sp.Close == "instant" {
-			args := map[string]any{"demand_bytes": int64(sp.Demand)}
-			if sp.Outcome == "place" || sp.Outcome == "steal" {
-				// Domain decisions carry their target; other marks keep
-				// their historical shape byte for byte.
-				args["domain"] = sp.Domain
-			}
-			events = append(events, chromeEvent{
-				Name: name + " " + sp.Outcome, Cat: "mark", Ph: "i",
-				Ts: usec(sp.Begin), Pid: pid, Tid: sp.Phase, S: "t",
-				Args: args,
-			})
-			continue
-		}
-		if w := sp.Wait(); w > 0 {
-			events = append(events, chromeEvent{
-				Name: name + " wait", Cat: "wait", Ph: "X",
-				Ts: usec(sp.Begin), Dur: usec(w), Pid: pid, Tid: sp.Phase,
-				Args: map[string]any{
-					"demand_bytes": int64(sp.Demand),
-					"outcome":      sp.Outcome,
-				},
-			})
-		}
-		if sp.Outcome == "unfinished" {
-			continue
-		}
-		events = append(events, chromeEvent{
-			Name: name, Cat: "period", Ph: "X",
-			Ts: usec(sp.Admit), Dur: usec(sp.Run()), Pid: pid, Tid: sp.Phase,
-			Args: map[string]any{
-				"id":           int64(sp.ID),
-				"demand_bytes": int64(sp.Demand),
-				"outcome":      sp.Outcome,
-				"close":        sp.Close,
-				"wait_us":      usec(sp.Wait()),
-				"load_bytes":   int64(sp.Load),
-			},
-		})
-	}
-	return events
-}
 
 // Counter is one sample on a Perfetto counter track (a ph:"C" event).
 // The SLO burn-rate timeline exports this way so burn renders as a
@@ -121,15 +57,7 @@ type Counter struct {
 // goldens, so counters extend the document through this separate entry
 // point: with no counters the output is byte-identical to WriteChrome.
 func WriteChromeWithCounters(w io.Writer, spans []Span, counters []Counter) error {
-	events := chromeEvents(spans)
-	for _, c := range counters {
-		events = append(events, chromeEvent{
-			Name: c.Name, Cat: "counter", Ph: "C",
-			Ts: usec(c.At), Pid: c.Pid,
-			Args: map[string]any{"value": c.Value},
-		})
-	}
-	return writeChromeDoc(w, events)
+	return writeChromeDoc(w, spans, counters)
 }
 
 // WriteChrome writes the spans as a Chrome trace-event JSON object. The
@@ -137,32 +65,206 @@ func WriteChromeWithCounters(w io.Writer, spans []Span, counters []Counter) erro
 // anything is written, so a non-nil return guarantees w received either
 // nothing or a complete, valid document.
 func WriteChrome(w io.Writer, spans []Span) error {
-	return writeChromeDoc(w, chromeEvents(spans))
+	return writeChromeDoc(w, spans, nil)
 }
 
-func writeChromeDoc(w io.Writer, events []chromeEvent) error {
-	doc := chromeTrace{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ms",
+func writeChromeDoc(w io.Writer, spans []Span, counters []Counter) error {
+	e := chromeEncoder{
+		// Room for a waited span's two events and a counter event, so a
+		// typical document is appended without regrowing.
+		buf:  make([]byte, 0, 64+512*len(spans)+192*len(counters)),
+		name: make([]byte, 0, 64),
 	}
-	if doc.TraceEvents == nil {
-		doc.TraceEvents = []chromeEvent{}
+	e.buf = append(e.buf, "{\n \"traceEvents\": ["...)
+	for i := range spans {
+		e.span(&spans[i])
 	}
-	data, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
+	for _, c := range counters {
+		e.name = append(e.name[:0], c.Name...)
+		e.begin(e.name, "counter", "C", usec(c.At), 0, c.Pid, 0, "")
+		e.firstArg("value")
+		e.float(c.Value)
+		e.end()
 	}
-	data = append(data, '\n')
+	if e.events > 0 {
+		e.buf = append(e.buf, "\n ]"...)
+	} else {
+		e.buf = append(e.buf, ']')
+	}
+	e.buf = append(e.buf, ",\n \"displayTimeUnit\": \"ms\"\n}\n"...)
+	if e.err != nil {
+		return fmt.Errorf("trace: %w", e.err)
+	}
+	data := e.buf
 	var check struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &check); err != nil {
 		return fmt.Errorf("trace: encoded document does not re-parse: %w", err)
 	}
-	if len(check.TraceEvents) != len(doc.TraceEvents) {
+	if len(check.TraceEvents) != e.events {
 		return fmt.Errorf("trace: round-trip lost events: %d != %d",
-			len(check.TraceEvents), len(doc.TraceEvents))
+			len(check.TraceEvents), e.events)
 	}
-	_, err = w.Write(data)
+	_, err := w.Write(data)
 	return err
+}
+
+// chromeEncoder appends trace events to buf. err keeps the first value
+// encoding/json would refuse (a NaN or infinite number), in document
+// order.
+type chromeEncoder struct {
+	buf    []byte
+	name   []byte // scratch for the event name
+	events int
+	err    error
+}
+
+// span appends a span's events: one instant mark, or an optional wait
+// slice followed by the period slice (none for an unfinished period).
+func (e *chromeEncoder) span(sp *Span) {
+	pid := sp.Rep*1000 + sp.Proc
+	name := e.name[:0]
+	if sp.Proc < 0 {
+		// Governor ladder transitions: period-less marks with the level
+		// in Phase; render them on their own track.
+		name = append(name, "governor"...)
+	} else {
+		name = append(name, "proc"...)
+		name = strconv.AppendInt(name, int64(sp.Proc), 10)
+		name = append(name, "/phase"...)
+		name = strconv.AppendInt(name, int64(sp.Phase), 10)
+	}
+	e.name = name
+	if sp.Close == "instant" {
+		e.begin(append(append(name, ' '), sp.Outcome...), "mark", "i", usec(sp.Begin), 0, pid, sp.Phase, "t")
+		e.firstArg("demand_bytes")
+		e.buf = strconv.AppendInt(e.buf, int64(sp.Demand), 10)
+		if sp.Outcome == "place" || sp.Outcome == "steal" {
+			// Domain decisions carry their target; other marks keep
+			// their historical shape byte for byte.
+			e.arg("domain")
+			e.buf = strconv.AppendInt(e.buf, int64(sp.Domain), 10)
+		}
+		e.end()
+		return
+	}
+	if w := sp.Wait(); w > 0 {
+		e.begin(append(name, " wait"...), "wait", "X", usec(sp.Begin), usec(w), pid, sp.Phase, "")
+		e.firstArg("demand_bytes")
+		e.buf = strconv.AppendInt(e.buf, int64(sp.Demand), 10)
+		e.arg("outcome")
+		e.buf = appendString(e.buf, sp.Outcome)
+		e.end()
+	}
+	if sp.Outcome == "unfinished" {
+		return
+	}
+	e.begin(name, "period", "X", usec(sp.Admit), usec(sp.Run()), pid, sp.Phase, "")
+	e.firstArg("close")
+	e.buf = appendString(e.buf, sp.Close)
+	e.arg("demand_bytes")
+	e.buf = strconv.AppendInt(e.buf, int64(sp.Demand), 10)
+	e.arg("id")
+	e.buf = strconv.AppendInt(e.buf, int64(sp.ID), 10)
+	e.arg("load_bytes")
+	e.buf = strconv.AppendInt(e.buf, int64(sp.Load), 10)
+	e.arg("outcome")
+	e.buf = appendString(e.buf, sp.Outcome)
+	e.arg("wait_us")
+	e.float(usec(sp.Wait()))
+	e.end()
+}
+
+// begin appends an event's fields up to its args; cat and ph are
+// literals that need no escaping.
+func (e *chromeEncoder) begin(name []byte, cat, ph string, ts, dur float64, pid, tid int, s string) {
+	if e.events > 0 {
+		e.buf = append(e.buf, ',')
+	}
+	e.events++
+	e.buf = append(e.buf, "\n  {\n   \"name\": "...)
+	e.buf = appendString(e.buf, name)
+	e.buf = append(e.buf, ",\n   \"cat\": \""...)
+	e.buf = append(e.buf, cat...)
+	e.buf = append(e.buf, "\",\n   \"ph\": \""...)
+	e.buf = append(e.buf, ph...)
+	e.buf = append(e.buf, "\",\n   \"ts\": "...)
+	e.float(ts)
+	if dur != 0 {
+		e.buf = append(e.buf, ",\n   \"dur\": "...)
+		e.float(dur)
+	}
+	e.buf = append(e.buf, ",\n   \"pid\": "...)
+	e.buf = strconv.AppendInt(e.buf, int64(pid), 10)
+	e.buf = append(e.buf, ",\n   \"tid\": "...)
+	e.buf = strconv.AppendInt(e.buf, int64(tid), 10)
+	if s != "" {
+		e.buf = append(e.buf, ",\n   \"s\": "...)
+		e.buf = appendString(e.buf, s)
+	}
+}
+
+// firstArg opens the args object with its first key; arg appends each
+// later key. Callers pass keys in sorted order, as encoding/json sorts
+// map keys.
+func (e *chromeEncoder) firstArg(key string) {
+	e.buf = append(e.buf, ",\n   \"args\": {\n    \""...)
+	e.buf = append(e.buf, key...)
+	e.buf = append(e.buf, "\": "...)
+}
+
+func (e *chromeEncoder) arg(key string) {
+	e.buf = append(e.buf, ",\n    \""...)
+	e.buf = append(e.buf, key...)
+	e.buf = append(e.buf, "\": "...)
+}
+
+// end closes the args object and the event.
+func (e *chromeEncoder) end() {
+	e.buf = append(e.buf, "\n   }\n  }"...)
+}
+
+// float appends f as encoding/json does: shortest 'f' form for
+// 1e-6 <= |f| < 1e21 (and zero), shortest 'e' form otherwise with a
+// negative exponent's leading zero dropped. Non-finite values have no
+// JSON form; the first one becomes e.err, and the document is dropped.
+func (e *chromeEncoder) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{
+				Value: reflect.ValueOf(f),
+				Str:   strconv.FormatFloat(f, 'g', -1, 64),
+			}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+			e.buf[n-2] = e.buf[n-1]
+			e.buf = e.buf[:n-1]
+		}
+	}
+}
+
+// appendString appends s as a JSON string literal. Printable ASCII
+// without the characters encoding/json escapes (quote, backslash, and
+// the HTML-unsafe <, >, &) is copied; anything else — control bytes,
+// U+2028/U+2029, invalid UTF-8 — is quoted by json.Marshal itself.
+func appendString[T string | []byte](dst []byte, s T) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(string(s)) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
