@@ -11,10 +11,11 @@ import (
 	"testing"
 
 	"rdasched/internal/report"
+	"rdasched/internal/workloads"
 )
 
 // Golden-file tests pin the rendered report.Table output for Table 1,
-// Table 2, Figures 11 and 12, the cache calibration and E4–E9, so pure
+// Table 2, Figures 7–13, the cache calibration and E4–E9, so pure
 // formatting drift (column widths, separators, headers) is caught
 // separately from numeric drift in the model. The E4–E9 golden runs also
 // export their Chrome traces and HTML reports, whose digests
@@ -112,6 +113,38 @@ func TestGoldenTable1(t *testing.T) {
 
 func TestGoldenTable2(t *testing.T) {
 	checkGolden(t, "table2", Table2Report())
+}
+
+// TestGoldenFigs7to10 pins the paper's headline comparison at full scale
+// with the default jitter: every Table 2 workload under the default,
+// strict and compromise policies, rendered as Figures 7–10.
+func TestGoldenFigs7to10(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rows, err := RunPolicyComparison(workloads.Table2(), Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []int{7, 8, 9, 10} {
+		tbl, err := FigureTable(fig, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, fmt.Sprintf("fig%d", fig), tbl)
+	}
+}
+
+// TestGoldenFig13 pins the LLC-interference sweep at full scale.
+func TestGoldenFig13(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	res, err := RunInterference(Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig13", res.Table())
 }
 
 // TestGoldenFig11 pins a figure table produced by an actual simulation:
