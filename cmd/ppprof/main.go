@@ -32,6 +32,10 @@ func main() {
 		load    = flag.String("load", "", "profile a previously dumped trace instead of generating one")
 	)
 	flag.Parse()
+	if *dump != "" && *load != "" {
+		fmt.Fprintln(os.Stderr, "ppprof: -dump and -load cannot be combined")
+		os.Exit(2)
+	}
 
 	var (
 		stream memtrace.Stream
@@ -68,21 +72,16 @@ func main() {
 		fmt.Printf("wrote %d trace records to %s\n", n, *dump)
 		return
 	}
+	var fs *memtrace.FileStream
 	if *load != "" {
 		f, err := os.Open(*load)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		fs, err := memtrace.NewFileStream(f)
-		if err != nil {
+		if fs, err = memtrace.NewFileStream(f); err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if fs.Err() != nil {
-				fatal(fs.Err())
-			}
-		}()
 		stream = fs
 	}
 
@@ -90,6 +89,10 @@ func main() {
 	wins, err := profiler.Windows(stream, cfg)
 	if err != nil {
 		fatal(err)
+	}
+	// A torn trace ends the stream early: fail before printing anything.
+	if fs != nil && fs.Err() != nil {
+		fatal(fs.Err())
 	}
 	if *windows {
 		t := report.NewTable(fmt.Sprintf("windows (%d instructions each)", cfg.WindowInstr),

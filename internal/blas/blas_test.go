@@ -335,32 +335,16 @@ func TestDtrmmAgainstDgemm(t *testing.T) {
 }
 
 func TestFlopCounts(t *testing.T) {
-	if Level1Flops("daxpy", 100) != 200 {
-		t.Fatal("daxpy flops")
-	}
-	if Level1Flops("dcopy", 100) != 0 {
-		t.Fatal("dcopy flops")
-	}
-	if Level2Flops("dgemvN", 10) != 200 {
-		t.Fatal("dgemv flops")
-	}
-	if Level3Flops("dgemm", 10) != 2000 {
-		t.Fatal("dgemm flops")
-	}
-	if Level3Flops("dsyrk", 10) != 1100 {
-		t.Fatal("dsyrk flops")
-	}
-	for _, fn := range []func(){
-		func() { Level1Flops("nope", 1) },
-		func() { Level2Flops("nope", 1) },
-		func() { Level3Flops("nope", 1) },
+	for kernel, want := range map[string]float64{
+		"dgemm": 2000, "dsyrk": 1100, "dtrmm": 1000, "dtrsm": 1000,
 	} {
-		func() {
-			defer func() { _ = recover() }()
-			fn()
-			t.Fatal("unknown kernel did not panic")
-		}()
+		if got := Level3Flops(kernel, 10); got != want {
+			t.Fatalf("%s flops = %v, want %v", kernel, got, want)
+		}
 	}
+	defer func() { _ = recover() }()
+	Level3Flops("nope", 1)
+	t.Fatal("unknown kernel did not panic")
 }
 
 func BenchmarkDgemmNaive256(b *testing.B) {

@@ -4,10 +4,12 @@
 // dtrmv, dtrsv; and the level-3 matrix-matrix kernels dgemm, dsyrk, dtrmm,
 // dtrsm. Matrices are dense, row-major, float64.
 //
-// Two uses: the example programs execute them for real (quickstart runs an
-// actual DGEMM inside a progress period, like the paper's Figure 4), and
-// internal/workloads derives each kernel's phase parameters — working-set
-// size, flops per instruction, reuse level — from these definitions.
+// The simulated workloads describe these kernels by working-set size,
+// reuse and instruction count (internal/workloads); of this package they
+// use only Level3Flops, to size the BLAS-3 periods. examples/quickstart
+// runs a real DGEMM inside a progress period, like the paper's Figure 4.
+// The other kernels are a reference implementation exercised by this
+// package's tests.
 //
 // Level-3 kernels include cache-blocked variants, matching the paper's
 // setup where "each BLAS kernel ... has been optimized with loop blocking
@@ -69,22 +71,5 @@ func Dnrm2Sq(x []float64) float64 {
 func checkVecs(op string, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("blas: %s: length mismatch %d vs %d", op, len(x), len(y)))
-	}
-}
-
-// Level1Flops returns the flop count of one level-1 kernel invocation on
-// n elements.
-func Level1Flops(kernel string, n int) float64 {
-	switch kernel {
-	case "daxpy":
-		return 2 * float64(n)
-	case "dscal":
-		return float64(n)
-	case "dcopy", "dswap":
-		return 0
-	case "ddot":
-		return 2 * float64(n)
-	default:
-		panic("blas: unknown level-1 kernel " + kernel)
 	}
 }

@@ -65,17 +65,3 @@ func Dtrsv(l *Matrix, b []float64) {
 		b[i] = s / row[i]
 	}
 }
-
-// Level2Flops returns the flop count of one level-2 kernel on an n×n
-// operand.
-func Level2Flops(kernel string, n int) float64 {
-	fn := float64(n)
-	switch kernel {
-	case "dgemvN", "dgemvT":
-		return 2 * fn * fn
-	case "dtrmv", "dtrsv":
-		return fn * fn
-	default:
-		panic("blas: unknown level-2 kernel " + kernel)
-	}
-}

@@ -79,22 +79,6 @@ type Stats struct {
 	Evictions uint64
 }
 
-// HitRate returns hits/accesses, or 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
-// MissRate returns misses/accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a single set-associative cache level. Its lines live in two
 // flat arrays indexed set*assoc + way: tags holds each way's block number
 // (addr >> lineShift) and stamps its LRU touch or FIFO fill tick, with

@@ -297,17 +297,17 @@ func TestHierarchyFlushAndReset(t *testing.T) {
 		h.Access(int(i)%12, i*64)
 	}
 	h.ResetStats()
-	if h.LLCStats().Accesses != 0 {
+	if h.llc.Stats().Accesses != 0 {
 		t.Fatal("LLC stats not reset")
 	}
-	if h.LLCOccupancy() == 0 {
+	if h.llc.OccupancyBytes() == 0 {
 		t.Fatal("reset should not flush contents")
 	}
 	h.Flush()
-	if h.LLCOccupancy() != 0 {
+	if h.llc.OccupancyBytes() != 0 {
 		t.Fatal("flush left contents resident")
 	}
-	if h.L1Stats(0).Accesses != 0 || h.L2Stats(0).Accesses != 0 {
+	if h.l1[0].Stats().Accesses != 0 || h.l2[0].Stats().Accesses != 0 {
 		t.Fatal("per-core stats not reset")
 	}
 }

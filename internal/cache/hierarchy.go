@@ -117,18 +117,6 @@ func (h *Hierarchy) Access(core int, addr uint64) (Level, int) {
 	return Memory, h.cfg.MemLatency
 }
 
-// LLCStats returns the shared-cache counters.
-func (h *Hierarchy) LLCStats() Stats { return h.llc.Stats() }
-
-// L1Stats returns one core's L1 counters.
-func (h *Hierarchy) L1Stats(core int) Stats { return h.l1[core].Stats() }
-
-// L2Stats returns one core's L2 counters.
-func (h *Hierarchy) L2Stats(core int) Stats { return h.l2[core].Stats() }
-
-// LLCOccupancy returns resident bytes in the shared cache.
-func (h *Hierarchy) LLCOccupancy() pp.Bytes { return h.llc.OccupancyBytes() }
-
 // ResetStats clears counters on every level.
 func (h *Hierarchy) ResetStats() {
 	h.llc.ResetStats()

@@ -56,9 +56,6 @@ func (s *Scheduler) SetLease(d sim.Duration) {
 	s.lease = d
 }
 
-// Lease returns the configured period lease (0 = disabled).
-func (s *Scheduler) Lease() sim.Duration { return s.lease }
-
 // SetAdmissionDeadline bounds how long a denied period may wait before it
 // is degraded to stock-scheduler admission. d <= 0 disables fallback
 // admission (the paper's behavior: unbounded waiting).
@@ -68,9 +65,6 @@ func (s *Scheduler) SetAdmissionDeadline(d sim.Duration) {
 	}
 	s.deadline = d
 }
-
-// AdmissionDeadline returns the configured bound (0 = disabled).
-func (s *Scheduler) AdmissionDeadline() sim.Duration { return s.deadline }
 
 func (s *Scheduler) scheduleLease(per *period) {
 	s.scheduleLeaseFor(per, s.govLease())

@@ -122,9 +122,6 @@ func TestResourceMonitorAccounting(t *testing.T) {
 	if rm.Usage(pp.ResourceLLC) != pp.MB(12) {
 		t.Fatalf("usage = %v", rm.Usage(pp.ResourceLLC))
 	}
-	if rm.Remaining(pp.ResourceLLC) != pp.MB(3) {
-		t.Fatalf("remaining = %v", rm.Remaining(pp.ResourceLLC))
-	}
 	rm.Decrement(d)
 	if rm.Usage(pp.ResourceLLC) != pp.MB(6) {
 		t.Fatalf("usage after decrement = %v", rm.Usage(pp.ResourceLLC))

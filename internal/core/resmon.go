@@ -42,12 +42,6 @@ func (rm *ResourceMonitor) Usage(r pp.Resource) pp.Bytes { return rm.usage[r] }
 // Peak returns the maximum load ever recorded for a resource.
 func (rm *ResourceMonitor) Peak(r pp.Resource) pp.Bytes { return rm.peak[r] }
 
-// Remaining returns capacity - usage (may be negative when a policy
-// allowed oversubscription).
-func (rm *ResourceMonitor) Remaining(r pp.Resource) pp.Bytes {
-	return rm.capacity[r] - rm.usage[r]
-}
-
 // Increment adds a period's demand to the load table. A malformed demand
 // returns ErrInvalidDemand and leaves the table untouched: demands arrive
 // from applications, so rejecting them is admission policy, not a crash.

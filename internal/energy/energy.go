@@ -90,9 +90,6 @@ func NewMeter(m Model) *Meter {
 	return &Meter{model: m}
 }
 
-// Model returns the meter's constants.
-func (mt *Meter) Model() Model { return mt.model }
-
 // AdvanceTime integrates the time-proportional power terms over an
 // interval during which busyCores cores were executing (may be fractional
 // under processor sharing).

@@ -218,9 +218,6 @@ func TestTable1And2Render(t *testing.T) {
 			t.Fatalf("table 2 missing %s", name)
 		}
 	}
-	if LLCCapacityMB() != 15 {
-		t.Fatalf("LLC capacity = %v MB", LLCCapacityMB())
-	}
 }
 
 func TestScaleWorkload(t *testing.T) {

@@ -132,9 +132,6 @@ func TestFactorSweep(t *testing.T) {
 		if loose.DRAMAccesses <= tight.DRAMAccesses {
 			t.Errorf("%s: higher factor did not increase DRAM traffic", w)
 		}
-		if f, _ := res.Best(w); f < 1 || f > 4 {
-			t.Errorf("%s: best factor %v outside sweep", w, f)
-		}
 	}
 	if res.Table().Rows() != 10 {
 		t.Error("table wrong")

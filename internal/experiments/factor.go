@@ -84,13 +84,3 @@ func (r *FactorSweepResult) Table() *report.Table {
 	}
 	return t
 }
-
-// Best returns the factor with the highest efficiency for a workload.
-func (r *FactorSweepResult) Best(workload string) (factor, gfpw float64) {
-	for _, p := range r.Points {
-		if p.Workload == workload && p.Mean.GFLOPSPerWatt > gfpw {
-			factor, gfpw = p.Factor, p.Mean.GFLOPSPerWatt
-		}
-	}
-	return
-}

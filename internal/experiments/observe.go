@@ -114,15 +114,6 @@ func RunObserve(opt Options) (*ObserveResult, error) {
 	return res, nil
 }
 
-// Meta labels the E8 HTML report for a given row.
-func (r *ObserveResult) Meta(row ObserveRow) blame.ReportMeta {
-	meta := blame.ReportMeta{Workload: r.Workload, Policy: row.Policy}
-	for _, s := range ObserveSkewed().Procs {
-		meta.Procs = append(meta.Procs, s.Name)
-	}
-	return meta
-}
-
 // Table renders the E8 attribution table: per policy, the interference
 // matrix cell by cell (blocker process → waiting process), then the
 // conservation totals, the critical-path split, and the SLO verdict.

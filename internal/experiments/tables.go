@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rdasched/internal/machine"
-	"rdasched/internal/pp"
 	"rdasched/internal/report"
 	"rdasched/internal/workloads"
 )
@@ -74,9 +73,4 @@ func dedup(xs []string) []string {
 		}
 	}
 	return out
-}
-
-// LLCCapacityMB is a convenience for reports.
-func LLCCapacityMB() float64 {
-	return pp.Bytes(machine.DefaultConfig().LLCCapacity).MiBf()
 }

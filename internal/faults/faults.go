@@ -92,19 +92,6 @@ const (
 	DomainLedgerSkew
 )
 
-func (k DomainFaultKind) String() string {
-	switch k {
-	case DomainCapacityLoss:
-		return "capacity-loss"
-	case DomainCrash:
-		return "crash"
-	case DomainLedgerSkew:
-		return "ledger-skew"
-	default:
-		return "unknown"
-	}
-}
-
 // DomainFault is one scheduled domain-level fault.
 type DomainFault struct {
 	Kind   DomainFaultKind

@@ -129,14 +129,6 @@ func (p *Process) Name() string { return p.spec.Name }
 // Spec returns the process description.
 func (p *Process) Spec() proc.Spec { return p.spec }
 
-// NumThreads returns the thread count.
-func (p *Process) NumThreads() int { return len(p.threads) }
-
-// Finished reports whether all threads completed, and when.
-func (p *Process) Finished() (sim.Time, bool) {
-	return p.finish, p.done == len(p.threads)
-}
-
 // Gate is the hook through which a scheduling extension intercepts
 // declared phases (progress periods). EnterPhase returning false pauses
 // the thread; the gate must later call Machine.Unblock to resume it.

@@ -31,38 +31,6 @@ const (
 	flagJump  = 1 << 1
 )
 
-// WriteTrace serializes refs to w.
-func WriteTrace(w io.Writer, refs []Ref) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(traceVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(refs))); err != nil {
-		return err
-	}
-	var rec [recordBytes]byte
-	for _, r := range refs {
-		binary.LittleEndian.PutUint64(rec[0:], r.Instr)
-		binary.LittleEndian.PutUint64(rec[8:], r.Addr)
-		var flags byte
-		if r.Store {
-			flags |= flagStore
-		}
-		if r.IsJump {
-			flags |= flagJump
-		}
-		rec[16] = flags
-		binary.LittleEndian.PutUint32(rec[17:], uint32(int32(r.JumpSite)))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteStream drains a Stream to w without materializing it; it returns
 // the number of records written. Because the header carries a count, the
 // stream is first drained in chunks to a buffered writer and the count
@@ -142,29 +110,6 @@ func readHeader(r io.Reader) (uint64, error) {
 	return count, nil
 }
 
-// ReadTrace deserializes a full trace.
-func ReadTrace(r io.Reader) ([]Ref, error) {
-	count, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	const maxPrealloc = 1 << 20 // defend against corrupt counts
-	cap := count
-	if cap > maxPrealloc {
-		cap = maxPrealloc
-	}
-	refs := make([]Ref, 0, cap)
-	br := bufio.NewReader(r)
-	var rec [recordBytes]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("memtrace: record %d of %d: %w", i, count, err)
-		}
-		refs = append(refs, decodeRecord(rec))
-	}
-	return refs, nil
-}
-
 func decodeRecord(rec [recordBytes]byte) Ref {
 	return Ref{
 		Instr:    binary.LittleEndian.Uint64(rec[0:]),
@@ -178,10 +123,9 @@ func decodeRecord(rec [recordBytes]byte) Ref {
 // FileStream reads a serialized trace incrementally, implementing Stream
 // without materializing the records.
 type FileStream struct {
-	br    *bufio.Reader
-	left  uint64
-	fail  error
-	total uint64
+	br   *bufio.Reader
+	left uint64
+	fail error
 }
 
 // NewFileStream validates the header and returns a streaming reader.
@@ -190,11 +134,8 @@ func NewFileStream(r io.Reader) (*FileStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileStream{br: bufio.NewReaderSize(r, 1<<16), left: count, total: count}, nil
+	return &FileStream{br: bufio.NewReaderSize(r, 1<<16), left: count}, nil
 }
-
-// Len returns the total record count declared in the header.
-func (f *FileStream) Len() uint64 { return f.total }
 
 // Err returns the first decode error encountered (io problems surface as
 // an early end of stream plus a non-nil Err).

@@ -41,51 +41,72 @@ func TestCollectMax(t *testing.T) {
 	}
 }
 
+// The tests below pin each access pattern of a PhasedStream phase: the
+// uniformly random hot set, the sequential cold stream, the JMP sites,
+// and the pure-compute instructions between references.
+
+// phaseBase is the first phase's address region.
+const phaseBase = 1 << 30
+
+// collectPhase generates one phase with no jumps and returns its refs.
+func collectPhase(seed uint64, ph PhaseSpec) []Ref {
+	ph.Site = -1
+	return Collect(NewPhasedStream(seed, ph), 0)
+}
+
 func TestStreamFootprintMatchesRegion(t *testing.T) {
-	g := NewGen(1)
-	g.Stream(0, 64*pp.KiB, 8, 0)
-	fp := FootprintBytes(g.Refs())
-	if fp != 64*pp.KiB {
+	// One pass of a 64-byte-stride cold stream touches every line of its
+	// region once.
+	refs := collectPhase(1, PhaseSpec{Instr: 1024, RefsPerInstr: 1,
+		ColdBytes: 64 * pp.KiB, ColdStride: 64})
+	if fp := FootprintBytes(refs); fp != 64*pp.KiB {
 		t.Fatalf("footprint = %s, want 64KiB", fp)
 	}
-	// One ref per 8 bytes.
-	if got := len(g.Refs()); got != 64*1024/8 {
-		t.Fatalf("refs = %d", got)
+	if len(refs) != 1024 {
+		t.Fatalf("refs = %d", len(refs))
 	}
 }
 
 func TestStreamDefaultStride(t *testing.T) {
-	g := NewGen(1)
-	g.Stream(0, 1024, 0, 0) // stride <= 0 falls back to 8
-	if len(g.Refs()) != 128 {
-		t.Fatalf("refs = %d, want 128", len(g.Refs()))
+	// ColdStride 0 falls back to 512 bytes.
+	refs := collectPhase(1, PhaseSpec{Instr: 128, RefsPerInstr: 1, ColdBytes: 64 * pp.KiB})
+	if len(refs) != 128 {
+		t.Fatalf("refs = %d, want 128", len(refs))
+	}
+	for i := 1; i < len(refs); i++ {
+		if d := refs[i].Addr - refs[i-1].Addr; d != 512 {
+			t.Fatalf("ref %d: stride %d, want 512", i, d)
+		}
 	}
 }
 
 func TestComputeAdvancesInstructions(t *testing.T) {
-	g := NewGen(1)
-	g.Compute(100)
-	g.Stream(0, 64, 8, 2)
-	// 100 filler + 8 refs + 8*2 gaps = 124.
-	if g.Instructions() != 124 {
-		t.Fatalf("instructions = %d, want 124", g.Instructions())
+	// At one reference per four instructions, three pure-compute
+	// instructions retire silently before each reference.
+	refs := collectPhase(1, PhaseSpec{Instr: 100, RefsPerInstr: 0.25, HotBytes: pp.KiB, HotFrac: 1})
+	if len(refs) != 25 {
+		t.Fatalf("refs = %d, want 25", len(refs))
+	}
+	for i, r := range refs {
+		if want := uint64(4*i + 3); r.Instr != want {
+			t.Fatalf("ref %d at instruction %d, want %d", i, r.Instr, want)
+		}
 	}
 }
 
 func TestRandomInSetBounded(t *testing.T) {
 	f := func(seed uint64) bool {
-		g := NewGen(seed)
 		const size = 4 * pp.KiB
-		g.RandomInSet(1<<20, size, 500, 0)
-		for _, r := range g.Refs() {
-			if r.Addr < 1<<20 || r.Addr >= 1<<20+uint64(size) {
+		refs := collectPhase(seed, PhaseSpec{Instr: 500, RefsPerInstr: 1, HotBytes: size, HotFrac: 1})
+		for _, r := range refs {
+			if r.Addr < phaseBase || r.Addr >= phaseBase+uint64(size) {
 				return false
 			}
 			if r.Addr%8 != 0 {
 				return false
 			}
 		}
-		return true
+		return len(refs) == 500
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -93,128 +114,81 @@ func TestRandomInSetBounded(t *testing.T) {
 }
 
 func TestRandomInSetReuseGrowsWithCount(t *testing.T) {
-	g := NewGen(7)
-	g.RandomInSet(0, 1*pp.KiB, 10000, 0)
-	fp := Footprint(g.Refs())
+	refs := collectPhase(7, PhaseSpec{Instr: 10000, RefsPerInstr: 1, HotBytes: pp.KiB, HotFrac: 1})
+	fp := Footprint(refs)
 	// 1 KiB = 16 lines; 10000 touches must revisit heavily.
 	if fp > 16 {
 		t.Fatalf("footprint %d lines exceeds region", fp)
 	}
-	reuse := float64(len(g.Refs())) / float64(fp)
+	reuse := float64(len(refs)) / float64(fp)
 	if reuse < 100 {
 		t.Fatalf("reuse ratio %v too low for hot-set pattern", reuse)
 	}
 }
 
 func TestSweepRepeat(t *testing.T) {
-	g := NewGen(1)
-	g.SweepRepeat(0, 1*pp.KiB, 8, 5, 0)
-	if fp := FootprintBytes(g.Refs()); fp != 1*pp.KiB {
+	// The cold stream wraps at the end of its region: five passes over
+	// 1 KiB repeat the same 16 addresses in order.
+	refs := collectPhase(1, PhaseSpec{Instr: 5 * 16, RefsPerInstr: 1,
+		ColdBytes: pp.KiB, ColdStride: 64})
+	if fp := FootprintBytes(refs); fp != pp.KiB {
 		t.Fatalf("footprint = %s, want 1KiB", fp)
 	}
-	if got, want := len(g.Refs()), 5*128; got != want {
+	if got, want := len(refs), 5*16; got != want {
 		t.Fatalf("refs = %d, want %d", got, want)
 	}
-}
-
-func TestBlockedMatMulFootprint(t *testing.T) {
-	g := NewGen(1)
-	const n = 32
-	g.BlockedMatMul(0, 1<<20, 2<<20, n, 8, 1)
-	// Footprint ≈ 3 matrices of n*n*8 bytes = 24 KiB (line-granular, so
-	// allow rounding up).
-	fp := FootprintBytes(g.Refs())
-	want := pp.Bytes(3 * n * n * 8)
-	if fp < want || fp > want+3*64 {
-		t.Fatalf("footprint = %s, want ~%s", fp, want)
-	}
-}
-
-func TestBlockedMatMulReuseHigherThanStream(t *testing.T) {
-	g := NewGen(1)
-	g.BlockedMatMul(0, 1<<20, 2<<20, 32, 8, 1)
-	mm := g.Refs()
-	reuseMM := float64(len(mm)) / float64(Footprint(mm))
-
-	g2 := NewGen(1)
-	g2.Stream(0, FootprintBytes(mm), 8, 0)
-	st := g2.Refs()
-	reuseST := float64(len(st)) / float64(Footprint(st))
-	if reuseMM < 4*reuseST {
-		t.Fatalf("matmul reuse %.1f not ≫ stream reuse %.1f", reuseMM, reuseST)
-	}
-}
-
-func TestBlockedMatMulSampling(t *testing.T) {
-	full := NewGen(1)
-	full.BlockedMatMul(0, 1<<20, 2<<20, 16, 4, 1)
-	sampled := NewGen(1)
-	sampled.BlockedMatMul(0, 1<<20, 2<<20, 16, 4, 4)
-	if len(sampled.Refs()) >= len(full.Refs()) {
-		t.Fatal("sampling did not reduce trace size")
-	}
-	// Instruction counts stay comparable (same logical work).
-	ratio := float64(sampled.Instructions()) / float64(full.Instructions())
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("instruction count ratio %v too far from 1", ratio)
-	}
-}
-
-func TestBlockedMatMulEmitsJumps(t *testing.T) {
-	g := NewGen(1)
-	g.BlockedMatMul(0, 1<<20, 2<<20, 16, 8, 1)
-	jumps := 0
-	for _, r := range g.Refs() {
-		if r.IsJump {
-			jumps++
+	for i := 16; i < len(refs); i++ {
+		if refs[i].Addr != refs[i-16].Addr {
+			t.Fatalf("pass %d diverges at ref %d", i/16, i)
 		}
-	}
-	if jumps == 0 {
-		t.Fatal("no JMP markers in matmul trace")
-	}
-}
-
-func TestBlockedMatMulDegenerate(t *testing.T) {
-	g := NewGen(1)
-	g.BlockedMatMul(0, 0, 0, 0, 0, 1) // no-ops, must not panic
-	g.BlockedMatMul(0, 0, 0, 8, 0, 1)
-	if len(g.Refs()) != 0 {
-		t.Fatal("degenerate matmul emitted refs")
 	}
 }
 
 func TestPhasedRegionHotColdSplit(t *testing.T) {
-	g := NewGen(3)
 	hot := 8 * pp.KiB
-	g.PhasedRegion(0, hot, 1*pp.MiB, 0.9, 20000, 0)
+	refs := collectPhase(3, PhaseSpec{Instr: 20000, RefsPerInstr: 1,
+		HotBytes: hot, ColdBytes: pp.MiB, HotFrac: 0.9})
 	inHot := 0
-	for _, r := range g.Refs() {
-		if r.Addr < uint64(hot) {
+	for _, r := range refs {
+		if r.Addr < phaseBase+uint64(hot) {
 			inHot++
 		}
 	}
-	frac := float64(inHot) / float64(len(g.Refs()))
+	frac := float64(inHot) / float64(len(refs))
 	if frac < 0.85 || frac > 0.95 {
 		t.Fatalf("hot fraction = %v, want ~0.9", frac)
 	}
 }
 
 func TestPhasedRegionZeroCold(t *testing.T) {
-	g := NewGen(3)
-	g.PhasedRegion(0, 4*pp.KiB, 0, 0.5, 1000, 0)
-	for _, r := range g.Refs() {
-		if r.Addr >= uint64(4*pp.KiB) {
+	// With no cold region every reference hits the hot set, whatever
+	// HotFrac says.
+	refs := collectPhase(3, PhaseSpec{Instr: 1000, RefsPerInstr: 1, HotBytes: 4 * pp.KiB, HotFrac: 0.5})
+	for _, r := range refs {
+		if r.Addr >= phaseBase+uint64(4*pp.KiB) {
 			t.Fatal("ref outside hot region with no cold region")
 		}
 	}
 }
 
 func TestJumpSites(t *testing.T) {
-	g := NewGen(1)
-	g.Jump(42)
-	refs := g.Refs()
-	if len(refs) != 1 || !refs[0].IsJump || refs[0].JumpSite != 42 {
-		t.Fatalf("jump ref = %+v", refs[0])
+	s := NewPhasedStream(1,
+		PhaseSpec{Instr: 1000, RefsPerInstr: 0.5, HotBytes: pp.KiB, HotFrac: 1, Site: 42, JumpEvery: 100},
+		PhaseSpec{Instr: 1000, RefsPerInstr: 0.5, HotBytes: pp.KiB, HotFrac: 1, Site: -1},
+	)
+	var jumps []Ref
+	for _, r := range Collect(s, 0) {
+		if r.IsJump {
+			jumps = append(jumps, r)
+		}
+	}
+	if len(jumps) != 10 {
+		t.Fatalf("jumps = %d, want 10 (one per 100 instructions of the first phase)", len(jumps))
+	}
+	for i, r := range jumps {
+		if r.JumpSite != 42 || r.Instr != uint64(100*i) || r.Addr != 0 {
+			t.Fatalf("jump %d = %+v", i, r)
+		}
 	}
 }
 
@@ -226,20 +200,17 @@ func TestFootprintIgnoresJumps(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	g := NewGen(1)
-	g.Stream(0, 128, 8, 0)
-	g.Jump(0)
-	s := Summary(g.Refs())
-	if s == "" {
-		t.Fatal("empty summary")
+	refs := []Ref{{Addr: 0}, {Addr: 8}, {Addr: 64}, {IsJump: true}}
+	if got, want := Summary(refs), "4 refs (3 mem, 1 jumps), footprint 128B"; got != want {
+		t.Fatalf("Summary = %q, want %q", got, want)
 	}
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
-	a, b := NewGen(99), NewGen(99)
-	a.RandomInSet(0, 64*pp.KiB, 1000, 1)
-	b.RandomInSet(0, 64*pp.KiB, 1000, 1)
-	ra, rb := a.Refs(), b.Refs()
+	spec := PhaseSpec{Instr: 2000, RefsPerInstr: 0.5, HotBytes: 64 * pp.KiB,
+		ColdBytes: 16 * pp.KiB, HotFrac: 0.8, Site: 1, JumpEvery: 100}
+	ra := Collect(NewPhasedStream(99, spec), 0)
+	rb := Collect(NewPhasedStream(99, spec), 0)
 	if len(ra) != len(rb) {
 		t.Fatal("lengths differ")
 	}
@@ -248,24 +219,37 @@ func TestGeneratorDeterminism(t *testing.T) {
 			t.Fatalf("ref %d differs: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
-}
-
-func BenchmarkGenBlockedMatMul(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g := NewGen(1)
-		g.BlockedMatMul(0, 1<<20, 2<<20, 64, 16, 8)
+	rc := Collect(NewPhasedStream(100, spec), 0)
+	same := len(rc) == len(ra)
+	for i := 0; same && i < len(ra); i++ {
+		same = ra[i] == rc[i]
+	}
+	if same {
+		t.Fatal("seeds 99 and 100 generated the same trace")
 	}
 }
 
 func TestGenTraceStream(t *testing.T) {
-	g := NewGen(1)
-	g.Stream(0, 1*pp.KiB, 8, 0)
-	s := g.Trace()
-	if s.Len() != 128 {
-		t.Fatalf("trace len = %d", s.Len())
+	// Each phase draws from its own 1 GiB region, and an exhausted
+	// stream stays exhausted.
+	s := NewPhasedStream(1,
+		PhaseSpec{Instr: 128, RefsPerInstr: 1, HotBytes: pp.KiB, HotFrac: 1, Site: -1},
+		PhaseSpec{Instr: 128, RefsPerInstr: 1, HotBytes: pp.KiB, HotFrac: 1, Site: -1},
+	)
+	refs := Collect(s, 0)
+	if len(refs) != 256 {
+		t.Fatalf("trace len = %d", len(refs))
 	}
-	if got := len(Collect(s, 0)); got != 128 {
-		t.Fatalf("collected %d", got)
+	for i, r := range refs {
+		region := uint64(1 + i/128)
+		if r.Addr>>30 != region {
+			t.Fatalf("ref %d at %#x, want region %d", i, r.Addr, region)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := s.Next(); ok {
+			t.Fatal("exhausted stream produced a ref")
+		}
 	}
 }
 
@@ -285,11 +269,18 @@ func TestFuncStream(t *testing.T) {
 }
 
 func TestPhasedStreamTotalInstr(t *testing.T) {
+	// The stream spans exactly its phases' summed instruction count: at
+	// one reference per two instructions, the last one retires at
+	// instruction 299 of 300.
 	s := NewPhasedStream(1,
-		PhaseSpec{Name: "a", Instr: 100, RefsPerInstr: 0.5, HotBytes: 1024, HotFrac: 1},
-		PhaseSpec{Name: "b", Instr: 200, RefsPerInstr: 0.5, HotBytes: 1024, HotFrac: 1},
+		PhaseSpec{Name: "a", Instr: 100, RefsPerInstr: 0.5, HotBytes: 1024, HotFrac: 1, Site: -1},
+		PhaseSpec{Name: "b", Instr: 200, RefsPerInstr: 0.5, HotBytes: 1024, HotFrac: 1, Site: -1},
 	)
-	if s.TotalInstr() != 300 {
-		t.Fatalf("TotalInstr = %d", s.TotalInstr())
+	refs := Collect(s, 0)
+	if len(refs) != 150 {
+		t.Fatalf("refs = %d, want 150", len(refs))
+	}
+	if last := refs[len(refs)-1].Instr; last != 299 {
+		t.Fatalf("last ref at instruction %d, want 299", last)
 	}
 }

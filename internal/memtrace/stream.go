@@ -121,12 +121,3 @@ func (s *PhasedStream) Next() (Ref, bool) {
 		return Ref{Instr: s.instr - 1, Addr: addr}, true
 	}
 }
-
-// TotalInstr returns the stream's total instruction length.
-func (s *PhasedStream) TotalInstr() uint64 {
-	var n uint64
-	for _, ph := range s.phases {
-		n += ph.Instr
-	}
-	return n
-}

@@ -171,9 +171,6 @@ func (cp *Checkpointer) Err() error { return cp.err }
 // Stats returns a copy of the activity counters.
 func (cp *Checkpointer) Stats() Stats { return cp.stats }
 
-// Seq returns the sequence number of the last record written.
-func (cp *Checkpointer) Seq() uint64 { return cp.seq }
-
 // Close syncs and closes the journal, returning the sticky error if one
 // occurred during the run.
 func (cp *Checkpointer) Close() error {

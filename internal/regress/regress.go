@@ -56,9 +56,6 @@ func FitLinear(xs, ys []float64) (Linear, error) {
 	return Linear{A: a, B: b, R2: r2}, nil
 }
 
-// Predict evaluates the line at x.
-func (l Linear) Predict(x float64) float64 { return l.A + l.B*x }
-
 // Log holds y = A + B·ln(x) — the paper's working-set growth model.
 type Log struct {
 	A, B float64
