@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzGovernorInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDomainInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRecoveryInvariants -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRegistryMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzBlameInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzHTMLMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/trace -run='^$$' -fuzz=FuzzChromeMatchesOracle -fuzztime=$(FUZZTIME)

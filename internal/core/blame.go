@@ -47,9 +47,9 @@ type BlameSink interface {
 // blame sink is subscribed.
 func (s *Scheduler) snapshotBlockers(e Event) {
 	buf := s.blameBuf[:0]
-	for _, per := range s.active {
+	s.reg.each(func(per *period) {
 		if !per.admitted || per.untracked {
-			continue
+			return
 		}
 		buf = append(buf, Blocker{
 			ID:     per.id,
@@ -57,7 +57,7 @@ func (s *Scheduler) snapshotBlockers(e Event) {
 			Phase:  per.key.phaseIdx,
 			Demand: per.demands[0].WorkingSet,
 		})
-	}
+	})
 	sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })
 	s.blameBuf = buf
 	for _, bs := range s.blameSinks {

@@ -123,6 +123,7 @@ type DomainSet struct {
 
 	nextID   pp.ID
 	domainOf map[periodKey]int // period → owning domain, while registered
+	demBuf   []pp.Demand       // placement scratch: the arriving phase's demands
 
 	placements uint64
 	steals     uint64
@@ -303,7 +304,8 @@ func (d *DomainSet) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 	key := periodKey{t.Process().ID(), phaseIdx}
 	di, ok := d.domainOf[key]
 	if !ok {
-		di = d.place(ph.Demands())
+		d.demBuf = ph.AppendDemands(d.demBuf[:0])
+		di = d.place(d.demBuf)
 		d.domainOf[key] = di
 		d.placements++
 		d.emitDomain(EventPlace, di, key, ph.Demand())
@@ -331,7 +333,7 @@ func (d *DomainSet) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 	}
 	s := d.shards[di]
 	s.ExitPhase(t, phaseIdx, ph)
-	if ok && s.active[key] == nil {
+	if ok && s.reg.get(key) == nil {
 		delete(d.domainOf, key)
 		d.rrecSet(RecUnmap, func(r *ReplayRecord) {
 			r.Set.MapDel = []ProcPhase{{Proc: key.procID, Phase: key.phaseIdx}}
@@ -551,12 +553,10 @@ func (d *DomainSet) migrate(per *period, si, di int, kind EventKind) {
 	if !src.waitlist.Remove(per.ticket) {
 		panic(fmt.Sprintf("core: migration of period %d not on domain %d waitlist", per.id, si))
 	}
-	delete(src.active, per.key)
-	delete(src.byID, per.id)
-	delete(src.parked, per.key.procID)
+	src.reg.remove(per)
+	src.reg.unpark(per.key.procID)
 	src.cancelDeadline(per)
-	dst.active[per.key] = per
-	dst.byID[per.id] = per
+	dst.reg.add(per)
 	d.domainOf[per.key] = di
 	if kind == EventEvacuate {
 		d.rec.stats.Evacuations++
@@ -606,7 +606,7 @@ func (d *DomainSet) emitDomain(kind EventKind, di int, key periodKey, dm pp.Dema
 		At: at, Kind: kind, Proc: key.procID, Phase: key.phaseIdx,
 		Demand: dm, Load: s.rm.Usage(pp.ResourceLLC), Domain: di,
 	}
-	if per := s.active[key]; per != nil {
+	if per := s.reg.get(key); per != nil {
 		e.ID = per.id
 	}
 	for _, sink := range d.sinks {

@@ -403,11 +403,11 @@ func (d *DomainSet) evacuateShard(si int) {
 	defer func() { d.stealing = wasStealing }()
 
 	var acts []*period
-	for _, per := range src.active {
+	src.reg.each(func(per *period) {
 		if per.admitted {
 			acts = append(acts, per)
 		}
-	}
+	})
 	sort.Slice(acts, func(i, j int) bool { return acts[i].id < acts[j].id })
 	for _, per := range acts {
 		d.moveActive(per, si)
@@ -451,16 +451,14 @@ func (d *DomainSet) transferWaiter(per *period, si int) {
 	if !src.waitlist.Remove(per.ticket) {
 		panic(fmt.Sprintf("core: evacuation of period %d not on domain %d waitlist", per.id, si))
 	}
-	delete(src.active, per.key)
-	delete(src.byID, per.id)
-	delete(src.parked, per.key.procID)
+	src.reg.remove(per)
+	src.reg.unpark(per.key.procID)
 	src.cancelDeadline(per)
-	dst.active[per.key] = per
-	dst.byID[per.id] = per
+	dst.reg.add(per)
 	d.domainOf[per.key] = di
 	per.ticket = dst.waitlist.Enqueue(per)
 	if per.taskPool {
-		dst.parked[per.key.procID] = true
+		dst.reg.park(per.key.procID)
 	}
 	if dst.deadline > 0 {
 		dst.scheduleDeadlineIn(per, dst.deadline-d.now().DurationSince(per.enqueuedAt))
@@ -495,18 +493,8 @@ func (d *DomainSet) moveActive(per *period, si int) {
 			src.mustDecrement(dm)
 		}
 	}
-	var tids []int
-	for tid, key := range src.inside {
-		if key == per.key {
-			tids = append(tids, tid)
-		}
-	}
-	for _, tid := range tids {
-		delete(src.inside, tid)
-		dst.inside[tid] = per.key
-	}
-	dst.active[per.key] = per
-	dst.byID[per.id] = per
+	src.reg.handOver(&dst.reg, per.key)
+	dst.reg.add(per)
 	d.domainOf[per.key] = di
 	if !per.untracked {
 		for _, dm := range per.demands {
@@ -544,11 +532,11 @@ func (d *DomainSet) dropShard(si int) {
 		d.rec.stats.Dropped++
 	}
 	var acts []*period
-	for _, per := range src.active {
+	src.reg.each(func(per *period) {
 		if per.admitted && !per.untracked {
 			acts = append(acts, per)
 		}
-	}
+	})
 	sort.Slice(acts, func(i, j int) bool { return acts[i].id < acts[j].id })
 	for _, per := range acts {
 		for _, dm := range per.demands {
@@ -660,14 +648,14 @@ func (d *DomainSet) runAudit(wake bool) {
 	d.rec.stats.AuditRuns++
 	for si, s := range d.shards {
 		var want [pp.NumResources]pp.Bytes
-		for _, per := range s.active {
+		s.reg.each(func(per *period) {
 			if !per.admitted || per.untracked {
-				continue
+				return
 			}
 			for _, dm := range per.demands {
 				want[dm.Resource] += dm.WorkingSet
 			}
-		}
+		})
 		var drift pp.Bytes
 		for r := 0; r < pp.NumResources; r++ {
 			res := pp.Resource(r)

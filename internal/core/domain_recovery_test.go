@@ -416,10 +416,9 @@ func TestAuditRepairsLedger(t *testing.T) {
 		key := periodKey{procID: i, phaseIdx: 0}
 		di := d.place([]pp.Demand{dm})
 		s := d.Shard(di)
-		per := &period{key: key, demands: []pp.Demand{dm}}
+		per := s.reg.open(key)
+		per.demands = append(per.demands, dm)
 		per.id = s.allocID()
-		s.active[key] = per
-		s.byID[per.id] = per
 		d.domainOf[key] = di
 		s.admit(per)
 	}

@@ -376,6 +376,7 @@ func TestStealSkipsOpenBreaker(t *testing.T) {
 	m.Engine().After(sim.Millisecond, func() {
 		for i := 0; i < d.NumDomains(); i++ {
 			s := d.Shard(i)
+			s.gov.breakers = growSlots(s.gov.breakers, waiter.ID())
 			s.gov.breakers[waiter.ID()] = &breaker{state: BreakerOpen, openedAt: m.Now()}
 		}
 	})
@@ -400,10 +401,9 @@ func TestDomainQuiesce(t *testing.T) {
 		key := periodKey{procID: i, phaseIdx: 0}
 		di := d.place([]pp.Demand{dm})
 		s := d.Shard(di)
-		per := &period{key: key, demands: []pp.Demand{dm}}
+		per := s.reg.open(key)
+		per.demands = append(per.demands, dm)
 		per.id = s.allocID()
-		s.active[key] = per
-		s.byID[per.id] = per
 		d.domainOf[key] = di
 		s.admit(per)
 	}

@@ -48,19 +48,19 @@ func (k *domainInvariantSink) Record(e Event) {
 	}
 	seen := make(map[periodKey]int, len(k.d.domainOf))
 	for i, s := range k.d.shards {
-		for key := range s.active {
-			if prev, dup := seen[key]; dup {
-				k.fail("proc %d phase %d registered in domains %d and %d at %v",
-					key.procID, key.phaseIdx, prev, i, e.At)
-				return
-			}
-			seen[key] = i
-		}
 		var want pp.Bytes
-		for _, per := range s.active {
+		s.reg.each(func(per *period) {
+			if prev, dup := seen[per.key]; dup {
+				k.fail("proc %d phase %d registered in domains %d and %d at %v",
+					per.key.procID, per.key.phaseIdx, prev, i, e.At)
+			}
+			seen[per.key] = i
 			if per.admitted && !per.untracked {
 				want += per.demands[0].WorkingSet
 			}
+		})
+		if k.err != nil {
+			return
 		}
 		if got := s.rm.Usage(pp.ResourceLLC); got != want {
 			k.fail("domain %d load %v != %v charged by its admitted periods (after %v %v)",

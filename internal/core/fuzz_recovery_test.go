@@ -53,13 +53,15 @@ func (k *recoveryInvariantSink) Record(e Event) {
 	}
 	seen := make(map[periodKey]int, len(k.d.domainOf))
 	for i, s := range k.d.shards {
-		for key := range s.active {
-			if prev, dup := seen[key]; dup {
+		s.reg.each(func(per *period) {
+			if prev, dup := seen[per.key]; dup {
 				k.fail("proc %d phase %d registered in domains %d and %d at %v",
-					key.procID, key.phaseIdx, prev, i, e.At)
-				return
+					per.key.procID, per.key.phaseIdx, prev, i, e.At)
 			}
-			seen[key] = i
+			seen[per.key] = i
+		})
+		if k.err != nil {
+			return
 		}
 	}
 	switch e.Kind {

@@ -295,7 +295,7 @@ type governor struct {
 	winReclaims  int
 	waits        waitBuckets
 
-	breakers map[int]*breaker // process ID → breaker
+	breakers []*breaker // by process ID; nil until the process first declares
 
 	// tickEv is the governor's self-evaluation timer: the decision path
 	// only evaluates pressure when events flow, but a fully stalled
@@ -321,7 +321,7 @@ func (s *Scheduler) EnableGovernor(cfg GovernorConfig) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	s.gov = &governor{cfg: cfg, breakers: make(map[int]*breaker)}
+	s.gov = &governor{cfg: cfg}
 }
 
 // Governor reports whether a governor is attached and its current level.
@@ -348,10 +348,10 @@ func (s *Scheduler) BreakerState(procID int, now sim.Time) BreakerState {
 	if s.gov == nil {
 		return BreakerClosed
 	}
-	b, ok := s.gov.breakers[procID]
-	if !ok {
+	if uint(procID) >= uint(len(s.gov.breakers)) || s.gov.breakers[procID] == nil {
 		return BreakerClosed
 	}
+	b := s.gov.breakers[procID]
 	if b.state == BreakerOpen && now.DurationSince(b.openedAt) >= s.gov.cfg.Probation {
 		return BreakerHalfOpen
 	}
@@ -556,12 +556,12 @@ func (s *Scheduler) govTightenLeases(now sim.Time) {
 	if tight <= 0 {
 		return
 	}
-	pers := make([]*period, 0, len(s.active))
-	for _, per := range s.active {
+	pers := make([]*period, 0, s.reg.len())
+	s.reg.each(func(per *period) {
 		if per.admitted && per.leaseEv != nil {
 			pers = append(pers, per)
 		}
-	}
+	})
 	sort.Slice(pers, func(i, j int) bool { return pers[i].id < pers[j].id })
 	for _, per := range pers {
 		d := tight
@@ -625,6 +625,7 @@ func (s *Scheduler) govAdmit(procID int, ph *proc.Phase) govAdmission {
 		return govAdmitNormal
 	}
 	now := s.now()
+	g.breakers = growSlots(g.breakers, procID)
 	b := g.breakers[procID]
 	if b == nil {
 		b = &breaker{}

@@ -74,7 +74,18 @@ func (s *Scheduler) scheduleLeaseFor(per *period, d sim.Duration) {
 	if d <= 0 || s.timer == nil {
 		return
 	}
+	s.armLease(per, d)
+}
+
+// armLease arms per's lease watchdog d from now. The callback compares
+// the admission ID captured here: the period may have closed and been
+// recycled under a new one (registry.go) by the time it fires.
+func (s *Scheduler) armLease(per *period, d sim.Duration) {
+	id := per.id
 	per.leaseEv = s.timer.After(d, func() {
+		if per.id != id {
+			return
+		}
 		per.leaseEv = nil
 		s.reclaim(per)
 	})
@@ -84,7 +95,17 @@ func (s *Scheduler) scheduleDeadline(per *period) {
 	if s.deadline <= 0 || s.timer == nil {
 		return
 	}
-	per.deadlineEv = s.timer.After(s.deadline, func() {
+	s.armDeadline(per, s.deadline)
+}
+
+// armDeadline arms per's fallback-admission deadline d from now, with
+// the same recycled-period guard as armLease.
+func (s *Scheduler) armDeadline(per *period, d sim.Duration) {
+	id := per.id
+	per.deadlineEv = s.timer.After(d, func() {
+		if per.id != id {
+			return
+		}
 		per.deadlineEv = nil
 		s.fallbackAdmit(per)
 	})
@@ -101,10 +122,7 @@ func (s *Scheduler) scheduleDeadlineIn(per *period, d sim.Duration) {
 	if d < 1 {
 		d = 1
 	}
-	per.deadlineEv = s.timer.After(d, func() {
-		per.deadlineEv = nil
-		s.fallbackAdmit(per)
-	})
+	s.armDeadline(per, d)
 }
 
 func (s *Scheduler) cancelDeadline(per *period) {
@@ -133,7 +151,7 @@ func (s *Scheduler) reclaim(per *period) {
 	if s.detached {
 		return
 	}
-	if s.active[per.key] != per || !per.admitted {
+	if s.reg.get(per.key) != per || !per.admitted {
 		return // ended (or was never admitted) in the meantime
 	}
 	s.unregister(per)
@@ -164,7 +182,7 @@ func (s *Scheduler) fallbackAdmit(per *period) {
 	if s.detached {
 		return
 	}
-	if per.admitted || s.active[per.key] != per {
+	if per.admitted || s.reg.get(per.key) != per {
 		return // admitted or reclaimed in the meantime
 	}
 	s.waitlist.Remove(per.ticket)
@@ -173,7 +191,7 @@ func (s *Scheduler) fallbackAdmit(per *period) {
 	if s.clock != nil {
 		per.admittedAt = s.clock()
 	}
-	delete(s.parked, per.key.procID)
+	s.reg.unpark(per.key.procID)
 	s.stats.Fallbacks++
 	s.noteWait(per)
 	s.emit(EventFallback, per, per.key, per.demands[0])
@@ -201,10 +219,8 @@ func (s *Scheduler) fallbackAdmit(per *period) {
 // monitor must report zero load afterwards; a nonzero residue is an
 // accounting bug and panics.
 func (s *Scheduler) Quiesce() int {
-	pers := make([]*period, 0, len(s.active))
-	for _, per := range s.active {
-		pers = append(pers, per)
-	}
+	pers := make([]*period, 0, s.reg.len())
+	s.reg.each(func(per *period) { pers = append(pers, per) })
 	sort.Slice(pers, func(i, j int) bool { return pers[i].id < pers[j].id })
 	n := 0
 	for _, per := range pers {
@@ -215,7 +231,7 @@ func (s *Scheduler) Quiesce() int {
 		n++
 	}
 	for r := 0; r < pp.NumResources; r++ {
-		if u := s.rm.Usage(pp.Resource(r)); u != 0 && len(s.active) == 0 {
+		if u := s.rm.Usage(pp.Resource(r)); u != 0 && s.reg.len() == 0 {
 			panic(fmt.Sprintf("core: %v load %v outstanding after Quiesce with empty registry", pp.Resource(r), u))
 		}
 	}

@@ -72,6 +72,10 @@ type period struct {
 	// surviving shard with room; the recovery retry loop re-probes these
 	// until its backoff budget runs out (domain_recovery.go).
 	evacuated bool
+
+	// next links the period into its process's chain in the registry,
+	// or into the free list once recycled (registry.go).
+	next *period
 }
 
 // Scheduler is the RDA scheduling extension. It implements machine.Gate:
@@ -86,11 +90,9 @@ type Scheduler struct {
 	waker  Waker
 
 	nextID   pp.ID
-	active   map[periodKey]*period
-	byID     map[pp.ID]*period
+	reg      registry // open periods, thread residency, parked pools
 	waitlist sched.WaitQueue[*period]
-	parked   map[int]bool // task-pool processes currently disabled (§3.4)
-	reserve  pp.Bytes     // §6 extension: capacity withheld from admission
+	reserve  pp.Bytes // §6 extension: capacity withheld from admission
 	stats    Stats
 
 	// Graceful degradation (see lease.go): period leases, bounded
@@ -100,7 +102,6 @@ type Scheduler struct {
 	lease     sim.Duration
 	deadline  sim.Duration
 	reclaimed map[periodKey]bool
-	inside    map[int]periodKey // thread ID → period it is executing in
 
 	// Adaptive admission governor (governor.go): nil when disabled.
 	// inWake/rescan serialize wake cascades so a governor transition (or
@@ -165,11 +166,7 @@ func New(policy Policy, llcCapacity pp.Bytes) *Scheduler {
 	return &Scheduler{
 		policy:    policy,
 		rm:        NewResourceMonitor(llcCapacity),
-		active:    make(map[periodKey]*period),
-		byID:      make(map[pp.ID]*period),
-		parked:    make(map[int]bool),
 		reclaimed: make(map[periodKey]bool),
-		inside:    make(map[int]periodKey),
 	}
 }
 
@@ -209,11 +206,11 @@ func (s *Scheduler) Waitlisted() int { return s.waitlist.Len() }
 // ActivePeriods returns the number of admitted periods.
 func (s *Scheduler) ActivePeriods() int {
 	n := 0
-	for _, p := range s.active {
-		if p.admitted {
+	s.reg.each(func(per *period) {
+		if per.admitted {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -296,22 +293,18 @@ func (s *Scheduler) tryScheduleAll(ds []pp.Demand) (runnable, safeguard bool) {
 // (Stats.Rejected) rather than corrupting the load table.
 func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) bool {
 	key := periodKey{t.Process().ID(), phaseIdx}
-	if in, ok := s.inside[t.ID()]; ok && in == key {
+	per := s.reg.get(key)
+	if in, ok := s.reg.inside(t.ID()); ok && in == key {
 		s.stats.Rejected++
-		s.emit(EventReject, s.active[key], key, ph.Demand())
-		s.rrec(RecReject, s.active[key], nil)
+		s.emit(EventReject, per, key, ph.Demand())
+		s.rrec(RecReject, per, nil)
 		return true
 	}
-	per := s.active[key]
 	if per == nil {
-		per = &period{
-			key:      key,
-			demands:  ph.Demands(),
-			taskPool: t.Process().Spec().TaskPool,
-		}
+		per = s.reg.open(key)
+		per.demands = ph.AppendDemands(per.demands)
+		per.taskPool = t.Process().Spec().TaskPool
 		per.id = s.allocID()
-		s.active[key] = per
-		s.byID[per.id] = per
 		s.stats.Begins++
 		s.emit(EventBegin, per, key, per.demands[0])
 		s.rrec(RecBegin, per, nil)
@@ -325,7 +318,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 				per.admittedAt = s.clock()
 			}
 			per.refs = 1
-			s.inside[t.ID()] = key
+			s.reg.enter(t.ID(), key)
 			s.stats.Rejected++
 			s.emit(EventReject, per, key, per.demands[0])
 			s.rrec(RecReject, per, func(r *ReplayRecord) {
@@ -344,7 +337,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 				per.admittedAt = s.clock()
 			}
 			per.refs = 1
-			s.inside[t.ID()] = key
+			s.reg.enter(t.ID(), key)
 			s.emit(EventGovernorQuarantine, per, key, per.demands[0])
 			s.scheduleLease(per)
 			s.rrec(RecQuarantine, per, func(r *ReplayRecord) {
@@ -352,7 +345,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 			})
 			return true
 		}
-		if s.parked[key.procID] {
+		if s.reg.parked(key.procID) {
 			// §3.4: the whole pool is disabled until resources free up.
 			s.deny(per, t)
 			return false
@@ -368,7 +361,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 		s.admit(per)
 		s.emit(EventAdmit, per, key, per.demands[0])
 		per.refs = 1
-		s.inside[t.ID()] = key
+		s.reg.enter(t.ID(), key)
 		s.rrec(RecAdmit, per, func(r *ReplayRecord) {
 			r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
 		})
@@ -376,7 +369,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 	}
 	if per.admitted {
 		per.refs++
-		s.inside[t.ID()] = key
+		s.reg.enter(t.ID(), key)
 		s.rrec(RecJoin, per, func(r *ReplayRecord) {
 			r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
 		})
@@ -421,13 +414,10 @@ func (s *Scheduler) checkDemands(ds []pp.Demand) error {
 func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 	key := periodKey{t.Process().ID(), phaseIdx}
 	var insideDel []int
-	if in, ok := s.inside[t.ID()]; ok && in == key {
-		delete(s.inside, t.ID())
-		if s.rsink != nil {
-			insideDel = []int{t.ID()}
-		}
+	if s.reg.leave(t.ID(), key) && s.rsink != nil {
+		insideDel = []int{t.ID()}
 	}
-	per := s.active[key]
+	per := s.reg.get(key)
 	if per == nil {
 		s.stats.LateEnds++
 		s.emit(EventLateEnd, nil, key, ph.Demand())
@@ -457,14 +447,16 @@ func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 		r.RemoveID = per.id
 		r.InsideDel = insideDel
 	})
+	if per.leaseEv == nil && per.deadlineEv == nil {
+		s.reg.recycle(per)
+	}
 	s.wakeWaitlist()
 }
 
 // unregister drops a period from the registry and cancels its pending
 // lease timer.
 func (s *Scheduler) unregister(per *period) {
-	delete(s.active, per.key)
-	delete(s.byID, per.id)
+	s.reg.remove(per)
 	if per.leaseEv != nil && s.timer != nil {
 		s.timer.Cancel(per.leaseEv)
 		per.leaseEv = nil
@@ -533,7 +525,7 @@ func (s *Scheduler) scanWaitlist() {
 	}
 	for _, per := range woken {
 		per := per
-		delete(s.parked, per.key.procID)
+		s.reg.unpark(per.key.procID)
 		s.cancelDeadline(per)
 		s.noteWait(per)
 		s.govWake(per)
@@ -562,10 +554,10 @@ func (s *Scheduler) govWake(per *period) {
 func (s *Scheduler) release(per *period) {
 	per.refs = len(per.waiters)
 	ws := per.waiters
-	per.waiters = nil
+	per.waiters = ws[:0] // an admitted period gains no waiters; keep the array for reuse
 	for _, t := range ws {
 		s.stats.Woken++
-		s.inside[t.ID()] = per.key
+		s.reg.enter(t.ID(), per.key)
 		s.waker.Unblock(t)
 	}
 }
@@ -602,7 +594,7 @@ func (s *Scheduler) deny(per *period, t *machine.Thread) {
 	s.emit(EventDeny, per, per.key, per.demands[0])
 	s.govObserve(EventDeny, 0)
 	if per.taskPool {
-		s.parked[per.key.procID] = true
+		s.reg.park(per.key.procID)
 	}
 	s.rrec(RecDeny, per, func(r *ReplayRecord) {
 		if per.taskPool {
@@ -632,14 +624,4 @@ func (s *Scheduler) mustDecrement(d pp.Demand) {
 		}
 		panic(err)
 	}
-}
-
-// Lookup returns the primary (LLC) demand registered under a period ID
-// (introspection for tests and the profiler round-trip).
-func (s *Scheduler) Lookup(id pp.ID) (pp.Demand, bool) {
-	per, ok := s.byID[id]
-	if !ok {
-		return pp.Demand{}, false
-	}
-	return per.demands[0], true
 }

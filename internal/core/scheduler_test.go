@@ -266,19 +266,20 @@ func TestTaskPoolParking(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
+// TestRegistryEmptyAfterRun checks that a completed run leaves nothing
+// registered: every period closed and no thread is left inside one.
+func TestRegistryEmptyAfterRun(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
-	// Pause the world with a long process; inspect registry mid-run is
-	// not possible from outside Run, so check Lookup on a fresh scheduler
-	// via direct EnterPhase. Build a tiny machine manually instead.
 	if _, err := m.AddProcess(declaredProc("p", pp.MB(1), 1e6)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Lookup(pp.ID(999)); ok {
-		t.Fatal("lookup of dead id succeeded")
+	d := s.ExportState().Domains[0]
+	if len(d.Periods) != 0 || len(d.Inside) != 0 || len(d.Parked) != 0 {
+		t.Fatalf("after the run: %d periods, %d threads inside, %d parked pools registered",
+			len(d.Periods), len(d.Inside), len(d.Parked))
 	}
 }
 

@@ -191,14 +191,10 @@ func exportGov(g *governor) GovState {
 		WaitTotal:     g.waits.total,
 		Stats:         g.stats,
 	}
-	procs := make([]int, 0, len(g.breakers))
-	for p := range g.breakers {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		b := g.breakers[p]
-		gs.Breakers = append(gs.Breakers, BreakerSnap{Proc: p, State: b.state, Strikes: b.strikes, OpenedAt: b.openedAt})
+	for p, b := range g.breakers {
+		if b != nil {
+			gs.Breakers = append(gs.Breakers, BreakerSnap{Proc: p, State: b.state, Strikes: b.strikes, OpenedAt: b.openedAt})
+		}
 	}
 	if g.tickEv != nil && !g.tickEv.Cancelled() {
 		gs.NextTickAt = g.tickEv.When()
@@ -218,22 +214,11 @@ func (s *Scheduler) exportDomain() DomainState {
 		Stats:    s.stats,
 		Offline:  s.offline,
 	}
-	for _, per := range s.active {
-		d.Periods = append(d.Periods, exportPeriod(per))
-	}
-	sort.Slice(d.Periods, func(i, j int) bool { return d.Periods[i].ID < d.Periods[j].ID })
-	for p := range s.parked {
-		d.Parked = append(d.Parked, p)
-	}
-	sort.Ints(d.Parked)
+	s.reg.export(&d)
 	for k := range s.reclaimed {
 		d.Reclaimed = append(d.Reclaimed, ProcPhase{Proc: k.procID, Phase: k.phaseIdx})
 	}
 	sortProcPhases(d.Reclaimed)
-	for tid, k := range s.inside {
-		d.Inside = append(d.Inside, InsideEntry{Thread: tid, Proc: k.procID, Phase: k.phaseIdx})
-	}
-	sort.Slice(d.Inside, func(i, j int) bool { return d.Inside[i].Thread < d.Inside[j].Thread })
 	if s.gov != nil {
 		g := exportGov(s.gov)
 		d.Gov = &g
@@ -301,12 +286,15 @@ func (s *Scheduler) ImportState(st State, resolve ThreadResolver) error {
 }
 
 func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
-	if len(s.active) != 0 || s.waitlist.Len() != 0 || s.stats != (Stats{}) {
+	if s.reg.len() != 0 || s.waitlist.Len() != 0 || s.stats != (Stats{}) {
 		return fmt.Errorf("core: ImportState into a scheduler that already ran")
 	}
 	if len(d.Capacity) != pp.NumResources || len(d.Usage) != pp.NumResources || len(d.Peak) != pp.NumResources {
 		return fmt.Errorf("core: state has %d/%d/%d resource entries, want %d",
 			len(d.Capacity), len(d.Usage), len(d.Peak), pp.NumResources)
+	}
+	if err := checkImportIDs(d, resolve); err != nil {
+		return err
 	}
 	copy(s.rm.capacity[:], d.Capacity)
 	copy(s.rm.usage[:], d.Usage)
@@ -316,13 +304,13 @@ func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
 	s.stats = d.Stats
 	s.offline = d.Offline
 	for _, p := range d.Parked {
-		s.parked[p] = true
+		s.reg.park(p)
 	}
 	for _, k := range d.Reclaimed {
 		s.reclaimed[periodKey{procID: k.Proc, phaseIdx: k.Phase}] = true
 	}
 	for _, e := range d.Inside {
-		s.inside[e.Thread] = periodKey{procID: e.Proc, phaseIdx: e.Phase}
+		s.reg.enter(e.Thread, periodKey{procID: e.Proc, phaseIdx: e.Phase})
 	}
 
 	now := s.now()
@@ -350,8 +338,10 @@ func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
 			}
 			per.waiters = append(per.waiters, t)
 		}
-		s.active[per.key] = per
-		s.byID[per.id] = per
+		if s.reg.get(per.key) != nil {
+			return fmt.Errorf("core: proc %d phase %d registered twice", ps.Proc, ps.Phase)
+		}
+		s.reg.add(per)
 		if ps.waitlisted() {
 			// The ticket bound only constrains periods re-entering the
 			// queue: an admitted period stolen cross-domain keeps its
@@ -366,21 +356,13 @@ func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
 			if s.timer == nil {
 				return fmt.Errorf("core: state has an armed lease but no timer is bound")
 			}
-			per := per
-			per.leaseEv = s.timer.After(ps.LeaseAt.DurationSince(now), func() {
-				per.leaseEv = nil
-				s.reclaim(per)
-			})
+			s.armLease(per, ps.LeaseAt.DurationSince(now))
 		}
 		if ps.DeadlineAt > 0 {
 			if s.timer == nil {
 				return fmt.Errorf("core: state has an armed deadline but no timer is bound")
 			}
-			per := per
-			per.deadlineEv = s.timer.After(ps.DeadlineAt.DurationSince(now), func() {
-				per.deadlineEv = nil
-				s.fallbackAdmit(per)
-			})
+			s.armDeadline(per, ps.DeadlineAt.DurationSince(now))
 		}
 	}
 	// Rebuild the waitlist under the original tickets: membership and
@@ -396,6 +378,55 @@ func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
 	if d.Gov != nil {
 		if err := s.importGov(*d.Gov); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkImportIDs refuses an imported ID before it can index a registry
+// or breaker slot. Process and phase indexes must be non-negative, and every
+// Inside thread must resolve to a thread of the entry's process. A
+// process ID p must also be below the machine's thread count — IDs are
+// issued densely and every process owns at least one thread — which
+// resolving thread p proves; that bounds the slot table a state can make
+// the registry allocate. Each period must also declare a demand.
+func checkImportIDs(d DomainState, resolve ThreadResolver) error {
+	procOK := func(p int) bool { return p >= 0 && resolve(p) != nil }
+	for _, p := range d.Parked {
+		if !procOK(p) {
+			return fmt.Errorf("core: state parks unknown process %d", p)
+		}
+	}
+	for _, k := range d.Reclaimed {
+		if k.Proc < 0 || k.Phase < 0 {
+			return fmt.Errorf("core: state reclaims negative proc %d phase %d", k.Proc, k.Phase)
+		}
+	}
+	for _, e := range d.Inside {
+		if !procOK(e.Proc) || e.Phase < 0 {
+			return fmt.Errorf("core: thread %d inside invalid proc %d phase %d", e.Thread, e.Proc, e.Phase)
+		}
+		t := resolve(e.Thread)
+		if t == nil {
+			return fmt.Errorf("core: state references unknown thread %d", e.Thread)
+		}
+		if t.Process().ID() != e.Proc {
+			return fmt.Errorf("core: thread %d of process %d recorded inside process %d", e.Thread, t.Process().ID(), e.Proc)
+		}
+	}
+	if d.Gov != nil {
+		for _, b := range d.Gov.Breakers {
+			if !procOK(b.Proc) {
+				return fmt.Errorf("core: state has a breaker for unknown process %d", b.Proc)
+			}
+		}
+	}
+	for _, ps := range d.Periods {
+		if !procOK(ps.Proc) || ps.Phase < 0 {
+			return fmt.Errorf("core: period %d has invalid proc %d phase %d", ps.ID, ps.Proc, ps.Phase)
+		}
+		if len(ps.Demands) == 0 {
+			return fmt.Errorf("core: period %d declares no demand", ps.ID)
 		}
 	}
 	return nil
@@ -418,6 +449,7 @@ func (s *Scheduler) importGov(gs GovState) error {
 	g.waits.total = gs.WaitTotal
 	g.stats = gs.Stats
 	for _, b := range gs.Breakers {
+		g.breakers = growSlots(g.breakers, b.Proc)
 		g.breakers[b.Proc] = &breaker{state: b.State, strikes: b.Strikes, openedAt: b.OpenedAt}
 	}
 	if gs.NextTickAt > 0 {
@@ -475,13 +507,13 @@ func (d *DomainSet) ImportState(st State, resolve ThreadResolver) error {
 func (s *Scheduler) Detach() {
 	s.detached = true
 	s.rsink = nil
-	for _, per := range s.active {
+	s.reg.each(func(per *period) {
 		if per.leaseEv != nil && s.timer != nil {
 			s.timer.Cancel(per.leaseEv)
 			per.leaseEv = nil
 		}
 		s.cancelDeadline(per)
-	}
+	})
 	if s.gov != nil && s.gov.tickEv != nil && s.timer != nil {
 		s.timer.Cancel(s.gov.tickEv)
 		s.gov.tickEv = nil

@@ -122,10 +122,12 @@ func (ph *Phase) Demand() pp.Demand {
 	return pp.Demand{Resource: pp.ResourceLLC, WorkingSet: ws, Reuse: ph.Reuse}
 }
 
-// Demands returns every resource demand the phase declares: the LLC
-// occupancy always, plus a memory-bandwidth demand when BWDemand is set.
-func (ph *Phase) Demands() []pp.Demand {
-	ds := []pp.Demand{ph.Demand()}
+// AppendDemands appends every resource demand the phase declares to ds
+// and returns the extended slice: the LLC occupancy always, plus a
+// memory-bandwidth demand when BWDemand is set. Callers refill a buffer
+// they own, so declaring a period allocates nothing.
+func (ph *Phase) AppendDemands(ds []pp.Demand) []pp.Demand {
+	ds = append(ds, ph.Demand())
 	if ph.BWDemand > 0 {
 		ds = append(ds, pp.Demand{
 			Resource:   pp.ResourceMemBW,

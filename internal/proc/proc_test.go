@@ -167,12 +167,12 @@ func TestReplicate(t *testing.T) {
 
 func TestDemandsMultiResource(t *testing.T) {
 	ph := validPhase()
-	ds := ph.Demands()
+	ds := ph.AppendDemands(nil)
 	if len(ds) != 1 || ds[0].Resource != pp.ResourceLLC {
 		t.Fatalf("demands = %v, want single LLC demand", ds)
 	}
 	ph.BWDemand = 5e9
-	ds = ph.Demands()
+	ds = ph.AppendDemands(ds[:0])
 	if len(ds) != 2 {
 		t.Fatalf("demands = %v, want LLC + bandwidth", ds)
 	}
