@@ -252,7 +252,8 @@ type (
 	CheckpointConfig = persist.Config
 	// Restored is a checkpoint loaded back from disk: the reconstructed
 	// scheduler state plus its journal provenance (sequence reached,
-	// snapshot anchor, records replayed, torn-tail truncation).
+	// snapshot anchor, records replayed, torn-tail truncation, snapshot
+	// files found).
 	Restored = persist.Restored
 )
 

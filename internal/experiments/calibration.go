@@ -37,8 +37,14 @@ type CalibrationResult struct {
 // RunCalibration replays random and cyclic co-run patterns at several
 // pressure levels through the Table 1 cache hierarchy. Each (pressure,
 // pattern) replay builds a private hierarchy and RNG, so the replays
-// run concurrently on opt.Jobs workers.
+// run concurrently on opt.Jobs workers. Scale means a sweep count here:
+// any Scale below 1 replays 3 sweeps per pattern instead of 5. Machine
+// supplies only the model's residency exponent, and the harness
+// ignores Repetitions, JitterFrac, TraceDir, ObsDir, Obsrv and Pace.
 func RunCalibration(opt Options) (*CalibrationResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
 	gamma := opt.Machine.ResidencyExponent
 	res := &CalibrationResult{Gamma: gamma}

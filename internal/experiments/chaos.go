@@ -57,6 +57,18 @@ type ChaosResult struct {
 // normally finish within their lease while leaks are still reclaimed
 // within a fraction of the run.
 func chaosTimeouts(w proc.Workload) (lease, deadline sim.Duration) {
+	// Headroom for memory stalls (CPI well above 1 when the LLC is
+	// contended) and for time-sharing 96 processes over 12 cores. The
+	// multipliers are tuned so a clean (rate-0) run shows no reclaims and
+	// no fallbacks: every reclaim or fallback in the table is then
+	// attributable to a fault.
+	ideal := idealSeconds(w)
+	return sim.FromSeconds(ideal * 96), sim.FromSeconds(ideal * 64)
+}
+
+// idealSeconds is w's longest declared phase at 1 IPC on the Table 1
+// clock: the timescale the harnesses derive their timeouts from.
+func idealSeconds(w proc.Workload) float64 {
 	var maxInstr float64
 	for _, s := range w.Procs {
 		for _, ph := range s.Program {
@@ -65,32 +77,19 @@ func chaosTimeouts(w proc.Workload) (lease, deadline sim.Duration) {
 			}
 		}
 	}
-	// Seconds at 1 IPC on the Table 1 clock, then headroom for memory
-	// stalls (CPI well above 1 when the LLC is contended) and for
-	// time-sharing 96 processes over 12 cores. The multipliers are tuned
-	// so a clean (rate-0) run shows no reclaims and no fallbacks: every
-	// reclaim or fallback in the table is then attributable to a fault.
-	ideal := maxInstr / 1.9e9
-	return sim.FromSeconds(ideal * 96), sim.FromSeconds(ideal * 64)
-}
-
-// chaosConfig is one compared admission configuration in the E4 table.
-type chaosConfig struct {
-	Name     string
-	Policy   core.Policy
-	Governed bool
+	return maxInstr / 1.9e9
 }
 
 // chaosConfigs returns every static policy, then Strict under the
 // adaptive governor (sized like E5's), so the degradation table shows
 // the governor's transition counts next to the static policies'
 // failure modes.
-func chaosConfigs() []chaosConfig {
-	var out []chaosConfig
+func chaosConfigs() []OverloadConfig {
+	var out []OverloadConfig
 	for _, p := range Policies() {
-		out = append(out, chaosConfig{p.Name, p.Policy, false})
+		out = append(out, OverloadConfig{p.Name, p.Policy, false})
 	}
-	return append(out, chaosConfig{"governor", core.StrictPolicy{}, true})
+	return append(out, OverloadConfig{"governor", core.StrictPolicy{}, true})
 }
 
 // RunChaos measures the BLAS-3 workload under every configuration at
@@ -100,11 +99,10 @@ func chaosConfigs() []chaosConfig {
 // of each replication derives from the experiment seed and its job
 // index, so the table is bit-identical for every worker count.
 func RunChaos(opt Options) (*ChaosResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	// The chaos harness always runs instrumented: its whole point is the
-	// robustness layer's activity, so the counters flow through the
-	// telemetry registry as well as the core.Stats floats in the table.
-	opt.Telemetry = true
 	w := scaleWorkload(workloads.BLAS3(), opt.Scale)
 	lease, deadline := chaosTimeouts(w)
 	gcfg := overloadGovernor(deadline)
@@ -120,6 +118,11 @@ func RunChaos(opt Options) (*ChaosResult, error) {
 			}
 			if c.Policy != nil {
 				rc.Lease, rc.AdmitDeadline = lease, deadline
+				// Scheduled cells always run instrumented: the harness's
+				// whole point is the robustness layer's activity, so the
+				// counters flow through the telemetry registry as well as
+				// the core.Stats floats in the table.
+				rc.Telemetry = true
 			}
 			if c.Governed {
 				g := gcfg

@@ -92,16 +92,7 @@ func DomainSkewed() proc.Workload {
 // it has been parked for a small fraction of the longest declared phase,
 // so the scan fires many times within a hog's runtime at every -scale.
 func domainStealAge(w proc.Workload) sim.Duration {
-	var maxInstr float64
-	for _, s := range w.Procs {
-		for _, ph := range s.Program {
-			if ph.Declared && ph.Instr > maxInstr {
-				maxInstr = ph.Instr
-			}
-		}
-	}
-	ideal := maxInstr / 1.9e9 // seconds at 1 IPC on the Table 1 clock
-	return sim.FromSeconds(ideal / 16)
+	return sim.FromSeconds(idealSeconds(w) / 16)
 }
 
 // DomainRow is one (workload, domain count) measurement.
@@ -126,21 +117,25 @@ type DomainResult struct {
 // the virtual clock, so the table is bit-identical for every worker
 // count.
 func RunDomains(opt Options) (*DomainResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	// Always instrumented, like E4/E5: the per-domain load/steal counters
-	// flow through the telemetry registry as well as the table.
-	opt.Telemetry = true
 	var cells []cell
 	for _, base := range []proc.Workload{DomainUniform(), DomainSkewed()} {
 		w := scaleWorkload(base, opt.Scale)
 		age := domainStealAge(w)
 		for _, n := range DomainCounts {
+			// Always instrumented, like E4/E5: the per-domain load/steal
+			// counters flow through the telemetry registry as well as the
+			// table.
 			rc := perf.RunConfig{
 				Machine:     opt.Machine,
 				Policy:      core.StrictPolicy{},
 				Repetitions: opt.Repetitions,
 				JitterFrac:  opt.JitterFrac,
 				Domains:     n,
+				Telemetry:   true,
 			}
 			if n >= 2 {
 				rc.StealAge = age

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,18 +25,22 @@ import (
 	"rdasched/internal/telemetry/trace"
 )
 
-// Options configures an experiment run.
+// Options configures an experiment run. Validate refuses out-of-range
+// values; every Run* harness calls it first and then fills zero values
+// with their defaults. Each harness's doc comment names the inputs it
+// ignores.
 type Options struct {
 	// Machine is the hardware model; zero value selects Table 1.
 	Machine machine.Config
-	// Repetitions per measurement (the paper uses 4).
+	// Repetitions per measurement (the paper uses 4); 0 selects 1.
 	Repetitions int
-	// JitterFrac is the run-to-run variation (the paper observes ~2%).
+	// JitterFrac is the run-to-run variation (the paper observes ~2%),
+	// in [0, 1).
 	JitterFrac float64
 	// Seed fixes all randomness.
 	Seed uint64
-	// Scale shrinks workloads for quick runs: process counts and phase
-	// lengths are multiplied by Scale (0 or 1 = full size). Scaled runs
+	// Scale shrinks workloads for quick runs: phase lengths are
+	// multiplied by Scale, in (0, 1]; 0 selects full size. Scaled runs
 	// preserve shapes, not magnitudes; the committed EXPERIMENTS.md uses
 	// full size.
 	Scale float64
@@ -45,45 +50,51 @@ type Options struct {
 	// Seed and its stable job index (runner.Seed), never from execution
 	// order, and results are collected by index.
 	Jobs int
-	// Telemetry attaches a metrics registry to every replication; cell
-	// aggregates then carry a merged registry in Mean.Telemetry. Purely
-	// observational — tables and goldens are unchanged.
-	Telemetry bool
 	// TraceDir, when non-empty, writes one Chrome trace-event JSON file
 	// per scheduled cell (named after the cell label) into the directory,
 	// loadable in Perfetto or chrome://tracing. Cells running the Linux
 	// default policy have no scheduler and no spans, so they get no file.
-	// Implies Telemetry. Files are written in cell order with
-	// virtual-clock timestamps only, so a trace is bit-identical for
-	// every Jobs value. With ObsDir also set, traces additionally carry
-	// the SLO burn-rate counter tracks.
+	// Files are written in cell order with virtual-clock timestamps only,
+	// so a trace is bit-identical for every Jobs value. With ObsDir also
+	// set, traces additionally carry the SLO burn-rate counter tracks.
 	TraceDir string
 	// ObsDir, when non-empty, subscribes the causal wait-attribution
-	// collector and an admission-latency SLO monitor to every scheduled
-	// replication and writes one self-contained HTML observability
-	// report per cell (interference heatmap, wait-blame top-K table,
-	// burn-rate timeline) into the directory. Implies Telemetry; like
-	// TraceDir, the reports ride the virtual clock only and are
-	// bit-identical for every Jobs value.
+	// collector and the default admission-latency SLO monitor
+	// (blame.DefaultSLOConfig) to every scheduled replication and writes
+	// one self-contained HTML observability report per cell
+	// (interference heatmap, wait-blame top-K table, burn-rate timeline)
+	// into the directory. Like TraceDir, the reports ride the virtual
+	// clock only and are bit-identical for every Jobs value.
 	ObsDir string
-	// SLO overrides the admission-latency objective ObsDir evaluates
-	// (nil selects blame.DefaultSLOConfig).
-	SLO *blame.SLOConfig
-	// Governor, when non-nil and enabled, attaches the adaptive
-	// admission governor to every scheduled cell (cells running the
-	// Linux default policy have no scheduler and are unaffected). The
-	// E5 overload sweep configures its own per-cell governors and
-	// ignores this option.
-	Governor *core.GovernorConfig
 	// Obsrv, when non-nil, attaches the live introspection server to
-	// every replication: scrape /metrics and /state while an E-series
-	// sweep runs. Purely observational — results are bit-identical with
-	// or without it. See perf.RunConfig.Obsrv.
+	// every replication: scrape /metrics and /state while a sweep runs.
+	// Purely observational — results are bit-identical with or without
+	// it. See perf.RunConfig.Obsrv.
 	Obsrv *obsrv.Server
 	// Pace throttles virtual time to Pace virtual seconds per wall
 	// second in every replication (0 = unthrottled). Mostly useful with
 	// Obsrv and Jobs=1 to watch a sweep live.
 	Pace float64
+}
+
+// ErrInvalidOptions marks Options that Validate refuses.
+var ErrInvalidOptions = errors.New("experiments: invalid options")
+
+// Validate refuses a Scale outside [0, 1], a negative Repetitions or
+// Jobs, and a JitterFrac outside [0, 1); each violation wraps
+// ErrInvalidOptions. Zero values are valid and select defaults.
+func (o Options) Validate() error {
+	switch {
+	case !(o.Scale >= 0 && o.Scale <= 1):
+		return fmt.Errorf("%w: Scale %g outside [0, 1]", ErrInvalidOptions, o.Scale)
+	case o.Repetitions < 0:
+		return fmt.Errorf("%w: negative Repetitions %d", ErrInvalidOptions, o.Repetitions)
+	case o.Jobs < 0:
+		return fmt.Errorf("%w: negative Jobs %d", ErrInvalidOptions, o.Jobs)
+	case !(o.JitterFrac >= 0 && o.JitterFrac < 1):
+		return fmt.Errorf("%w: JitterFrac %g outside [0, 1)", ErrInvalidOptions, o.JitterFrac)
+	}
+	return nil
 }
 
 // Defaults returns the paper's measurement setup: Table 1 machine, four
@@ -97,17 +108,19 @@ func Defaults() Options {
 	}
 }
 
+// normalized fills o's zero values with their defaults; o must have
+// passed Validate.
 func (o Options) normalized() Options {
 	if o.Machine.Cores == 0 {
 		o.Machine = machine.DefaultConfig()
 	}
-	if o.Repetitions <= 0 {
+	if o.Repetitions == 0 {
 		o.Repetitions = 1
 	}
-	if o.Scale <= 0 || o.Scale > 1 {
+	if o.Scale == 0 {
 		o.Scale = 1
 	}
-	if o.Jobs <= 0 {
+	if o.Jobs == 0 {
 		o.Jobs = runtime.GOMAXPROCS(0)
 	}
 	return o
@@ -148,16 +161,13 @@ func measure(cells []cell, opt Options) ([]measured, error) {
 		c := cells[jobCell[i]]
 		rc := c.rc
 		rc.Seed = runner.Seed(opt.Seed, uint64(i))
-		rc.Telemetry = rc.Telemetry || (rc.Policy != nil && (opt.Telemetry || opt.TraceDir != "" || opt.ObsDir != ""))
+		rc.Telemetry = rc.Telemetry || (rc.Policy != nil && (opt.TraceDir != "" || opt.ObsDir != ""))
 		rc.Trace = rc.Trace || (rc.Policy != nil && opt.TraceDir != "")
 		if opt.ObsDir != "" && rc.Policy != nil {
 			rc.Blame = true
 			if rc.SLO == nil {
-				rc.SLO = opt.sloConfig()
+				rc.SLO = defaultSLO()
 			}
-		}
-		if rc.Governor == nil && opt.Governor != nil && rc.Policy != nil {
-			rc.Governor = opt.Governor
 		}
 		rc.Obsrv, rc.Pace = opt.Obsrv, opt.Pace
 		m, err := perf.Sample(c.w, rc, 0)
@@ -193,12 +203,9 @@ func measure(cells []cell, opt Options) ([]measured, error) {
 	return out, nil
 }
 
-// sloConfig returns the admission-latency objective ObsDir evaluates.
-func (o Options) sloConfig() *blame.SLOConfig {
-	if o.SLO != nil {
-		cfg := *o.SLO
-		return &cfg
-	}
+// defaultSLO returns a fresh copy of the admission-latency objective
+// E8 and ObsDir reports evaluate.
+func defaultSLO() *blame.SLOConfig {
 	cfg := blame.DefaultSLOConfig()
 	return &cfg
 }
@@ -311,16 +318,16 @@ func scaleWorkload(w proc.Workload, scale float64) proc.Workload {
 	return proc.ScaleInstr(w, scale)
 }
 
-// Policies returns the three compared scheduling configurations in
-// figure order: the Linux default, RDA:Strict, RDA:Compromise.
-func Policies() []struct {
+// NamedPolicy is a scheduling configuration and its table label.
+type NamedPolicy struct {
 	Name   string
 	Policy core.Policy
-} {
-	return []struct {
-		Name   string
-		Policy core.Policy
-	}{
+}
+
+// Policies returns the three compared scheduling configurations in
+// figure order: the Linux default, RDA:Strict, RDA:Compromise.
+func Policies() []NamedPolicy {
+	return []NamedPolicy{
 		{"default", nil},
 		{"strict", core.StrictPolicy{}},
 		{"compromise", core.NewCompromise()},
@@ -340,6 +347,9 @@ type PolicyRow struct {
 // policy, repetition) replications run concurrently on opt.Jobs
 // workers.
 func RunPolicyComparison(ws []proc.Workload, opt Options) ([]PolicyRow, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
 	var cells []cell
 	for _, w := range ws {
@@ -373,31 +383,15 @@ func RunPolicyComparison(ws []proc.Workload, opt Options) ([]PolicyRow, error) {
 	return rows, nil
 }
 
-// metricOf extracts a named figure metric from a measurement.
-func metricOf(m perf.Metrics, metric string) (float64, error) {
-	switch metric {
-	case "system-energy":
-		return m.SystemJ, nil
-	case "dram-energy":
-		return m.DRAMJ, nil
-	case "gflops":
-		return m.GFLOPS, nil
-	case "gflops-per-watt":
-		return m.GFLOPSPerWatt, nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown metric %q", metric)
-	}
-}
-
 // figureSpec ties each policy-comparison figure to its metric.
 var figureSpec = map[int]struct {
-	Metric string
+	Metric func(perf.Metrics) float64
 	Title  string
 }{
-	7:  {"system-energy", "Figure 7: system energy (J) — CPU + cache + DRAM"},
-	8:  {"dram-energy", "Figure 8: DRAM-only energy (J)"},
-	9:  {"gflops", "Figure 9: performance (GFLOPS)"},
-	10: {"gflops-per-watt", "Figure 10: system energy efficiency (GFLOPS/Watt)"},
+	7:  {func(m perf.Metrics) float64 { return m.SystemJ }, "Figure 7: system energy (J) — CPU + cache + DRAM"},
+	8:  {func(m perf.Metrics) float64 { return m.DRAMJ }, "Figure 8: DRAM-only energy (J)"},
+	9:  {func(m perf.Metrics) float64 { return m.GFLOPS }, "Figure 9: performance (GFLOPS)"},
+	10: {func(m perf.Metrics) float64 { return m.GFLOPSPerWatt }, "Figure 10: system energy efficiency (GFLOPS/Watt)"},
 }
 
 // FigureTable renders one of Figures 7–10 from comparison rows.
@@ -415,11 +409,7 @@ func FigureTable(fig int, rows []PolicyRow) (*report.Table, error) {
 			byWorkload[r.Workload] = map[string]float64{}
 			order = append(order, r.Workload)
 		}
-		v, err := metricOf(r.Mean, spec.Metric)
-		if err != nil {
-			return nil, err
-		}
-		byWorkload[r.Workload][r.Policy] = v
+		byWorkload[r.Workload][r.Policy] = spec.Metric(r.Mean)
 	}
 	for _, w := range order {
 		m := byWorkload[w]

@@ -1,6 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -238,8 +246,97 @@ func TestScaleWorkload(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	var o Options
+	if err := o.Validate(); err != nil {
+		t.Fatalf("zero Options refused: %v", err)
+	}
 	n := o.normalized()
-	if n.Machine.Cores == 0 || n.Repetitions != 1 || n.Scale != 1 {
+	if n.Machine.Cores == 0 || n.Repetitions != 1 || n.Scale != 1 || n.Jobs != runtime.GOMAXPROCS(0) {
 		t.Fatalf("normalized = %+v", n)
+	}
+}
+
+// discard adapts a harness to the error it returns.
+func discard[R any](run func(Options) (R, error)) func(Options) error {
+	return func(o Options) error {
+		_, err := run(o)
+		return err
+	}
+}
+
+// TestRunRefusesInvalidOptions calls every exported Run* with each
+// out-of-range field and expects ErrInvalidOptions before any
+// replication runs: the options start from Defaults() at full scale, so
+// a harness that ran anyway would take seconds, and the export
+// directories must not exist afterwards. The harness list is checked
+// against the package source so a new Run* cannot skip it.
+func TestRunRefusesInvalidOptions(t *testing.T) {
+	runs := map[string]func(Options) error{
+		"RunPolicyComparison": func(o Options) error {
+			_, err := RunPolicyComparison(workloads.Table2(), o)
+			return err
+		},
+		"RunGranularity":   discard(RunGranularity),
+		"RunWSSPrediction": discard(RunWSSPrediction),
+		"RunInterference":  discard(RunInterference),
+		"RunPartitioning":  discard(RunPartitioning),
+		"RunReserve":       discard(RunReserve),
+		"RunBandwidth":     discard(RunBandwidth),
+		"RunCalibration":   discard(RunCalibration),
+		"RunFactorSweep":   discard(RunFactorSweep),
+		"RunWaitProfile":   discard(RunWaitProfile),
+		"RunChaos":         discard(RunChaos),
+		"RunOverload":      discard(RunOverload),
+		"RunDomains":       discard(RunDomains),
+		"RunHeal":          discard(RunHeal),
+		"RunObserve":       discard(RunObserve),
+		"RunRevive":        discard(RunRevive),
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Run") {
+				if _, ok := runs[fn.Name.Name]; !ok {
+					t.Errorf("%s is not in this test's table", fn.Name.Name)
+				}
+			}
+		}
+	}
+
+	bad := []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"Scale", func(o *Options) { o.Scale = -0.5 }},
+		{"Scale", func(o *Options) { o.Scale = 1.5 }},
+		{"Scale", func(o *Options) { o.Scale = math.NaN() }},
+		{"Repetitions", func(o *Options) { o.Repetitions = -1 }},
+		{"Jobs", func(o *Options) { o.Jobs = -2 }},
+		{"JitterFrac", func(o *Options) { o.JitterFrac = -0.01 }},
+		{"JitterFrac", func(o *Options) { o.JitterFrac = 1 }},
+	}
+	for name, run := range runs {
+		for _, b := range bad {
+			dir := filepath.Join(t.TempDir(), "out")
+			opt := Defaults()
+			opt.TraceDir, opt.ObsDir = dir, dir
+			b.set(&opt)
+			err := run(opt)
+			if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), b.field) {
+				t.Errorf("%s with a bad %s: got %v, want ErrInvalidOptions naming the field", name, b.field, err)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("%s with a bad %s created its export directory", name, b.field)
+			}
+		}
 	}
 }

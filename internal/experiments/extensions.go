@@ -6,6 +6,7 @@ import (
 	"rdasched/internal/core"
 	"rdasched/internal/perf"
 	"rdasched/internal/pp"
+	"rdasched/internal/proc"
 	"rdasched/internal/report"
 	"rdasched/internal/workloads"
 )
@@ -43,6 +44,46 @@ func (r *ExtensionResult) Table() *report.Table {
 	return t
 }
 
+// variant is one measured configuration of an extension experiment:
+// its label, workload and LLC reservation, under the strict policy.
+type variant struct {
+	name    string
+	w       proc.Workload
+	reserve pp.Bytes
+}
+
+// runExtension measures each variant under the strict policy; tag
+// prefixes the cell labels.
+func runExtension(opt Options, title, tag string, variants []variant) (*ExtensionResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	opt = opt.normalized()
+	cells := make([]cell, len(variants))
+	for i, v := range variants {
+		cells[i] = cell{
+			label: fmt.Sprintf("%s %s", tag, v.name),
+			w:     scaleWorkload(v.w, opt.Scale),
+			rc: perf.RunConfig{
+				Machine:     opt.Machine,
+				Policy:      core.StrictPolicy{},
+				Reserve:     v.reserve,
+				Repetitions: opt.Repetitions,
+				JitterFrac:  opt.JitterFrac,
+			},
+		}
+	}
+	ms, err := measure(cells, opt)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	res := &ExtensionResult{Name: title}
+	for i, v := range variants {
+		res.Rows = append(res.Rows, ExtensionRow{Variant: v.name, Mean: ms[i].Mean})
+	}
+	return res, nil
+}
+
 // RunPartitioning measures E1: six 24 MB streaming processes plus sixteen
 // 2.4 MB dgemms under the strict policy, with and without fencing the
 // streamers into 0.5 MB cache partitions. Without partitions a 24 MB
@@ -52,36 +93,10 @@ func (r *ExtensionResult) Table() *report.Table {
 // concurrently — the paper's §6 rationale: "it would fetch most data from
 // main memory regardless".
 func RunPartitioning(opt Options) (*ExtensionResult, error) {
-	opt = opt.normalized()
-	res := &ExtensionResult{Name: "Extension E1: cache partitioning for over-LLC streaming apps (strict policy)"}
-	variants := []struct {
-		name      string
-		partition pp.Bytes
-	}{
-		{"unpartitioned", 0},
-		{"0.5MB partition", pp.MB(0.5)},
-	}
-	var cells []cell
-	for _, v := range variants {
-		cells = append(cells, cell{
-			label: fmt.Sprintf("E1 %s", v.name),
-			w:     scaleWorkload(workloads.StreamingMix(v.partition), opt.Scale),
-			rc: perf.RunConfig{
-				Machine:     opt.Machine,
-				Policy:      core.StrictPolicy{},
-				Repetitions: opt.Repetitions,
-				JitterFrac:  opt.JitterFrac,
-			},
-		})
-	}
-	ms, err := measure(cells, opt)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	for i, v := range variants {
-		res.Rows = append(res.Rows, ExtensionRow{Variant: v.name, Mean: ms[i].Mean})
-	}
-	return res, nil
+	return runExtension(opt, "Extension E1: cache partitioning for over-LLC streaming apps (strict policy)", "E1", []variant{
+		{"unpartitioned", workloads.StreamingMix(0), 0},
+		{"0.5MB partition", workloads.StreamingMix(pp.MB(0.5)), 0},
+	})
 }
 
 // RunReserve measures E2: twenty-four instrumented dgemms co-running with
@@ -91,38 +106,10 @@ func RunPartitioning(opt Options) (*ExtensionResult, error) {
 // the hogs already occupy; whether that pays depends on how much
 // concurrency it costs — the table reports the measured trade.
 func RunReserve(opt Options) (*ExtensionResult, error) {
-	opt = opt.normalized()
-	res := &ExtensionResult{Name: "Extension E2: reserving LLC for unmanaged co-runners (strict policy)"}
-	variants := []struct {
-		name    string
-		reserve pp.Bytes
-	}{
-		{"no reserve", 0},
-		{"5MB reserve", pp.MB(5)},
-	}
-	w := scaleWorkload(workloads.UnmanagedMix(), opt.Scale)
-	var cells []cell
-	for _, v := range variants {
-		cells = append(cells, cell{
-			label: fmt.Sprintf("E2 %s", v.name),
-			w:     w,
-			rc: perf.RunConfig{
-				Machine:     opt.Machine,
-				Policy:      core.StrictPolicy{},
-				Reserve:     v.reserve,
-				Repetitions: opt.Repetitions,
-				JitterFrac:  opt.JitterFrac,
-			},
-		})
-	}
-	ms, err := measure(cells, opt)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	for i, v := range variants {
-		res.Rows = append(res.Rows, ExtensionRow{Variant: v.name, Mean: ms[i].Mean})
-	}
-	return res, nil
+	return runExtension(opt, "Extension E2: reserving LLC for unmanaged co-runners (strict policy)", "E2", []variant{
+		{"no reserve", workloads.UnmanagedMix(), 0},
+		{"5MB reserve", workloads.UnmanagedMix(), pp.MB(5)},
+	})
 }
 
 // RunBandwidth measures E3: twenty-four pure streamers under the strict
@@ -132,34 +119,8 @@ func RunReserve(opt Options) (*ExtensionResult, error) {
 // cores burn power waiting on a saturated memory bus; with them, the
 // predicate caps concurrency at the roofline.
 func RunBandwidth(opt Options) (*ExtensionResult, error) {
-	opt = opt.normalized()
-	res := &ExtensionResult{Name: "Extension E3: bandwidth-aware admission for streaming mixes (strict policy)"}
-	variants := []struct {
-		name    string
-		declare bool
-	}{
-		{"LLC demands only", false},
-		{"LLC + bandwidth demands", true},
-	}
-	var cells []cell
-	for _, v := range variants {
-		cells = append(cells, cell{
-			label: fmt.Sprintf("E3 %s", v.name),
-			w:     scaleWorkload(workloads.BandwidthMix(v.declare), opt.Scale),
-			rc: perf.RunConfig{
-				Machine:     opt.Machine,
-				Policy:      core.StrictPolicy{},
-				Repetitions: opt.Repetitions,
-				JitterFrac:  opt.JitterFrac,
-			},
-		})
-	}
-	ms, err := measure(cells, opt)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	for i, v := range variants {
-		res.Rows = append(res.Rows, ExtensionRow{Variant: v.name, Mean: ms[i].Mean})
-	}
-	return res, nil
+	return runExtension(opt, "Extension E3: bandwidth-aware admission for streaming mixes (strict policy)", "E3", []variant{
+		{"LLC demands only", workloads.BandwidthMix(false), 0},
+		{"LLC + bandwidth demands", workloads.BandwidthMix(true), 0},
+	})
 }

@@ -37,14 +37,15 @@ var FactorSweepValues = []float64{1.0, 1.5, 2.0, 3.0, 4.0}
 // BLAS-3 and water_nsquared workloads, fanning the sweep cells out on
 // opt.Jobs workers.
 func RunFactorSweep(opt Options) (*FactorSweepResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
 	res := &FactorSweepResult{Factors: FactorSweepValues}
 	var cells []cell
-	var names []string
 	for _, w := range []proc.Workload{workloads.BLAS3(), workloads.WaterNsq()} {
 		sw := scaleWorkload(w, opt.Scale)
 		for _, x := range FactorSweepValues {
-			names = append(names, w.Name)
 			cells = append(cells, cell{
 				label: fmt.Sprintf("factor sweep %s x=%v", w.Name, x),
 				w:     sw,
@@ -63,7 +64,7 @@ func RunFactorSweep(opt Options) (*FactorSweepResult, error) {
 	}
 	for i, m := range ms {
 		res.Points = append(res.Points, FactorPoint{
-			Workload: names[i],
+			Workload: cells[i].w.Name,
 			Factor:   FactorSweepValues[i%len(FactorSweepValues)],
 			Mean:     m.Mean,
 		})

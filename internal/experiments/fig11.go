@@ -39,8 +39,13 @@ var Fig11Granularities = []struct {
 // RunGranularity reproduces Figure 11: a single dgemm instance is run
 // alone under the strict policy at each progress-tracking granularity,
 // and the attained GFLOPS are compared against the untracked run. The
-// four granularities run concurrently on opt.Jobs workers.
+// four granularities run concurrently on opt.Jobs workers. Each runs
+// one unjittered repetition, so Repetitions and JitterFrac are ignored,
+// and Scale shrinks only the middle and inner period counts.
 func RunGranularity(opt Options) (*GranularityResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
 	var cells []cell
 	for _, g := range Fig11Granularities {

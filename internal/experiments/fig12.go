@@ -42,7 +42,13 @@ type WSSPredictionResult struct {
 // (application, input) profiling run is an independent job on opt.Jobs
 // workers; the trace seed is a function of the experiment seed alone,
 // so the profile a job yields does not depend on which worker runs it.
+// It profiles full-length traces and simulates no machine, so it
+// ignores Scale, Repetitions, JitterFrac, Machine, TraceDir, ObsDir,
+// Obsrv and Pace.
 func RunWSSPrediction(opt Options) (*WSSPredictionResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
 	cfg := workloads.Fig12ProfilerConfig()
 	res := &WSSPredictionResult{}

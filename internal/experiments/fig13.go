@@ -29,8 +29,12 @@ type InterferenceResult struct {
 // increased data size and concurrent processes running"), which is the
 // evidence that co-scheduling water_nsquared in groups of six beats
 // running all twelve together. The aggregate GFLOPS shows where
-// interference bends the scaling curve.
+// interference bends the scaling curve. Scale is floored at 0.05, and
+// no cell has a scheduler, so TraceDir receives no trace files.
 func RunInterference(opt Options) (*InterferenceResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
 	var cells []cell
 	for _, mol := range workloads.Fig13Inputs {
@@ -41,7 +45,7 @@ func RunInterference(opt Options) (*InterferenceResult, error) {
 			}
 			// Shorten periods for scaled runs; instance counts and
 			// working sets (the interference variables) are preserved.
-			w = scaleWorkload(w, maxf(opt.Scale, 0.05))
+			w = scaleWorkload(w, max(opt.Scale, 0.05))
 			cells = append(cells, cell{
 				label: fmt.Sprintf("fig13 %d×%d", mol, inst),
 				w:     w,
@@ -69,13 +73,6 @@ func RunInterference(opt Options) (*InterferenceResult, error) {
 		}
 	}
 	return res, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table renders the Figure 13 dataset: one row per input size, one

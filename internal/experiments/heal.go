@@ -155,10 +155,10 @@ type HealResult struct {
 // concurrently on opt.Jobs workers; faults ride the virtual clock, so
 // the table is bit-identical for every worker count.
 func RunHeal(opt Options) (*HealResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	// Always instrumented, like E4–E6: the recovery counters flow through
-	// the telemetry registry as well as the table.
-	opt.Telemetry = true
 	w := scaleWorkload(HealWorkload(), opt.Scale)
 	lease, deadline := chaosTimeouts(w)
 	gcfg := overloadGovernor(deadline)
@@ -177,6 +177,8 @@ func RunHeal(opt Options) (*HealResult, error) {
 				rcfg.RetryBase = makespan / 64
 				rcfg.AuditInterval = makespan / 16
 				g := gcfg
+				// Always instrumented, like E4–E6: the recovery counters
+				// flow through the telemetry registry as well as the table.
 				cells = append(cells, cell{
 					label: fmt.Sprintf("heal %s n %d fail %.2f", mode, n, frac),
 					w:     w,
@@ -192,6 +194,7 @@ func RunHeal(opt Options) (*HealResult, error) {
 						StealAge:      domainStealAge(w),
 						Recovery:      &rcfg,
 						Faults:        &plan,
+						Telemetry:     true,
 					},
 				})
 			}

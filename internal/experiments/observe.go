@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rdasched/internal/core"
 	"rdasched/internal/perf"
 	"rdasched/internal/pp"
 	"rdasched/internal/proc"
@@ -41,18 +40,7 @@ func ObserveSkewed() proc.Workload {
 // ObservePolicies are the admission configurations E8 compares: the
 // paper's two RDA policies (the Linux default never denies, so there
 // is nothing to attribute).
-func ObservePolicies() []struct {
-	Name   string
-	Policy core.Policy
-} {
-	return []struct {
-		Name   string
-		Policy core.Policy
-	}{
-		{"strict", core.StrictPolicy{}},
-		{"compromise", core.NewCompromise()},
-	}
-}
+func ObservePolicies() []NamedPolicy { return Policies()[1:] }
 
 // ObserveRow is one policy's attribution measurement.
 type ObserveRow struct {
@@ -75,8 +63,10 @@ type ObserveResult struct {
 // RunObserve measures the skewed workload under both RDA policies with
 // blame attribution and the default SLO objective attached.
 func RunObserve(opt Options) (*ObserveResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	opt.Telemetry = true
 	w := scaleWorkload(ObserveSkewed(), opt.Scale)
 	var cells []cell
 	for _, p := range ObservePolicies() {
@@ -88,8 +78,9 @@ func RunObserve(opt Options) (*ObserveResult, error) {
 				Policy:      p.Policy,
 				Repetitions: opt.Repetitions,
 				JitterFrac:  opt.JitterFrac,
+				Telemetry:   true,
 				Blame:       true,
-				SLO:         opt.sloConfig(),
+				SLO:         defaultSLO(),
 			},
 		})
 	}

@@ -111,11 +111,10 @@ func overloadGovernor(deadline sim.Duration) core.GovernorConfig {
 // replication's faults derive from the experiment seed and its job
 // index, so the table is bit-identical for every worker count.
 func RunOverload(opt Options) (*OverloadResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	// Like E4, the harness always runs instrumented: the governor and
-	// robustness counters flow through the telemetry registry as well as
-	// the table.
-	opt.Telemetry = true
 	w := scaleWorkload(workloads.BLAS3(), opt.Scale)
 	lease, deadline := chaosTimeouts(w)
 	gcfg := overloadGovernor(deadline)
@@ -123,6 +122,9 @@ func RunOverload(opt Options) (*OverloadResult, error) {
 	for _, c := range OverloadConfigs() {
 		for _, rate := range OverloadRates {
 			for _, waves := range OverloadBursts {
+				// Like E4, every cell runs instrumented: the governor and
+				// robustness counters flow through the telemetry registry
+				// as well as the table.
 				rc := perf.RunConfig{
 					Machine:       opt.Machine,
 					Policy:        c.Policy,
@@ -130,6 +132,7 @@ func RunOverload(opt Options) (*OverloadResult, error) {
 					JitterFrac:    opt.JitterFrac,
 					Lease:         lease,
 					AdmitDeadline: deadline,
+					Telemetry:     true,
 				}
 				if c.Governed {
 					g := gcfg

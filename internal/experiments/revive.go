@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"rdasched/internal/core"
 	"rdasched/internal/faults"
@@ -50,14 +49,9 @@ var ReviveKillFracs = []float64{0.25, 0.6}
 // four-way split with cross-domain steals live at the kill point.
 var ReviveDomainCounts = []int{1, 4}
 
-// revivePolicies are the admission policies the revival must survive.
-var revivePolicies = []struct {
-	Name   string
-	Policy core.Policy
-}{
-	{"strict", core.StrictPolicy{}},
-	{"compromise", core.NewCompromise()},
-}
+// revivePolicies are the admission policies the revival must survive:
+// the two RDA policies.
+var revivePolicies = Policies()[1:]
 
 // reviveSpec is a heal-mix process behind a streaming arrival ramp: the
 // ramp delays the declared period's begin without touching the LLC, so
@@ -133,11 +127,15 @@ type reviveCell struct {
 // concurrently on opt.Jobs workers; within a cell the baseline, killed,
 // and revival runs are strictly ordered (the kill time derives from the
 // baseline makespan, the revival from the killed run's checkpoint).
-// Repetitions are forced to one — a checkpoint belongs to a single
+// It forces one repetition — a checkpoint belongs to a single
 // repetition — so the table is fully deterministic at a fixed seed.
+// Its runs bypass the cell machinery the other harnesses share, so it
+// ignores Repetitions, TraceDir, ObsDir, Obsrv and Pace.
 func RunRevive(opt Options) (*ReviveResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	opt.Telemetry = true
 	w := scaleWorkload(ReviveWorkload(), opt.Scale)
 	lease, deadline := chaosTimeouts(w)
 	var cells []reviveCell
@@ -219,10 +217,6 @@ func runRevival(c reviveCell, w proc.Workload, opt Options, lease, deadline sim.
 	if err != nil {
 		return ReviveRow{}, err
 	}
-	snaps, err := countSnapshots(dir)
-	if err != nil {
-		return ReviveRow{}, err
-	}
 	return ReviveRow{
 		Policy:   c.policy,
 		Domains:  c.domains,
@@ -234,7 +228,7 @@ func runRevival(c reviveCell, w proc.Workload, opt Options, lease, deadline sim.
 		Identical:   string(bb) == string(rb),
 
 		Records:     res.Seq,
-		Snapshots:   snaps,
+		Snapshots:   res.Snapshots,
 		SnapshotSeq: res.SnapshotSeq,
 		Replayed:    res.Replayed,
 		Truncated:   res.Truncated,
@@ -242,22 +236,6 @@ func runRevival(c reviveCell, w proc.Workload, opt Options, lease, deadline sim.
 		Baseline: base,
 		Revived:  revived,
 	}, nil
-}
-
-// countSnapshots counts the committed snapshot files under dir.
-func countSnapshots(dir string) (int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json") {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // Table renders the E9 revival table. Per-resource load ledgers,

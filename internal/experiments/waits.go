@@ -40,33 +40,22 @@ type WaitProfileResult struct {
 // baseline is omitted: it strips the declarations, so it has no
 // admission path to profile.
 func RunWaitProfile(opt Options) (*WaitProfileResult, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.normalized()
-	opt.Telemetry = true
-	ws := []struct {
-		name string
-		w    func() proc.Workload
-	}{
-		{"BLAS-2", workloads.BLAS2},
-		{"BLAS-3", workloads.BLAS3},
-	}
-	policies := []struct {
-		name string
-		pol  core.Policy
-	}{
-		{"strict", core.StrictPolicy{}},
-		{"compromise", core.NewCompromise()},
-	}
 	var cells []cell
-	for _, wk := range ws {
-		for _, p := range policies {
+	for _, w := range []proc.Workload{workloads.BLAS2(), workloads.BLAS3()} {
+		for _, p := range Policies()[1:] {
 			cells = append(cells, cell{
-				label: fmt.Sprintf("waits %s under %s", wk.name, p.name),
-				w:     scaleWorkload(wk.w(), opt.Scale),
+				label: fmt.Sprintf("waits %s under %s", w.Name, p.Name),
+				w:     scaleWorkload(w, opt.Scale),
 				rc: perf.RunConfig{
 					Machine:     opt.Machine,
-					Policy:      p.pol,
+					Policy:      p.Policy,
 					Repetitions: opt.Repetitions,
 					JitterFrac:  opt.JitterFrac,
+					Telemetry:   true,
 				},
 			})
 		}
@@ -76,14 +65,10 @@ func RunWaitProfile(opt Options) (*WaitProfileResult, error) {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	res := &WaitProfileResult{Merged: telemetry.NewRegistry()}
-	i := 0
-	for _, wk := range ws {
-		for _, p := range policies {
-			reg := ms[i].Mean.Telemetry
-			res.Rows = append(res.Rows, WaitRow{Workload: wk.name, Policy: p.name, Telemetry: reg})
-			res.Merged.Merge(reg)
-			i++
-		}
+	for i, c := range cells {
+		reg := ms[i].Mean.Telemetry
+		res.Rows = append(res.Rows, WaitRow{Workload: c.w.Name, Policy: c.rc.Policy.Name(), Telemetry: reg})
+		res.Merged.Merge(reg)
 	}
 	return res, nil
 }

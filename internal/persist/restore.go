@@ -23,6 +23,7 @@ type Restored struct {
 	Replayed    int          // journal records applied on top of the snapshot
 	Truncated   bool         // journal ended at a torn or corrupt frame
 	TruncReason string       // why, when Truncated
+	Snapshots   int          // committed snapshot files in dir, undecodable ones included
 }
 
 // Restore loads the last valid snapshot under dir and replays the
@@ -43,7 +44,7 @@ func Restore(dir string) (*Restored, error) {
 		return nil, fmt.Errorf("persist: checkpoint format version %d, want %d", m.Version, FormatVersion)
 	}
 
-	snap, err := loadLatestSnapshot(dir)
+	snap, snaps, err := loadLatestSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -53,6 +54,7 @@ func Restore(dir string) (*Restored, error) {
 		KillAt:      m.KillAt,
 		Seq:         snap.Seq,
 		SnapshotSeq: snap.Seq,
+		Snapshots:   snaps,
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
 	if err != nil {
@@ -76,11 +78,12 @@ func Restore(dir string) (*Restored, error) {
 
 // loadLatestSnapshot returns the highest-sequence snapshot that decodes
 // cleanly, skipping corrupt ones (a crash can only tear the temp file,
-// but restore stays defensive about the directory it is handed).
-func loadLatestSnapshot(dir string) (*snapshotFile, error) {
+// but restore stays defensive about the directory it is handed), and
+// the number of committed snapshot files, corrupt ones included.
+func loadLatestSnapshot(dir string) (*snapshotFile, int, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("persist: read checkpoint dir: %w", err)
+		return nil, 0, fmt.Errorf("persist: read checkpoint dir: %w", err)
 	}
 	var names []string
 	for _, e := range ents {
@@ -90,7 +93,7 @@ func loadLatestSnapshot(dir string) (*snapshotFile, error) {
 		}
 	}
 	if len(names) == 0 {
-		return nil, fmt.Errorf("persist: no snapshots in %s", dir)
+		return nil, 0, fmt.Errorf("persist: no snapshots in %s", dir)
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names))) // zero-padded seq: lexicographic = numeric
 	var lastErr error
@@ -105,7 +108,7 @@ func loadLatestSnapshot(dir string) (*snapshotFile, error) {
 			lastErr = fmt.Errorf("persist: decode %s: %w", n, err)
 			continue
 		}
-		return &sf, nil
+		return &sf, len(names), nil
 	}
-	return nil, fmt.Errorf("persist: no usable snapshot in %s: %v", dir, lastErr)
+	return nil, 0, fmt.Errorf("persist: no usable snapshot in %s: %v", dir, lastErr)
 }

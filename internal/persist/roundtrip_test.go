@@ -202,16 +202,17 @@ func TestRestoreFromTornJournal(t *testing.T) {
 }
 
 // TestRestoreSkipsCorruptSnapshot poisons the newest snapshot file;
-// restore must fall back to the previous one and the revival must still
-// match the baseline.
+// restore must fall back to the previous one, the revival must still
+// match the baseline, and Restored.Snapshots must count every snapshot
+// file in the directory listing, the poisoned one included.
 func TestRestoreSkipsCorruptSnapshot(t *testing.T) {
 	rc := reviveConfig(core.StrictPolicy{}, 0)
-	base, revived, _ := killRestore(t, rc, 0.4, func(dir string) {
+	var snaps []string
+	base, revived, res := killRestore(t, rc, 0.4, func(dir string) {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snaps []string
 		for _, e := range ents {
 			n := e.Name()
 			if len(n) > 5 && n[:5] == "snap-" {
@@ -227,6 +228,9 @@ func TestRestoreSkipsCorruptSnapshot(t *testing.T) {
 		}
 	})
 	assertSameMetrics(t, base, revived)
+	if res.Snapshots != len(snaps) {
+		t.Fatalf("Restored.Snapshots = %d, directory lists %d snapshot files %v", res.Snapshots, len(snaps), snaps)
+	}
 }
 
 // TestRestoreErrors pins the loader's failure modes.
