@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test ./internal/machine -run='^$$' -fuzz=FuzzMachineIncremental -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/profiler -run='^$$' -fuzz=FuzzWindowsMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/memtrace -run='^$$' -fuzz=FuzzPhasedStreamMatchesOracle -fuzztime=$(FUZZTIME)
 
 # Full benchmark sweep, converted by scripts/benchjson into the
 # machine-readable BENCH_10.json artifact (and schema-checked). Raise

@@ -23,9 +23,9 @@ const (
 	LRU ReplacementPolicy = iota
 	// FIFO evicts the oldest-filled line.
 	FIFO
-	// Random evicts a uniformly random line (needs an RNG; falls back to a
-	// deterministic counter when none is supplied so results stay
-	// reproducible).
+	// Random evicts a pseudo-random line: each cache draws from its own
+	// xorshift64 state, seeded with a fixed constant and reduced modulo
+	// Assoc, so replays stay reproducible. No generator can be supplied.
 	Random
 )
 
@@ -84,6 +84,10 @@ type Stats struct {
 // (addr >> lineShift) and stamps its LRU touch or FIFO fill tick, with
 // stamp 0 marking an invalid way. Ticks start at 1, so a valid line never
 // carries stamp 0, and valid stamps within a set are distinct.
+//
+// The valid ways of every set form a prefix of it: a fill takes the
+// first invalid way, an eviction replaces a valid one, and only Flush
+// invalidates, all ways at once.
 type Cache struct {
 	cfg        Config
 	tags       []uint64
@@ -169,36 +173,35 @@ func (c *Cache) Access(addr uint64) bool {
 //
 // The victim is the first invalid way of the set, else the oldest line
 // (lowest stamp) under LRU and FIFO, or a pseudo-random way under Random.
+// Because the valid ways form a prefix of the set, one pass finds the
+// hit, the first invalid way and the oldest line: no way past the
+// first invalid one can hit.
 func (c *Cache) AccessEvict(addr uint64) (hit bool, victim uint64, evicted bool) {
 	c.tick++
 	c.stats.Accesses++
 	blk := addr >> c.lineShift
 	tags, stamps := c.set(blk)
 
-	for i, t := range tags {
-		if t == blk && stamps[i] != 0 {
+	way, oldest := 0, stamps[0]
+	for i, s := range stamps {
+		if s == 0 {
+			way, oldest = i, 0
+			break
+		}
+		if tags[i] == blk {
 			c.stats.Hits++
 			if c.cfg.Policy == LRU {
 				stamps[i] = c.tick
 			}
 			return true, 0, false
 		}
+		if s < oldest {
+			way, oldest = i, s
+		}
 	}
 	c.stats.Misses++
 
-	// One strict-minimum scan: it stops at the first invalid way, and
-	// otherwise ends on the oldest line.
-	way := 0
-	for i, s := range stamps {
-		if s == 0 {
-			way = i
-			break
-		}
-		if s < stamps[way] {
-			way = i
-		}
-	}
-	if stamps[way] == 0 {
+	if oldest == 0 {
 		c.population++
 	} else {
 		if c.cfg.Policy == Random {

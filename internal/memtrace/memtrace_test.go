@@ -1,6 +1,8 @@
 package memtrace
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +191,54 @@ func TestJumpSites(t *testing.T) {
 		if r.JumpSite != 42 || r.Instr != uint64(100*i) || r.Addr != 0 {
 			t.Fatalf("jump %d = %+v", i, r)
 		}
+	}
+}
+
+// TestPhaseSpecValidate rejects one spec per rule, each of which the
+// generator would otherwise have silently bent: a density above 1 or
+// NaN still yields one reference per instruction, a negative one an
+// empty stream, and a negative hot set addresses below the phase's own
+// region. NewPhasedStream panics on each.
+func TestPhaseSpecValidate(t *testing.T) {
+	valid := PhaseSpec{Name: "p", Instr: 1000, RefsPerInstr: 0.5,
+		HotBytes: pp.KiB, ColdBytes: pp.KiB, HotFrac: 0.5}
+	for _, edge := range []PhaseSpec{
+		valid,
+		{Name: "zero"},
+		{Name: "one", RefsPerInstr: 1, HotFrac: 1},
+	} {
+		if err := edge.Validate(); err != nil {
+			t.Fatalf("%+v: %v", edge, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*PhaseSpec)
+		want string
+	}{
+		{"refs-above-one", func(p *PhaseSpec) { p.RefsPerInstr = 2 }, "refs per instruction"},
+		{"refs-nan", func(p *PhaseSpec) { p.RefsPerInstr = math.NaN() }, "refs per instruction"},
+		{"refs-negative", func(p *PhaseSpec) { p.RefsPerInstr = -0.5 }, "refs per instruction"},
+		{"hot-frac-infinite", func(p *PhaseSpec) { p.HotFrac = math.Inf(1) }, "hot fraction"},
+		{"hot-frac-nan", func(p *PhaseSpec) { p.HotFrac = math.NaN() }, "hot fraction"},
+		{"hot-frac-negative", func(p *PhaseSpec) { p.HotFrac = -0.1 }, "hot fraction"},
+		{"hot-negative", func(p *PhaseSpec) { p.HotBytes = -4096 }, "hot set"},
+		{"cold-negative", func(p *PhaseSpec) { p.ColdBytes = -1 }, "cold region"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ph := valid
+			tc.mut(&ph)
+			err := ph.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), `"p"`) {
+				t.Fatalf("Validate() = %v, want an error naming phase \"p\" and %q", err, tc.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("NewPhasedStream accepted the spec")
+				}
+			}()
+			NewPhasedStream(1, valid, ph)
+		})
 	}
 }
 

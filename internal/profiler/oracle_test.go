@@ -110,26 +110,41 @@ func randomProfile(rng *sim.RNG) ([]memtrace.PhaseSpec, Config) {
 	return phases, cfg
 }
 
-// checkWindowsAgainstOracle runs Windows and the oracle over two
-// identical streams and fails unless their results are deeply equal.
+// nextOnly hides a stream's Read method, so Windows takes the stream
+// through Next.
+type nextOnly struct{ s memtrace.Stream }
+
+func (n nextOnly) Next() (memtrace.Ref, bool) { return n.s.Next() }
+
+// checkWindowsAgainstOracle runs the oracle and Windows, once reading
+// batches and once through Next alone, over identical streams and fails
+// unless the results are deeply equal.
 func checkWindowsAgainstOracle(t *testing.T, seed uint64) {
 	t.Helper()
 	phases, cfg := randomProfile(sim.NewRNG(seed))
-	got, err := Windows(memtrace.NewPhasedStream(seed, phases...), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := oracleWindows(memtrace.NewPhasedStream(seed, phases...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		for i := range got {
-			if i < len(want) && got[i] != want[i] {
-				t.Fatalf("seed %d %+v: window %d = %+v, oracle %+v", seed, cfg, i, got[i], want[i])
-			}
+	for _, s := range []struct {
+		name   string
+		stream memtrace.Stream
+	}{
+		{"read", memtrace.NewPhasedStream(seed, phases...)},
+		{"next", nextOnly{memtrace.NewPhasedStream(seed, phases...)}},
+	} {
+		got, err := Windows(s.stream, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("seed %d %+v: %d windows, oracle %d", seed, cfg, len(got), len(want))
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if i < len(want) && got[i] != want[i] {
+					t.Fatalf("%s seed %d %+v: window %d = %+v, oracle %+v", s.name, seed, cfg, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("%s seed %d %+v: %d windows, oracle %d", s.name, seed, cfg, len(got), len(want))
+		}
 	}
 }
 
