@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRegistryMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzBlameInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzHTMLMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/telemetry/blame -run='^$$' -fuzz=FuzzAppendFixedMatchesStrconv -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry/trace -run='^$$' -fuzz=FuzzChromeMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/persist -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)

@@ -2,33 +2,35 @@ package blame
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"html"
 	"io"
+	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"rdasched/internal/sim"
+	"rdasched/internal/telemetry/trace"
 )
 
 // Self-contained HTML observability report: one file, stdlib only, no
 // external scripts, stylesheets, or fonts. The machine-readable payload
 // is embedded as a <script type="application/json" id="rda-data">
-// block (encoding/json escapes <, >, & by default, so the document
-// cannot be broken by data), and the visuals — interference heatmap,
-// wait-blame top-K table, burn-rate timeline, critical-path bar — are
-// inline SVG rendered at write time. Nothing in the document derives
-// from the wall clock, so a deterministic run writes a byte-identical
-// report.
+// block (its strings carry encoding/json's escapes of <, >, &, so the
+// document cannot be broken by data), and the visuals — interference
+// heatmap, wait-blame top-K table, burn-rate timeline, critical-path
+// bar — are inline SVG rendered at write time. Nothing in the document
+// derives from the wall clock, so a deterministic run writes a
+// byte-identical report.
 //
 // The document streams to the writer through a bufio.Writer, section by
 // section. The heatmap, the only section whose size grows with the
 // square of the process count, appends each cell's <rect> with strconv
-// from strings computed once per row, column and process name.
-// oracle_test.go keeps a fmt-based writer that WriteHTML must match
-// byte for byte.
+// from strings computed once per row, column and process name, and its
+// fixed-precision numbers through appendFixed. The payload is appended
+// field by field in the bytes json.Marshal gives, with trace's JSON
+// float and string appenders. oracle_test.go keeps a fmt- and
+// json.Marshal-based writer that WriteHTML must match byte for byte.
 
 // ReportMeta labels an HTML report.
 type ReportMeta struct {
@@ -47,23 +49,21 @@ func (m ReportMeta) procName(i int) string {
 	return fmt.Sprintf("proc %d", i)
 }
 
-// htmlPayload is the embedded JSON document.
-type htmlPayload struct {
-	Meta  ReportMeta `json:"meta"`
-	Blame *Report    `json:"blame"`
-	SLO   *SLOResult `json:"slo,omitempty"`
-}
-
 // WriteHTML writes the report (and, when non-nil, the SLO evaluation)
-// as one self-contained HTML document. The embedded payload is encoded
-// before anything is written, so an encoding error writes nothing.
+// as one self-contained HTML document. The embedded payload holds what
+// json.Marshal gives {"meta": meta, "blame": rpt, "slo": slo}, "slo"
+// omitted when nil. The SLO floats are the only payload values
+// encoding/json refuses, so they are checked before anything is
+// written: a NaN or infinite one writes nothing and returns
+// json.Marshal's error.
 func WriteHTML(w io.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) error {
 	if rpt == nil {
 		return fmt.Errorf("blame: WriteHTML needs a report")
 	}
-	data, err := json.Marshal(htmlPayload{Meta: meta, Blame: rpt, SLO: slo})
-	if err != nil {
-		return fmt.Errorf("blame: %w", err)
+	if slo != nil {
+		if err := sloError(slo); err != nil {
+			return fmt.Errorf("blame: %w", err)
+		}
 	}
 	b := bufio.NewWriterSize(w, 64<<10)
 	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
@@ -85,7 +85,7 @@ func WriteHTML(w io.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) error 
 
 	// Machine-readable payload, last so readers see the visuals first.
 	b.WriteString("<script type=\"application/json\" id=\"rda-data\">")
-	b.Write(data)
+	writePayload(b, meta, rpt, slo)
 	b.WriteString("</script>\n</body>\n</html>\n")
 	return b.Flush()
 }
@@ -101,9 +101,44 @@ th{background:#f4f4f4}td:first-child,th:first-child{text-align:left}
 func secs(d sim.Duration) string { return string(appendSecs(nil, d)) }
 
 // appendSecs appends d in seconds with six decimals, the bytes fmt's
-// "%.6f s" gives: %.6f makes this same AppendFloat call.
+// "%.6f s" gives.
 func appendSecs(dst []byte, d sim.Duration) []byte {
-	return append(strconv.AppendFloat(dst, d.Seconds(), 'f', 6, 64), " s"...)
+	return append(appendFixed(dst, d.Seconds(), 6), " s"...)
+}
+
+// pow10[p] is 10^p for each precision p appendFixed formats itself;
+// each is exact as a float64.
+var pow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
+
+// appendFixed appends x with prec decimals: the bytes of
+// strconv.AppendFloat(dst, x, 'f', prec, 64), which fmt's %.<prec>f
+// also gives, without strconv's exact big-decimal path. For m =
+// x·10^prec below 2^32 the product's float error is at most 2^-21, so
+// when m's computed fraction lies more than 2^-16 from one half, m and
+// the exact product round to the same integer, and that integer is
+// printed as digits. Negative numbers, −0, NaN, ±Inf, near-ties and
+// values past the bound go to strconv.
+func appendFixed(dst []byte, x float64, prec int) []byte {
+	if uint(prec) < uint(len(pow10)) && x >= 0 && !math.Signbit(x) {
+		if m := x * float64(pow10[prec]); m < 1<<32 {
+			n := uint64(m)
+			if f := m - float64(n); math.Abs(f-0.5) > 0x1p-16 {
+				if f > 0.5 {
+					n++
+				}
+				dst = strconv.AppendUint(dst, n/pow10[prec], 10)
+				if prec == 0 {
+					return dst
+				}
+				var frac [len(pow10)]byte
+				for i, r := prec-1, n%pow10[prec]; i >= 0; i, r = i-1, r/10 {
+					frac[i] = byte('0' + r%10)
+				}
+				return append(append(dst, '.'), frac[:prec]...)
+			}
+		}
+	}
+	return strconv.AppendFloat(dst, x, 'f', prec, 64)
 }
 
 func writeSummary(b *bufio.Writer, rpt *Report, slo *SLOResult) {
@@ -227,7 +262,7 @@ func writeHeatmap(b *bufio.Writer, meta ReportMeta, rpt *Report) {
 			buf = append(buf, "\" height=\""...)
 			buf = append(buf, size...)
 			buf = append(buf, "\" fill=\"rgba(178,34,34,"...)
-			buf = strconv.AppendFloat(buf, frac, 'f', 3, 64)
+			buf = appendFixed(buf, frac, 3)
 			buf = append(buf, ")\" stroke=\"#ddd\"><title>"...)
 			buf = append(buf, names[bi]...)
 			buf = append(buf, " → "...)
@@ -312,18 +347,23 @@ func writeBurnTimeline(b *bufio.Writer, slo *SLOResult) {
 		repList = append(repList, r)
 	}
 	sort.Ints(repList)
+	var pts []byte // "x,y" pairs in %.1f, space-separated
 	for wi := range slo.Config.Windows {
 		for _, rep := range repList {
-			var pts []string
+			pts = pts[:0]
 			for _, s := range slo.Samples {
 				if s.Rep != rep || wi >= len(s.Burn) {
 					continue
 				}
-				pts = append(pts, fmt.Sprintf("%.1f,%.1f", x(s.At), y(s.Burn[wi])))
+				if len(pts) > 0 {
+					pts = append(pts, ' ')
+				}
+				pts = append(appendFixed(pts, x(s.At), 1), ',')
+				pts = appendFixed(pts, y(s.Burn[wi]), 1)
 			}
 			if len(pts) > 0 {
 				fmt.Fprintf(b, "<polyline points=\"%s\" fill=\"none\" stroke=\"%s\" stroke-opacity=\"0.8\"/>\n",
-					strings.Join(pts, " "), colors[wi%len(colors)])
+					pts, colors[wi%len(colors)])
 			}
 		}
 	}
@@ -337,4 +377,139 @@ func writeBurnTimeline(b *bufio.Writer, slo *SLOResult) {
 		fmt.Fprintf(b, "<span style=\"color:%s\">—</span> window %s", colors[wi%len(colors)], secs(w))
 	}
 	b.WriteString("</p>\n")
+}
+
+// payloadChunk is the size at which writePayload hands its buffer to the
+// bufio.Writer.
+const payloadChunk = 4 << 10
+
+// writePayload streams the JSON payload through b in chunks: the bytes
+// json.Marshal gives {"meta": meta, "blame": rpt, "slo": slo}, with
+// struct fields in declaration order under their tags, nil slices as
+// null, "slo" and a period's empty Shares omitted and strings
+// HTML-escaped.
+func writePayload(b *bufio.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) {
+	buf := make([]byte, 0, 2*payloadChunk)
+	buf = trace.AppendJSONString(append(buf, `{"meta":{"workload":`...), meta.Workload)
+	buf = trace.AppendJSONString(append(buf, `,"policy":`...), meta.Policy)
+	buf = writeArray(b, append(buf, `,"procs":`...), meta.Procs, func(dst []byte, s *string) []byte {
+		return trace.AppendJSONString(dst, *s)
+	})
+	buf = writeArray(b, append(buf, `},"blame":{"periods":`...), rpt.Periods, appendPeriodJSON)
+	buf = writeArray(b, append(buf, `,"matrix":`...), rpt.Matrix, func(dst []byte, c *MatrixCell) []byte {
+		dst = appendKeyInt(dst, `{"blocker_proc":`, int64(c.BlockerProc))
+		dst = appendKeyInt(dst, `,"waiter_proc":`, int64(c.WaiterProc))
+		return append(appendKeyInt(dst, `,"blamed_ps":`, int64(c.Blamed)), '}')
+	})
+	buf = appendKeyInt(buf, `,"path":{"run_ps":`, int64(rpt.Path.Run))
+	buf = appendKeyInt(buf, `,"wait_blamed_ps":`, int64(rpt.Path.WaitBlamed))
+	buf = appendKeyInt(buf, `,"wait_unattributed_ps":`, int64(rpt.Path.WaitUnattributed))
+	buf = appendKeyInt(buf, `,"idle_ps":`, int64(rpt.Path.Idle))
+	buf = appendKeyInt(buf, `,"makespan_ps":`, int64(rpt.Path.Makespan))
+	buf = strconv.AppendUint(append(buf, `},"denies":`...), rpt.Denies, 10)
+	buf = appendKeyInt(buf, `,"total_wait_ps":`, int64(rpt.TotalWait))
+	buf = appendKeyInt(buf, `,"total_blamed_ps":`, int64(rpt.TotalBlamed))
+	buf = appendKeyInt(buf, `,"total_unattributed_ps":`, int64(rpt.TotalUnattributed))
+	buf = append(buf, '}')
+	if slo != nil {
+		buf = writeSLOJSON(b, append(buf, `,"slo":`...), slo)
+	}
+	b.Write(append(buf, '}'))
+}
+
+// writeArray appends xs as a JSON array of elem's encodings, null when xs
+// is nil, and writes buf to b whenever it reaches payloadChunk (never
+// when b is nil).
+func writeArray[T any](b *bufio.Writer, buf []byte, xs []T, elem func([]byte, *T) []byte) []byte {
+	if xs == nil {
+		return append(buf, "null"...)
+	}
+	buf = append(buf, '[')
+	for i := range xs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if buf = elem(buf, &xs[i]); b != nil && len(buf) >= payloadChunk {
+			b.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	return append(buf, ']')
+}
+
+// appendKeyInt appends key, then v in decimal.
+func appendKeyInt(dst []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// appendPeriodJSON appends one timeline record as json.Marshal does.
+func appendPeriodJSON(dst []byte, p *PeriodBlame) []byte {
+	dst = appendKeyInt(dst, `{"rep":`, int64(p.Rep))
+	dst = strconv.AppendUint(append(dst, `,"id":`...), uint64(p.ID), 10)
+	dst = appendKeyInt(dst, `,"proc":`, int64(p.Proc))
+	dst = appendKeyInt(dst, `,"phase":`, int64(p.Phase))
+	dst = appendKeyInt(dst, `,"deny_at_ps":`, int64(p.DenyAt))
+	dst = appendKeyInt(dst, `,"closed_at_ps":`, int64(p.ClosedAt))
+	dst = trace.AppendJSONString(append(dst, `,"outcome":`...), p.Outcome)
+	dst = appendKeyInt(dst, `,"wait_ps":`, int64(p.Wait))
+	if len(p.Shares) > 0 {
+		dst = writeArray(nil, append(dst, `,"shares":`...), p.Shares, func(dst []byte, s *Share) []byte {
+			dst = strconv.AppendUint(append(dst, `{"blocker_id":`...), uint64(s.BlockerID), 10)
+			dst = appendKeyInt(dst, `,"blocker_proc":`, int64(s.BlockerProc))
+			dst = appendKeyInt(dst, `,"demand_bytes":`, int64(s.Demand))
+			return append(appendKeyInt(dst, `,"blamed_ps":`, int64(s.Blamed)), '}')
+		})
+	}
+	return append(appendKeyInt(dst, `,"unattributed_ps":`, int64(p.Unattributed)), '}')
+}
+
+// sloError returns the error json.Marshal gives r, nil when it gives
+// none. The SLO floats are the payload's only values encoding/json
+// refuses, and Marshal reports the first NaN or ±Inf in the order it
+// visits them: Target, AlertBurn, MaxBurn, then each sample's Burn.
+func sloError(r *SLOResult) error {
+	first := func(fs ...float64) error {
+		for _, f := range fs {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				_, err := trace.AppendJSONFloat(nil, f)
+				return err
+			}
+		}
+		return nil
+	}
+	err := first(r.Config.Target, r.Config.AlertBurn)
+	if err == nil {
+		err = first(r.MaxBurn...)
+	}
+	for i := 0; err == nil && i < len(r.Samples); i++ {
+		err = first(r.Samples[i].Burn...)
+	}
+	return err
+}
+
+// writeSLOJSON appends the SLO result as json.Marshal does, through
+// writeArray's chunks. sloError has found every float finite.
+func writeSLOJSON(b *bufio.Writer, buf []byte, r *SLOResult) []byte {
+	buf = appendKeyInt(buf, `{"config":{"Objective":`, int64(r.Config.Objective))
+	buf, _ = trace.AppendJSONFloat(append(buf, `,"Target":`...), r.Config.Target)
+	buf = writeArray(b, append(buf, `,"Windows":`...), r.Config.Windows, func(dst []byte, w *sim.Duration) []byte {
+		return strconv.AppendInt(dst, int64(*w), 10)
+	})
+	buf, _ = trace.AppendJSONFloat(append(buf, `,"AlertBurn":`...), r.Config.AlertBurn)
+	buf = strconv.AppendUint(append(buf, `},"admissions":`...), r.Admissions, 10)
+	buf = strconv.AppendUint(append(buf, `,"breaches":`...), r.Breaches, 10)
+	buf = strconv.AppendUint(append(buf, `,"alerts":`...), r.Alerts, 10)
+	buf = writeArray(b, append(buf, `,"max_burn":`...), r.MaxBurn, appendFloatJSON)
+	buf = writeArray(b, append(buf, `,"samples":`...), r.Samples, func(dst []byte, s *BurnSample) []byte {
+		dst = appendKeyInt(dst, `{"rep":`, int64(s.Rep))
+		dst = appendKeyInt(dst, `,"at_ps":`, int64(s.At))
+		return append(writeArray(nil, append(dst, `,"burn":`...), s.Burn, appendFloatJSON), '}')
+	})
+	return append(buf, '}')
+}
+
+// appendFloatJSON appends a float sloError has found finite.
+func appendFloatJSON(dst []byte, f *float64) []byte {
+	dst, _ = trace.AppendJSONFloat(dst, *f)
+	return dst
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,13 +21,21 @@ import (
 // strings.Builder, the payload is marshaled last, and the document goes
 // to w in a single write. WriteHTML must produce the same bytes and the
 // same errors. Below it, Merge's map-and-sort matrix step is the oracle
-// for the one-pass merge.
+// for the one-pass merge, and strconv.AppendFloat is the oracle for
+// appendFixed.
 
 func oracleProcName(m ReportMeta, i int) string {
 	if i >= 0 && i < len(m.Procs) {
 		return fmt.Sprintf("%s#%d", m.Procs[i], i)
 	}
 	return fmt.Sprintf("proc %d", i)
+}
+
+// htmlPayload is the embedded JSON document as the oracle marshals it.
+type htmlPayload struct {
+	Meta  ReportMeta `json:"meta"`
+	Blame *Report    `json:"blame"`
+	SLO   *SLOResult `json:"slo,omitempty"`
 }
 
 // oracleWriteHTML renders the whole document the way WriteHTML did
@@ -413,13 +422,46 @@ func TestHTMLMatchesOracle(t *testing.T) {
 	checkHTMLAgainstOracle(t, meta, rpt, slo)
 	checkHTMLAgainstOracle(t, meta, rpt, nil)
 	checkHTMLAgainstOracle(t, meta, nil, slo)
-	bad := *slo
-	bad.MaxBurn = []float64{math.NaN()}
-	var buf bytes.Buffer
-	if err := WriteHTML(&buf, meta, rpt, &bad); err == nil || buf.Len() != 0 {
-		t.Fatalf("unencodable payload: err %v, %d bytes written; want an error and nothing", err, buf.Len())
+	// Nil slices marshal as null and empty ones as [], except a
+	// period's Shares, which is omitted either way.
+	checkHTMLAgainstOracle(t, ReportMeta{}, &Report{}, &SLOResult{})
+	checkHTMLAgainstOracle(t, ReportMeta{Procs: []string{}},
+		&Report{Periods: []PeriodBlame{{Shares: []Share{}}, {}}, Matrix: []MatrixCell{}},
+		&SLOResult{Config: SLOConfig{Windows: []sim.Duration{}}, MaxBurn: []float64{},
+			Samples: []BurnSample{{Burn: []float64{}}, {}}})
+
+	// NaN and ±Inf in each SLO float, alone and behind an earlier bad
+	// one: nothing written and json.Marshal's error, which names the
+	// first bad value in Marshal's order.
+	set := []func(r *SLOResult, v float64){
+		func(r *SLOResult, v float64) { r.Config.Target = v },
+		func(r *SLOResult, v float64) { r.Config.AlertBurn = v },
+		func(r *SLOResult, v float64) { r.MaxBurn[1] = v },
+		func(r *SLOResult, v float64) { r.Samples[0].Burn[0] = v },
+		func(r *SLOResult, v float64) { r.Samples[len(r.Samples)-1].Burn[1] = v },
 	}
-	checkHTMLAgainstOracle(t, meta, rpt, &bad)
+	for i := range set {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for j := i; j < len(set); j++ {
+				bad := *slo
+				bad.MaxBurn = append([]float64(nil), slo.MaxBurn...)
+				bad.Samples = append([]BurnSample(nil), slo.Samples...)
+				for k := range bad.Samples {
+					bad.Samples[k].Burn = append([]float64(nil), bad.Samples[k].Burn...)
+				}
+				set[i](&bad, v)
+				if j > i {
+					set[j](&bad, -v)
+				}
+				var buf bytes.Buffer
+				if err := WriteHTML(&buf, meta, rpt, &bad); err == nil || buf.Len() != 0 {
+					t.Fatalf("SLO float %d = %v, float %d = %v: err %v, %d bytes written; want an error and nothing",
+						i, v, j, -v, err, buf.Len())
+				}
+				checkHTMLAgainstOracle(t, meta, rpt, &bad)
+			}
+		}
+	}
 }
 
 // TestMergeMatchesOracle folds random reports, whose matrices hold the
@@ -453,5 +495,87 @@ func TestMergeMatchesOracle(t *testing.T) {
 		if !reflect.DeepEqual(got.Matrix, want) {
 			t.Fatalf("seed %d: Merge matrix\n%v\nwant\n%v", seed, got.Matrix, want)
 		}
+	}
+}
+
+// fixedPrecs are the precisions the report prints: %.0f, %.1f, %.3f and
+// %.6f.
+var fixedPrecs = []int{0, 1, 3, 6}
+
+// checkFixed requires appendFixed(x, p) to append exactly what
+// strconv.AppendFloat(x, 'f', p, 64) does, for every p in fixedPrecs.
+func checkFixed(t *testing.T, x float64) {
+	t.Helper()
+	for _, p := range fixedPrecs {
+		want := strconv.AppendFloat([]byte("x="), x, 'f', p, 64)
+		if got := appendFixed([]byte("x="), x, p); !bytes.Equal(got, want) {
+			t.Fatalf("appendFixed(%v [bits %#x], %d) = %q, strconv gives %q",
+				x, math.Float64bits(x), p, got, want)
+		}
+	}
+}
+
+// checkNearTies runs checkFixed on the rounding tie nearest x at each
+// precision, (⌊x·10^p⌋ + 1/2)/10^p as a float, and on the ulps floats
+// either side of it.
+func checkNearTies(t *testing.T, x float64, ulps int) {
+	t.Helper()
+	for _, p := range fixedPrecs {
+		scale := float64(pow10[p])
+		tie := (math.Floor(x*scale) + 0.5) / scale
+		checkFixed(t, tie)
+		lo, hi := tie, tie
+		for i := 0; i < ulps; i++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			checkFixed(t, lo)
+			checkFixed(t, hi)
+		}
+	}
+}
+
+func FuzzAppendFixedMatchesStrconv(f *testing.F) {
+	f.Fuzz(func(t *testing.T, x float64, ulps uint8) {
+		checkFixed(t, x)
+		checkNearTies(t, x, int(ulps%8))
+	})
+}
+
+// TestAppendFixedMatchesStrconv runs the formatter oracle over the values
+// the fast path must refuse or round exactly: signed zeros, negatives,
+// non-finite values, exact integers, exact binary ties, the decimal ties
+// k/1000 + 0.0005 and their neighbours, both sides of the 2^32 bound at
+// every precision, and random values shaped like the report's inputs
+// (shades in [0, 1], durations in seconds, polyline coordinates).
+func TestAppendFixedMatchesStrconv(t *testing.T) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), -1e-9, -1, -0.5, -2.5e6, math.NaN(), math.Inf(1), math.Inf(-1),
+		1, 2, 3, 42, 1e6, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 53, 1e21, math.MaxFloat64,
+		0.5, 1.5, 2.5, 0.25, 0.125, 0.0625, 0.1875, 0.05, 0.15, 0.0005, 0.0015, 0.0025,
+		sim.Duration(1_500_000).Seconds(), sim.Duration(2_500_000).Seconds(), 5e-324, 1e-7,
+	} {
+		checkFixed(t, x)
+		checkNearTies(t, x, 3)
+	}
+	for k := 0; k < 1000; k++ {
+		x := float64(k)/1000 + 0.0005
+		checkFixed(t, x)
+		for i, lo, hi := 0, x, x; i < 3; i++ {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 2)
+			checkFixed(t, lo)
+			checkFixed(t, hi)
+		}
+	}
+	for _, p := range fixedPrecs {
+		scale := float64(pow10[p])
+		for _, m := range []float64{1<<32 - 1, 1<<32 - 0.5, 1 << 32, 1<<32 + 0.5} {
+			checkNearTies(t, m/scale, 3)
+		}
+	}
+	rng := sim.NewRNG(0xf1ed)
+	for i := 0; i < 5000; i++ {
+		checkFixed(t, rng.Float64())
+		checkFixed(t, sim.Duration(rng.Uint64n(1<<44)).Seconds())
+		checkFixed(t, 720*rng.Float64())
+		checkNearTies(t, 5000*rng.Float64(), 1)
 	}
 }

@@ -175,3 +175,38 @@ func TestWriteChromeEmpty(t *testing.T) {
 		t.Fatalf("missing traceEvents: %s", b.String())
 	}
 }
+
+// TestCheckDocRefusesBrokenDocuments feeds the document check what a
+// broken encoder could produce: a dropped comma between events, a
+// truncated document, an unescaped newline inside a string, and a valid
+// document whose event count disagrees with the encoder's.
+func TestCheckDocRefusesBrokenDocuments(t *testing.T) {
+	spans := []Span{
+		{ID: 1, Begin: at(0), Admit: at(3), End: at(10), Outcome: "wake", Close: "end", Demand: pp.MB(4)},
+		{ID: 2, Proc: 1, Begin: at(1), Admit: at(1), End: at(5), Outcome: "admit", Close: "end"},
+	}
+	var b bytes.Buffer
+	if err := WriteChrome(&b, spans); err != nil {
+		t.Fatal(err)
+	}
+	doc := b.Bytes()
+	if err := checkDoc(doc, 3); err != nil {
+		t.Fatalf("valid three-event document refused: %v", err)
+	}
+	noComma := bytes.Replace(doc, []byte("},\n  {"), []byte("}\n  {"), 1)
+	newline := bytes.Replace(doc, []byte(`"proc0/phase0 wait"`), []byte("\"proc0/phase0\n  {wait\""), 1)
+	for name, c := range map[string]struct {
+		data   []byte
+		events int
+		want   string
+	}{
+		"dropped comma":  {noComma, 3, "does not re-parse"},
+		"truncated":      {doc[:len(doc)-3], 3, "does not re-parse"},
+		"raw newline":    {newline, 3, "does not re-parse"},
+		"event miscount": {doc, 2, "lost events: 3 != 2"},
+	} {
+		if err := checkDoc(c.data, c.events); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+		}
+	}
+}

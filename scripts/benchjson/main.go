@@ -10,8 +10,8 @@
 //	go run ./scripts/benchjson -diff BENCH_8.json BENCH_10.json
 //
 // -diff compares two artifacts benchmark by benchmark and exits
-// non-zero when any shared benchmark's ns/op regressed by more than
-// the -threshold (default 10%). Benchmarks present in only one
+// non-zero when any shared benchmark's median ns/op regressed by more
+// than the -threshold (default 10%). Benchmarks present in only one
 // artifact are reported but never fail the diff, so adding or
 // retiring a benchmark does not break the gate.
 //
@@ -19,7 +19,9 @@
 //
 //	BenchmarkName-8   100   123456 ns/op   7 B/op   0 allocs/op   1.5 custom-unit
 //
-// and records every (value, unit) metric pair per benchmark. Context
+// and records every (value, unit) metric pair per benchmark. Repeated
+// lines of one benchmark (go test -count N) fold into one entry holding
+// each metric's median and the number of lines in "runs". Context
 // lines (goos/goarch/pkg/cpu) are carried along so the artifact is
 // self-describing.
 package main
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -42,14 +45,18 @@ type Doc struct {
 	Benchmarks []Benchmark       `json:"benchmarks"`
 }
 
-// Benchmark is one result line: the benchmark name (with the -N procs
-// suffix stripped), its iteration count, and every reported metric.
+// Benchmark is one benchmark's result: the benchmark name (with the -N
+// procs suffix stripped), its iteration count, and every reported
+// metric. An entry folded from Runs > 1 result lines holds the median
+// of each metric and of the iteration counts; Runs is omitted for a
+// single line.
 type Benchmark struct {
 	Name       string             `json:"name"`
 	Package    string             `json:"package,omitempty"`
 	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	Runs       int                `json:"runs,omitempty"`
 }
 
 func main() {
@@ -165,7 +172,63 @@ func parse(r io.Reader) (*Doc, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	doc.Benchmarks = fold(doc.Benchmarks, func(b Benchmark) string {
+		return fmt.Sprintf("%s.%s-%d", b.Package, b.Name, b.Procs)
+	})
 	return doc, nil
+}
+
+// fold merges the entries that share a key into one, in order of first
+// appearance: each metric becomes the median over the entries that
+// report it, Iterations the median iteration count, and Runs the total
+// number of result lines folded (an entry counts its own Runs, or 1).
+func fold(bs []Benchmark, key func(Benchmark) string) []Benchmark {
+	groups := map[string][]Benchmark{}
+	var order []string
+	for _, b := range bs {
+		k := key(b)
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	var out []Benchmark
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		b := g[0]
+		b.Metrics = map[string]float64{}
+		b.Runs = 0
+		var iters []float64
+		values := map[string][]float64{}
+		for _, r := range g {
+			b.Runs += max(r.Runs, 1)
+			iters = append(iters, float64(r.Iterations))
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		b.Iterations = int64(median(iters))
+		for unit, vs := range values {
+			b.Metrics[unit] = median(vs)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values for an even count, as perfbench's statistics do. It sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // validate checks an artifact against the schema and returns its
@@ -197,6 +260,9 @@ func validate(path string) (int, error) {
 		if _, ok := b.Metrics["ns/op"]; !ok {
 			return 0, fmt.Errorf("%s: no ns/op metric", b.Name)
 		}
+		if b.Runs < 0 {
+			return 0, fmt.Errorf("%s: negative run count %d", b.Name, b.Runs)
+		}
 	}
 	return len(doc.Benchmarks), nil
 }
@@ -214,16 +280,19 @@ func load(path string) (*Doc, error) {
 	if doc.Version != 1 {
 		return nil, fmt.Errorf("%s: unsupported version %d", path, doc.Version)
 	}
+	// Entries that -diff would match by the same key count once.
+	doc.Benchmarks = fold(doc.Benchmarks, key)
 	return &doc, nil
 }
 
 // key identifies a benchmark across artifacts: same package, same name.
 func key(b Benchmark) string { return b.Package + "." + b.Name }
 
-// diffArtifacts writes a per-benchmark ns/op comparison of old vs new to
-// w and returns how many shared benchmarks regressed past the threshold.
-// Benchmarks only present on one side are listed as added/removed and
-// never count as regressions.
+// diffArtifacts writes a per-benchmark comparison of old vs new median
+// ns/op to w and returns how many shared benchmarks regressed past the
+// threshold; each (package, name) counts once, however many result
+// lines either artifact holds for it. Benchmarks only present on one
+// side are listed as added/removed and never count as regressions.
 func diffArtifacts(w io.Writer, oldPath, newPath string, threshold float64) (int, error) {
 	oldDoc, err := load(oldPath)
 	if err != nil {

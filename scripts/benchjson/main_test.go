@@ -56,6 +56,18 @@ func TestParse(t *testing.T) {
 			in:   "BenchmarkFoo\n--- BENCH: BenchmarkFoo-2\nBenchmarkFoo-2   many   1 ns/op\nBenchmarkFoo-2   10   1 ns/op   2",
 		},
 		{
+			name: "repeated lines fold into medians",
+			in: "BenchmarkA-2   100   80 ns/op   5 B/op\nBenchmarkB-2   10   1 ns/op\n" +
+				"BenchmarkA-2   100   60 ns/op   3 B/op\nBenchmarkA-2   300   70 ns/op   4 B/op   9 allocs/op\n" +
+				"BenchmarkA   100   10 ns/op\nBenchmarkB-2   30   3 ns/op",
+			want: []Benchmark{
+				{Name: "BenchmarkA", Procs: 2, Iterations: 100, Runs: 3,
+					Metrics: map[string]float64{"ns/op": 70, "B/op": 4, "allocs/op": 9}},
+				{Name: "BenchmarkB", Procs: 2, Iterations: 20, Runs: 2, Metrics: map[string]float64{"ns/op": 2}},
+				{Name: "BenchmarkA", Iterations: 100, Metrics: map[string]float64{"ns/op": 10}},
+			},
+		},
+		{
 			name:    "bad metric value",
 			in:      "BenchmarkFoo-2   10   fast ns/op",
 			wantErr: true,
@@ -111,6 +123,8 @@ func TestCheck(t *testing.T) {
 		{"bad name", `{"version":1,"benchmarks":[{"name":"TestA","iterations":10,"metrics":{"ns/op":1}}]}`, false},
 		{"zero iterations", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":0,"metrics":{"ns/op":1}}]}`, false},
 		{"no ns/op", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"B/op":1}}]}`, false},
+		{"folded runs", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":5}]}`, true},
+		{"negative runs", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":-1}]}`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,5 +208,42 @@ func TestDiffRejectsBadArtifacts(t *testing.T) {
 		if _, err := diffArtifacts(&out, bad, good, 0.1); err == nil {
 			t.Errorf("%s: old artifact accepted", name)
 		}
+	}
+}
+
+// TestDiffFoldsRepeatedRuns compares -count 3 output whose old and new
+// medians are both 70 ns/op: the benchmark is compared once, median
+// against median, whether the old artifact was folded by parse or still
+// holds one entry per result line.
+func TestDiffFoldsRepeatedRuns(t *testing.T) {
+	fromText := func(text string) string {
+		doc, err := parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return writeDoc(t, string(data))
+	}
+	oldText := "pkg: p\nBenchmarkA-2   10   80 ns/op\nBenchmarkA-2   10   70 ns/op\nBenchmarkA-2   10   60 ns/op\n"
+	newPath := fromText("pkg: p\nBenchmarkA-2   10   70 ns/op\nBenchmarkA-2   10   70 ns/op\nBenchmarkA-2   10   70 ns/op\n")
+	unfolded := writeDoc(t, `{"version":1,"benchmarks":[`+
+		`{"name":"BenchmarkA","package":"p","procs":2,"iterations":10,"metrics":{"ns/op":80}},`+
+		`{"name":"BenchmarkA","package":"p","procs":2,"iterations":10,"metrics":{"ns/op":70}},`+
+		`{"name":"BenchmarkA","package":"p","procs":2,"iterations":10,"metrics":{"ns/op":60}}]}`)
+	for name, oldPath := range map[string]string{"folded": fromText(oldText), "unfolded": unfolded} {
+		var out strings.Builder
+		n, err := diffArtifacts(&out, oldPath, newPath, 0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 || strings.Count(out.String(), "\n") != 1 || !strings.Contains(out.String(), "70.0 ->         70.0 ns/op") {
+			t.Fatalf("%s old artifact: %d regressions, report:\n%s", name, n, out.String())
+		}
+	}
+	if _, err := validate(newPath); err != nil {
+		t.Fatalf("folded artifact fails -check: %v", err)
 	}
 }
