@@ -384,11 +384,16 @@ func Run(w Workload, rc RunConfig) (mean, stddev Metrics, err error) {
 
 // NewScheduledMachine wires the standard stack: a machine with the given
 // config whose declared phases are gated by a fresh RDA scheduler running
-// the given policy. It returns both so callers can add workloads and
-// inspect the scheduler after the run.
+// the given policy, bound as Run binds it: to the machine's clock (event
+// times, waits, blame), its event engine (leases, admission deadlines,
+// the governor's tick) and its memory bandwidth. It returns both so
+// callers can add workloads and inspect the scheduler after the run.
 func NewScheduledMachine(cfg MachineConfig, policy Policy) (*Machine, *Scheduler) {
 	s := core.New(policy, cfg.LLCCapacity)
+	s.Resources().SetCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
 	m := machine.New(cfg, s)
 	s.SetWaker(m)
+	s.SetClock(m.Now)
+	s.SetTimer(m.Engine())
 	return m, s
 }

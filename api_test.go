@@ -149,6 +149,59 @@ func TestFacadeScheduledMachine(t *testing.T) {
 	}
 }
 
+// TestFacadeScheduledMachineBindsClockAndTimer drives the hand-wired
+// stack with Figure 4's kernel: 4 × 6.3 MB on 15 MB under strict must
+// deny, so a blame collector on the returned scheduler sees stamped
+// waits, and a one-picosecond lease must fire and reclaim.
+func TestFacadeScheduledMachineBindsClockAndTimer(t *testing.T) {
+	kernel := rdasched.Phase{
+		Name:             "kernel",
+		Instr:            1e7,
+		WSS:              rdasched.MB(6.3),
+		Reuse:            rdasched.ReuseHigh,
+		AccessesPerInstr: 0.3,
+		PrivateHitFrac:   0.85,
+		StreamFrac:       0.05,
+		FlopsPerInstr:    0.5,
+		Declared:         true,
+	}
+	var w rdasched.Workload
+	w.Name = "wired"
+	for i := 0; i < 4; i++ {
+		w.Procs = append(w.Procs, rdasched.Spec{
+			Name: "p", Threads: 1, Program: rdasched.Program{kernel},
+		})
+	}
+	run := func(edit func(*rdasched.Scheduler)) (*rdasched.Machine, *rdasched.Scheduler) {
+		t.Helper()
+		m, s := rdasched.NewScheduledMachine(rdasched.DefaultMachine(), rdasched.StrictPolicy{})
+		edit(s)
+		if err := m.AddWorkload(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m, s
+	}
+
+	col := rdasched.NewBlameCollector()
+	m, s := run(func(s *rdasched.Scheduler) { s.AddSink(col) })
+	col.Finish(m.Now())
+	rpt := col.Report()
+	if s.Stats().Denied == 0 {
+		t.Fatal("mix formed no waitlist")
+	}
+	if rpt.TotalBlamed <= 0 {
+		t.Fatalf("blamed %v ps over %d denials: the scheduler has no clock", rpt.TotalBlamed, rpt.Denies)
+	}
+
+	_, s = run(func(s *rdasched.Scheduler) { s.SetLease(1) })
+	if s.Stats().Reclaimed == 0 {
+		t.Fatal("a 1 ps lease reclaimed nothing: the scheduler has no timer")
+	}
+}
+
 func TestFacadePolicyByName(t *testing.T) {
 	for _, name := range []string{"default", "strict", "compromise"} {
 		if _, err := rdasched.PolicyByName(name); err != nil {

@@ -22,9 +22,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"syscall"
 	"time"
 
+	"rdasched"
 	"rdasched/internal/core"
 	"rdasched/internal/experiments"
 	"rdasched/internal/faults"
@@ -78,6 +82,54 @@ func validateFlags(scale, jitter float64, reps, jobs int, sloMS, ckptEvery, kill
 	return nil
 }
 
+// modes lists, in precedence order, each mode flag and the other flags
+// its run reads. A run without a mode flag reads every flag but these
+// three.
+var modes = []struct {
+	name  string
+	reads []string
+}{
+	{"list", []string{"cpuprofile", "memprofile"}},
+	{"all", []string{"reps", "jitter", "seed", "scale", "cpuprofile", "memprofile"}},
+	{"timeline", []string{"workload", "policy", "scale", "cpuprofile", "memprofile"}},
+}
+
+// refuse names the first flag the run would ignore: one the selected
+// mode does not read, -slo-ms without -obs-dir, -checkpoint-every
+// without -checkpoint-dir, or a -reps other than 1 with -restore (a
+// checkpoint holds one repetition). set maps the name of every flag
+// given on the command line to its value.
+func refuse(set map[string]string) error {
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, m := range modes {
+		if set[m.name] != "true" {
+			continue
+		}
+		for _, n := range names {
+			if n != m.name && !slices.Contains(m.reads, n) {
+				return fmt.Errorf("-%s: -%s reads only -%s", n, m.name, strings.Join(m.reads, ", -"))
+			}
+		}
+		return nil
+	}
+	_, slo := set["slo-ms"]
+	_, every := set["checkpoint-every"]
+	reps, repsSet := set["reps"]
+	switch {
+	case slo && set["obs-dir"] == "":
+		return errors.New("-slo-ms: needs -obs-dir")
+	case every && set["checkpoint-dir"] == "":
+		return errors.New("-checkpoint-every: needs -checkpoint-dir")
+	case repsSet && reps != "1" && set["restore"] != "":
+		return fmt.Errorf("-reps %s: -restore resumes one repetition", reps)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		workload  = flag.String("workload", "", "Table 2 workload name (see -list)")
@@ -115,8 +167,12 @@ func main() {
 		return
 	}
 	if err := validateFlags(*scale, *jitter, *reps, *jobs, *sloMS, *ckptEvery, *killAt, *listen, *pace); err != nil {
-		fmt.Fprintln(os.Stderr, "rdasched:", err)
-		os.Exit(2)
+		usage(err)
+	}
+	set := map[string]string{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+	if err := refuse(set); err != nil {
+		usage(err)
 	}
 
 	stopProf, err := profutil.Start(*cpuProf, *memProf)
@@ -145,8 +201,7 @@ func main() {
 	}
 
 	if *workload == "" {
-		fmt.Fprintln(os.Stderr, "rdasched: -workload required (or -list / -all); e.g. -workload water_nsq")
-		os.Exit(2)
+		usage(errors.New("-workload required (or -list / -all); e.g. -workload water_nsq"))
 	}
 	w, err := workloads.ByName(*workload)
 	if err != nil {
@@ -221,8 +276,7 @@ func main() {
 	// under the default policy, which has no scheduler to observe)
 	// before binding the -listen address.
 	if err := rc.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "rdasched:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	if *listen != "" {
 		srv, err := obsrv.Serve(obsrv.Config{Addr: *listen})
@@ -401,6 +455,11 @@ func printMetrics(workload, policy string, m, sd perf.Metrics) {
 	fmt.Print(t.String())
 }
 
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "rdasched:", err)
+	os.Exit(2)
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rdasched:", err)
 	os.Exit(1)
@@ -410,19 +469,14 @@ func fatal(err error) {
 // the scheduler decision log enabled, and renders both.
 func runTimeline(w proc.Workload, pol core.Policy) error {
 	cfg := machine.DefaultConfig()
-	var gate machine.Gate
+	var m *machine.Machine
 	var schd *core.Scheduler
 	if pol == nil {
 		w = perf.Undeclare(w)
+		m = machine.New(cfg, nil)
 	} else {
-		schd = core.New(pol, cfg.LLCCapacity)
+		m, schd = rdasched.NewScheduledMachine(cfg, pol)
 		schd.EnableLog(64)
-		gate = schd
-	}
-	m := machine.New(cfg, gate)
-	if schd != nil {
-		schd.SetWaker(m)
-		schd.SetClock(m.Now)
 	}
 	m.EnableTimeline(0) // default interval
 	if err := m.AddWorkload(w); err != nil {

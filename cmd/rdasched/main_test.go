@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,5 +61,74 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not name the offending flag %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// flags is every flag the CLI defines.
+var flags = []string{
+	"workload", "policy", "reps", "jitter", "seed", "scale", "list", "all",
+	"json", "timeline", "trace", "metrics", "jobs", "governor", "domains",
+	"domain-faults", "obs-dir", "slo-ms", "checkpoint-dir", "checkpoint-every",
+	"restore", "kill-at", "listen", "pace", "version", "cpuprofile", "memprofile",
+}
+
+// TestRefuse pins the mode table: each mode accepts exactly the flags
+// its run reads and refuses every other flag by name, and a measured
+// run refuses the three flags that only act alongside another one.
+func TestRefuse(t *testing.T) {
+	want := map[string][]string{
+		"list":     {"cpuprofile", "memprofile"},
+		"all":      {"reps", "jitter", "seed", "scale", "cpuprofile", "memprofile"},
+		"timeline": {"workload", "policy", "scale", "cpuprofile", "memprofile"},
+	}
+	if len(modes) != len(want) {
+		t.Fatalf("%d modes, want %d", len(modes), len(want))
+	}
+	for mode, reads := range want {
+		set := map[string]string{mode: "true"}
+		for _, f := range reads {
+			set[f] = "x"
+		}
+		if err := refuse(set); err != nil {
+			t.Errorf("-%s with every flag it reads: %v", mode, err)
+		}
+		for _, f := range flags {
+			if f == mode || slices.Contains(reads, f) {
+				continue
+			}
+			err := refuse(map[string]string{mode: "true", f: "x"})
+			if err == nil || !strings.HasPrefix(err.Error(), "-"+f+":") {
+				t.Errorf("-%s -%s: %v, want the flag refused by name", mode, f, err)
+			}
+		}
+	}
+
+	cases := []struct {
+		set     map[string]string
+		wantErr string // the refused flag; empty means accepted
+	}{
+		{map[string]string{}, ""},
+		{map[string]string{"workload": "water_nsq", "policy": "strict", "metrics": "true", "trace": "t.json"}, ""},
+		{map[string]string{"list": "true", "all": "true"}, "-all:"},
+		{map[string]string{"all": "true", "timeline": "true"}, "-timeline:"},
+		{map[string]string{"timeline": "false", "metrics": "true"}, ""},
+		{map[string]string{"slo-ms": "20"}, "-slo-ms:"},
+		{map[string]string{"slo-ms": "20", "obs-dir": ""}, "-slo-ms:"},
+		{map[string]string{"slo-ms": "20", "obs-dir": "D"}, ""},
+		{map[string]string{"checkpoint-every": "0.5"}, "-checkpoint-every:"},
+		{map[string]string{"checkpoint-every": "0.5", "checkpoint-dir": "D"}, ""},
+		{map[string]string{"restore": "D", "reps": "7"}, "-reps 7:"},
+		{map[string]string{"restore": "D", "reps": "1"}, ""},
+		{map[string]string{"restore": "D"}, ""},
+		{map[string]string{"reps": "7"}, ""},
+	}
+	for _, tc := range cases {
+		err := refuse(tc.set)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%v refused: %v", tc.set, err)
+		case tc.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.wantErr)):
+			t.Errorf("%v: %v, want it refused as %q", tc.set, err, tc.wantErr)
+		}
 	}
 }

@@ -63,63 +63,8 @@ func DgemmBlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix, blockSiz
 	}
 }
 
-// Dsyrk computes C ← alpha·A·Aᵀ + beta·C, updating the full symmetric
-// result (both triangles).
-func Dsyrk(alpha float64, a *Matrix, beta float64, c *Matrix) {
-	if c.Rows != c.Cols || a.Rows != c.Rows {
-		panic(fmt.Sprintf("blas: dsyrk shape %dx%d → %dx%d", a.Rows, a.Cols, c.Rows, c.Cols))
-	}
-	for i := 0; i < c.Rows; i++ {
-		ai := a.Row(i)
-		ci := c.Row(i)
-		for j := 0; j <= i; j++ {
-			s := Ddot(ai, a.Row(j))
-			v := alpha*s + beta*ci[j]
-			ci[j] = v
-			c.Set(j, i, v)
-		}
-	}
-}
-
-// DtrmmRU computes B ← B·U for upper-triangular U (right side, upper —
-// the paper's dtrmm(ru) variant). Columns are consumed right-to-left so
-// the update is safely in place.
-func DtrmmRU(b, u *Matrix) {
-	if u.Rows != u.Cols || b.Cols != u.Rows {
-		panic(fmt.Sprintf("blas: dtrmm(ru) shape %dx%d · %dx%d", b.Rows, b.Cols, u.Rows, u.Cols))
-	}
-	for i := 0; i < b.Rows; i++ {
-		bi := b.Row(i)
-		for j := b.Cols - 1; j >= 0; j-- {
-			var s float64
-			for k := 0; k <= j; k++ {
-				s += bi[k] * u.At(k, j)
-			}
-			bi[j] = s
-		}
-	}
-}
-
-// DtrsmRU solves X·U = B for upper-triangular U (right side, upper — the
-// paper's dtrsm(ru) variant), overwriting B with X.
-func DtrsmRU(b, u *Matrix) {
-	if u.Rows != u.Cols || b.Cols != u.Rows {
-		panic(fmt.Sprintf("blas: dtrsm(ru) shape %dx%d · %dx%d", b.Rows, b.Cols, u.Rows, u.Cols))
-	}
-	for i := 0; i < b.Rows; i++ {
-		bi := b.Row(i)
-		for j := 0; j < b.Cols; j++ {
-			s := bi[j]
-			for k := 0; k < j; k++ {
-				s -= bi[k] * u.At(k, j)
-			}
-			bi[j] = s / u.At(j, j)
-		}
-	}
-}
-
-// Level3Flops returns the flop count of one level-3 kernel on n×n
-// operands.
+// Level3Flops returns the flop count of one level-3 kernel (dgemm,
+// dsyrk, dtrmm or dtrsm) on n×n operands.
 func Level3Flops(kernel string, n int) float64 {
 	fn := float64(n)
 	switch kernel {
@@ -132,11 +77,4 @@ func Level3Flops(kernel string, n int) float64 {
 	default:
 		panic("blas: unknown level-3 kernel " + kernel)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

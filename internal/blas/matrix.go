@@ -1,3 +1,11 @@
+// Package blas is the dense matrix multiply of the paper's Figure 4 and
+// the level-3 flop counts behind Table 2's BLAS-3 phases. It has two
+// callers: examples/quickstart checks DgemmBlocked against the reference
+// Dgemm before scheduling that kernel, and internal/workloads sizes the
+// BLAS-3 periods with Level3Flops. The simulated workloads describe
+// every other kernel by working-set size, reuse and instruction count
+// alone, so none is implemented here. Matrices are dense, row-major,
+// float64.
 package blas
 
 import (
@@ -20,21 +28,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set stores element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice view.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // Equal reports element-wise equality within tol.
 func (m *Matrix) Equal(o *Matrix, tol float64) bool {
@@ -58,70 +53,10 @@ func (m *Matrix) FillRandom(rng *sim.RNG) {
 	}
 }
 
-// FillIdentity writes the identity (square matrices only).
-func (m *Matrix) FillIdentity() {
-	if m.Rows != m.Cols {
-		panic("blas: identity of non-square matrix")
-	}
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Set(i, i, 1)
-	}
-}
-
-// LowerTriangular zeroes the strict upper triangle and ensures a
-// well-conditioned diagonal (|d| ≥ 1), for dtrsv/dtrsm tests.
-func (m *Matrix) LowerTriangular() {
-	if m.Rows != m.Cols {
-		panic("blas: triangular view of non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			m.Set(i, j, 0)
-		}
-		d := m.At(i, i)
-		if d >= 0 {
-			m.Set(i, i, d+1)
-		} else {
-			m.Set(i, i, d-1)
-		}
-	}
-}
-
-// UpperTriangular zeroes the strict lower triangle and conditions the
-// diagonal.
-func (m *Matrix) UpperTriangular() {
-	if m.Rows != m.Cols {
-		panic("blas: triangular view of non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < i; j++ {
-			m.Set(i, j, 0)
-		}
-		d := m.At(i, i)
-		if d >= 0 {
-			m.Set(i, i, d+1)
-		} else {
-			m.Set(i, i, d-1)
-		}
-	}
-}
-
-// NewRandomMatrix allocates and fills a matrix.
+// NewRandomMatrix allocates and fills a matrix; the same seed gives the
+// same matrix.
 func NewRandomMatrix(rows, cols int, seed uint64) *Matrix {
 	m := NewMatrix(rows, cols)
 	m.FillRandom(sim.NewRNG(seed))
 	return m
-}
-
-// NewRandomVector allocates and fills a vector.
-func NewRandomVector(n int, seed uint64) []float64 {
-	rng := sim.NewRNG(seed)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 2*rng.Float64() - 1
-	}
-	return v
 }

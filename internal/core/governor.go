@@ -116,10 +116,6 @@ func (b BreakerState) String() string {
 // GovernorConfig tunes the governor. The zero value is invalid; start
 // from DefaultGovernorConfig. All windows are virtual-clock durations.
 type GovernorConfig struct {
-	// Enabled turns the governor on (RunConfig.Governor passes the whole
-	// struct; a nil/disabled config leaves the static predicate alone).
-	Enabled bool
-
 	// DegradeDepth is the waitlist depth that counts as sustained
 	// pressure toward Degraded; ShedDepth escalates toward Shedding.
 	DegradeDepth int
@@ -167,7 +163,6 @@ type GovernorConfig struct {
 // experiments.RunOverload).
 func DefaultGovernorConfig() GovernorConfig {
 	return GovernorConfig{
-		Enabled:          true,
 		DegradeDepth:     8,
 		ShedDepth:        24,
 		WaitHigh:         20 * sim.Millisecond,
@@ -183,7 +178,8 @@ func DefaultGovernorConfig() GovernorConfig {
 	}
 }
 
-func (c GovernorConfig) validate() error {
+// Validate reports whether EnableGovernor would accept the config.
+func (c GovernorConfig) Validate() error {
 	switch {
 	case c.DegradeDepth <= 0 || c.ShedDepth < c.DegradeDepth:
 		return fmt.Errorf("core: governor depths %d/%d (want 0 < degrade <= shed)", c.DegradeDepth, c.ShedDepth)
@@ -308,17 +304,13 @@ type governor struct {
 }
 
 // EnableGovernor attaches an adaptive admission governor configured by
-// cfg; a zero-value or Enabled=false config detaches it. The governor
-// needs the clock (SetClock) for its hysteresis and aging windows —
-// without one every duration reads zero and transitions are immediate —
-// and uses the timer (SetTimer), when bound, to re-run the wake scan
-// after a degradation step frees admission headroom.
+// cfg, and panics on a config Validate refuses. The governor needs the
+// clock (SetClock) for its hysteresis and aging windows — without one
+// every duration reads zero and transitions are immediate — and uses the
+// timer (SetTimer), when bound, to re-run the wake scan after a
+// degradation step frees admission headroom.
 func (s *Scheduler) EnableGovernor(cfg GovernorConfig) {
-	if !cfg.Enabled {
-		s.gov = nil
-		return
-	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	s.gov = &governor{cfg: cfg}

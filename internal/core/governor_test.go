@@ -18,7 +18,6 @@ import (
 // aging needs AgeThreshold.
 func quietGovernor() GovernorConfig {
 	return GovernorConfig{
-		Enabled:          true,
 		DegradeDepth:     1 << 20,
 		ShedDepth:        1 << 20,
 		WaitHigh:         0, // disables the stalled-head signal
@@ -437,12 +436,19 @@ func TestEffectivePolicyLadder(t *testing.T) {
 	}
 }
 
-// TestGovernorConfigValidate pins the rejected configurations.
+// TestGovernorConfigValidate pins the rejected configurations: Validate
+// refuses each and EnableGovernor panics on it.
 func TestGovernorConfigValidate(t *testing.T) {
+	if err := DefaultGovernorConfig().Validate(); err != nil {
+		t.Fatalf("default config refused: %v", err)
+	}
 	mustPanic := func(name string, mutate func(*GovernorConfig)) {
 		t.Helper()
 		cfg := DefaultGovernorConfig()
 		mutate(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s: Validate accepted an invalid config", name)
+		}
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: EnableGovernor accepted an invalid config", name)
@@ -455,12 +461,7 @@ func TestGovernorConfigValidate(t *testing.T) {
 	mustPanic("shed below degrade", func(c *GovernorConfig) { c.ShedDepth = c.DegradeDepth - 1 })
 	mustPanic("zero window", func(c *GovernorConfig) { c.Window = 0 })
 	mustPanic("fractional tighten", func(c *GovernorConfig) { c.LeaseTighten = 0.5 })
-	// Disabled config detaches rather than validating.
-	s := New(StrictPolicy{}, pp.MB(15))
-	s.EnableGovernor(GovernorConfig{})
-	if _, ok := s.Governor(); ok {
-		t.Error("disabled config left a governor attached")
-	}
+	mustPanic("zero value", func(c *GovernorConfig) { *c = GovernorConfig{} })
 }
 
 // governorFuzzConfig derives an arbitrary-but-valid governor from one
@@ -469,7 +470,6 @@ func TestGovernorConfigValidate(t *testing.T) {
 // AgeThreshold regime, strike counts 1-4.
 func governorFuzzConfig(govByte uint8) GovernorConfig {
 	return GovernorConfig{
-		Enabled:          true,
 		DegradeDepth:     1 + int(govByte&7),
 		ShedDepth:        1 + int(govByte&7) + int((govByte>>3)&7),
 		WaitHigh:         chaosDeadline / 4,

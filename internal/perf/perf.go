@@ -141,10 +141,9 @@ type RunConfig struct {
 	// degraded to stock-scheduler admission (0 disables; see
 	// core.SetAdmissionDeadline).
 	AdmitDeadline sim.Duration
-	// Governor, when non-nil and enabled, attaches the adaptive
-	// admission governor (overload-aware policy degradation,
-	// misdeclaration quarantine, waitlist aging) to each repetition's
-	// scheduler.
+	// Governor, when non-nil, attaches the adaptive admission governor
+	// (overload-aware policy degradation, misdeclaration quarantine,
+	// waitlist aging) to each repetition's scheduler.
 	Governor *core.GovernorConfig
 
 	// Domains shards the scheduler into N per-domain admission monitors
@@ -216,8 +215,8 @@ var ErrInvalidRunConfig = errors.New("perf: invalid run configuration")
 // scheduler settings without a Policy (the baseline has no scheduler),
 // steal and domain-fault settings below two domains, Recovery without
 // domain faults, checkpoint/restore combinations the journal cannot
-// honor, and a nested SLO, Checkpoint or Recovery config its own
-// Validate refuses. Sample calls it first.
+// honor, and a nested SLO, Checkpoint, Recovery or Governor config its
+// own Validate refuses. Sample calls it first.
 func (rc RunConfig) Validate() error {
 	switch {
 	case rc.Repetitions < 0:
@@ -293,6 +292,9 @@ func (rc RunConfig) Validate() error {
 	}
 	if rc.Recovery != nil && err == nil {
 		err = rc.Recovery.Validate()
+	}
+	if rc.Governor != nil && err == nil {
+		err = rc.Governor.Validate()
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidRunConfig, err)

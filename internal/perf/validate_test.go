@@ -13,10 +13,10 @@ import (
 	"rdasched/internal/telemetry/blame"
 )
 
-// TestValidate holds one rejected row per Validate rule, each of which
-// Sample must refuse too, and one accepted row per configuration shape
-// the experiment harnesses, the rdasched CLI and the repository
-// benchmark build.
+// TestValidate holds one rejected row per Validate rule and per rule of
+// the nested governor config, each of which Sample and Run must refuse
+// too, and one accepted row per configuration shape the experiment
+// harnesses, the rdasched CLI and the repository benchmark build.
 func TestValidate(t *testing.T) {
 	llc := machine.DefaultConfig().LLCCapacity
 	strict := func(edit func(*RunConfig)) RunConfig {
@@ -39,6 +39,11 @@ func TestValidate(t *testing.T) {
 	rcfg := core.DefaultRecoveryConfig()
 	uniform := faults.Uniform(0.15, llc)
 	killed := &persist.Restored{KillAt: sim.FromSeconds(1)}
+	governed := func(edit func(*core.GovernorConfig)) RunConfig {
+		g := core.DefaultGovernorConfig()
+		edit(&g)
+		return strict(func(rc *RunConfig) { rc.Governor = &g })
+	}
 
 	rejected := []struct {
 		name string
@@ -107,6 +112,15 @@ func TestValidate(t *testing.T) {
 			bad.MaxRetries = -1
 			rc.Domains, rc.Faults, rc.Recovery = 2, crash(0, ms), &bad
 		}), core.ErrInvalidRecoveryConfig},
+		// Nested governor configuration, one row per rule.
+		{"governor-zero-value", governed(func(c *core.GovernorConfig) { *c = core.GovernorConfig{} }), nil},
+		{"governor-zero-degrade-depth", governed(func(c *core.GovernorConfig) { c.DegradeDepth = 0 }), nil},
+		{"governor-shed-below-degrade", governed(func(c *core.GovernorConfig) { c.ShedDepth = c.DegradeDepth - 1 }), nil},
+		{"governor-zero-strikes", governed(func(c *core.GovernorConfig) { c.Strikes = 0 }), nil},
+		{"governor-factor-one", governed(func(c *core.GovernorConfig) { c.MisdeclareFactor = 1 }), nil},
+		{"governor-zero-window", governed(func(c *core.GovernorConfig) { c.Window = 0 }), nil},
+		{"governor-negative-hold", governed(func(c *core.GovernorConfig) { c.RecoverHold = -ms }), nil},
+		{"governor-fractional-tighten", governed(func(c *core.GovernorConfig) { c.LeaseTighten = 0.5 }), nil},
 	}
 	for _, tc := range rejected {
 		t.Run("rejects/"+tc.name, func(t *testing.T) {
@@ -119,6 +133,9 @@ func TestValidate(t *testing.T) {
 			}
 			if _, err := Sample(tinyWorkload(2, true), tc.rc, 0); !errors.Is(err, ErrInvalidRunConfig) {
 				t.Fatalf("Sample = %v, want ErrInvalidRunConfig", err)
+			}
+			if _, _, err := Run(tinyWorkload(2, true), tc.rc); !errors.Is(err, ErrInvalidRunConfig) {
+				t.Fatalf("Run = %v, want ErrInvalidRunConfig", err)
 			}
 		})
 	}
