@@ -2,8 +2,8 @@
 // kernel groups and five SPLASH-2 applications — as proc.Workload phase
 // descriptions, plus the input-scaled variants used by Figures 12 and 13.
 //
-// Phase parameters are derived from the kernels themselves (see
-// internal/blas for the actual implementations): instruction counts from
+// Phase parameters are derived from the kernels' arithmetic (the level-3
+// flop counts come from internal/blas.Level3Flops): instruction counts from
 // flop counts and per-element instruction estimates, working-set sizes
 // and reuse levels straight from Table 2, and streaming fractions from
 // each kernel's operand structure (a dgemv streams its matrix and reuses
