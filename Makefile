@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: all test race fuzz vet bench bench-diff experiments chaos govern domains heal observe revive examples cover clean
+.PHONY: all test race fuzz vet reach bench bench-diff experiments chaos govern domains heal observe revive examples cover clean
 
 all: test
 
@@ -37,6 +37,11 @@ fuzz:
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/profiler -run='^$$' -fuzz=FuzzWindowsMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/memtrace -run='^$$' -fuzz=FuzzPhasedStreamMatchesOracle -fuzztime=$(FUZZTIME)
+
+# Reachability gate: list every library function that no binary links
+# and fail on one that scripts/reach.allow does not name with a reason.
+reach:
+	bash scripts/reach.sh
 
 # Full benchmark sweep, converted by scripts/benchjson into the
 # machine-readable BENCH_10.json artifact (and schema-checked). Raise

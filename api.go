@@ -350,7 +350,7 @@ func WriteObservabilityHTML(w io.Writer, meta ObsReportMeta, rpt *BlameReport, s
 // results: every endpoint serves non-blocking copies.
 type (
 	// ObsrvConfig configures the introspection server (listen address,
-	// per-subscriber event buffer, state publication period).
+	// state publication period).
 	ObsrvConfig = obsrv.Config
 	// ObsrvServer is a live introspection endpoint.
 	ObsrvServer = obsrv.Server

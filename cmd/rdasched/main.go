@@ -84,19 +84,21 @@ func validateFlags(scale, jitter float64, reps, jobs int, sloMS, ckptEvery, kill
 
 // modes lists, in precedence order, each mode flag and the other flags
 // its run reads. A run without a mode flag reads every flag but these
-// three.
+// four.
 var modes = []struct {
 	name  string
 	reads []string
 }{
+	{"version", nil},
 	{"list", []string{"cpuprofile", "memprofile"}},
 	{"all", []string{"reps", "jitter", "seed", "scale", "cpuprofile", "memprofile"}},
 	{"timeline", []string{"workload", "policy", "scale", "cpuprofile", "memprofile"}},
 }
 
 // refuse names the first flag the run would ignore: one the selected
-// mode does not read, -slo-ms without -obs-dir, -checkpoint-every
-// without -checkpoint-dir, or a -reps other than 1 with -restore (a
+// mode does not read, -slo-ms without -obs-dir, -checkpoint-every or
+// -kill-at without -checkpoint-dir (a kill with nothing preserved
+// leaves nothing to restore), or a -reps other than 1 with -restore (a
 // checkpoint holds one repetition). set maps the name of every flag
 // given on the command line to its value.
 func refuse(set map[string]string) error {
@@ -110,20 +112,27 @@ func refuse(set map[string]string) error {
 			continue
 		}
 		for _, n := range names {
-			if n != m.name && !slices.Contains(m.reads, n) {
-				return fmt.Errorf("-%s: -%s reads only -%s", n, m.name, strings.Join(m.reads, ", -"))
+			if n == m.name || slices.Contains(m.reads, n) {
+				continue
 			}
+			if len(m.reads) == 0 {
+				return fmt.Errorf("-%s: -%s reads no other flag", n, m.name)
+			}
+			return fmt.Errorf("-%s: -%s reads only -%s", n, m.name, strings.Join(m.reads, ", -"))
 		}
 		return nil
 	}
 	_, slo := set["slo-ms"]
 	_, every := set["checkpoint-every"]
+	_, kill := set["kill-at"]
 	reps, repsSet := set["reps"]
 	switch {
 	case slo && set["obs-dir"] == "":
 		return errors.New("-slo-ms: needs -obs-dir")
 	case every && set["checkpoint-dir"] == "":
 		return errors.New("-checkpoint-every: needs -checkpoint-dir")
+	case kill && set["checkpoint-dir"] == "":
+		return errors.New("-kill-at: needs -checkpoint-dir")
 	case repsSet && reps != "1" && set["restore"] != "":
 		return fmt.Errorf("-reps %s: -restore resumes one repetition", reps)
 	}
@@ -153,7 +162,7 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "append an admission journal and periodic state snapshots into this directory while running (repetition i > 0 writes into its rep<i> subdirectory); needs -policy strict or compromise")
 		ckptEvery = flag.Float64("checkpoint-every", 0, "virtual seconds between periodic snapshots under -checkpoint-dir (0 = journal-only after the attach snapshot)")
 		restore   = flag.String("restore", "", "restore the gate from this checkpoint directory and resume the killed run to completion")
-		killAt    = flag.Float64("kill-at", 0, "kill the process at this virtual second (crash injection; pair with -checkpoint-dir, then resume with -restore)")
+		killAt    = flag.Float64("kill-at", 0, "kill the process at this virtual second (crash injection); needs -checkpoint-dir, then resume with -restore")
 		listen    = flag.String("listen", "", "serve live introspection endpoints (/metrics, /events, /state, /blame, /debug/pprof) on this address while the run executes, e.g. :8080")
 		pace      = flag.String("pace", "max", `wall-clock pacing of virtual time: "max" (unthrottled) or a ratio like "1x" (real time) or "10x"`)
 		showVer   = flag.Bool("version", false, "print the build identity and exit")
@@ -162,10 +171,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *showVer {
-		fmt.Println(version.String())
-		return
-	}
 	if err := validateFlags(*scale, *jitter, *reps, *jobs, *sloMS, *ckptEvery, *killAt, *listen, *pace); err != nil {
 		usage(err)
 	}
@@ -173,6 +178,10 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
 	if err := refuse(set); err != nil {
 		usage(err)
+	}
+	if *showVer {
+		fmt.Println(version.String())
+		return
 	}
 
 	stopProf, err := profutil.Start(*cpuProf, *memProf)

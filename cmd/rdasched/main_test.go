@@ -74,9 +74,10 @@ var flags = []string{
 
 // TestRefuse pins the mode table: each mode accepts exactly the flags
 // its run reads and refuses every other flag by name, and a measured
-// run refuses the three flags that only act alongside another one.
+// run refuses the four flags that only act alongside another one.
 func TestRefuse(t *testing.T) {
 	want := map[string][]string{
+		"version":  nil,
 		"list":     {"cpuprofile", "memprofile"},
 		"all":      {"reps", "jitter", "seed", "scale", "cpuprofile", "memprofile"},
 		"timeline": {"workload", "policy", "scale", "cpuprofile", "memprofile"},
@@ -110,6 +111,9 @@ func TestRefuse(t *testing.T) {
 		{map[string]string{}, ""},
 		{map[string]string{"workload": "water_nsq", "policy": "strict", "metrics": "true", "trace": "t.json"}, ""},
 		{map[string]string{"list": "true", "all": "true"}, "-all:"},
+		{map[string]string{"version": "true"}, ""},
+		{map[string]string{"version": "true", "trace": "vt.json", "workload": "nope"}, "-trace:"},
+		{map[string]string{"version": "true", "list": "true"}, "-list:"},
 		{map[string]string{"all": "true", "timeline": "true"}, "-timeline:"},
 		{map[string]string{"timeline": "false", "metrics": "true"}, ""},
 		{map[string]string{"slo-ms": "20"}, "-slo-ms:"},
@@ -117,6 +121,10 @@ func TestRefuse(t *testing.T) {
 		{map[string]string{"slo-ms": "20", "obs-dir": "D"}, ""},
 		{map[string]string{"checkpoint-every": "0.5"}, "-checkpoint-every:"},
 		{map[string]string{"checkpoint-every": "0.5", "checkpoint-dir": "D"}, ""},
+		{map[string]string{"kill-at": "0.07"}, "-kill-at:"},
+		{map[string]string{"kill-at": "0.07", "checkpoint-dir": ""}, "-kill-at:"},
+		{map[string]string{"kill-at": "0.01", "restore": "ck"}, "-kill-at:"},
+		{map[string]string{"kill-at": "0.07", "checkpoint-dir": "D", "checkpoint-every": "0.02"}, ""},
 		{map[string]string{"restore": "D", "reps": "7"}, "-reps 7:"},
 		{map[string]string{"restore": "D", "reps": "1"}, ""},
 		{map[string]string{"restore": "D"}, ""},

@@ -23,6 +23,26 @@ func blas3() (rdasched.MachineConfig, rdasched.Workload) {
 	return rdasched.DefaultMachine(), w
 }
 
+// Wire a scheduled machine and run one workload on it (README "Using
+// the library").
+func ExampleNewScheduledMachine() {
+	w, err := rdasched.WorkloadByName("water_nsq") // a Table 2 workload
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Table 1 machine; sched gates its declared phases, bound to the
+	// machine's clock and timer as rdasched.Run binds it.
+	m, sched := rdasched.NewScheduledMachine(rdasched.DefaultMachine(), rdasched.StrictPolicy{})
+	if err := m.AddWorkload(w); err != nil {
+		log.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.SystemJ, res.DRAMJ, res.GFLOPS(), res.GFLOPSPerWatt(), sched.Stats())
+}
+
 // Inject misbehaving applications and let leases and the admission
 // deadline contain them (README "Chaos experiments").
 func ExampleUniformFaults() {

@@ -125,25 +125,11 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int { return c.population }
-
-// OccupancyBytes returns the bytes currently resident.
-func (c *Cache) OccupancyBytes() pp.Bytes {
-	return pp.Bytes(c.population) * c.cfg.LineSize
-}
-
-// Lines returns the total line capacity.
-func (c *Cache) Lines() int { return len(c.tags) }
 
 // set returns the ways of the set block blk maps to.
 func (c *Cache) set(blk uint64) (tags, stamps []uint64) {
@@ -231,7 +217,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Flush invalidates all lines and (unlike ResetStats) counts nothing.
+// Flush invalidates all lines and counts nothing.
 func (c *Cache) Flush() {
 	clear(c.stamps)
 	c.population = 0

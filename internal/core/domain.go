@@ -197,15 +197,6 @@ func (d *DomainSet) Shard(i int) *Scheduler {
 	return d.shards[i]
 }
 
-// Policy returns the shared admission policy, or nil on an empty shard
-// set (a zero-value DomainSet that never went through NewDomainSet).
-func (d *DomainSet) Policy() Policy {
-	if len(d.shards) == 0 {
-		return nil
-	}
-	return d.shards[0].Policy()
-}
-
 // SetWaker binds the machine used to resume paused threads.
 func (d *DomainSet) SetWaker(w Waker) {
 	for _, s := range d.shards {

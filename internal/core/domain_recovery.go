@@ -192,12 +192,6 @@ func (d *DomainSet) RecoveryStats() RecoveryStats {
 	return d.rec.stats
 }
 
-// Quarantined reports whether domain i is currently offline (false for
-// out-of-range indices).
-func (d *DomainSet) Quarantined(i int) bool {
-	return i >= 0 && i < len(d.shards) && d.shards[i].offline
-}
-
 // recTarget validates a fault-injection target.
 func (d *DomainSet) recTarget(i int) error {
 	if d.rec == nil {

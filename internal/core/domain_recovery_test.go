@@ -94,7 +94,7 @@ func TestCapacityLossAndResplit(t *testing.T) {
 	if capOf(0) != pp.MB(4) || capOf(1) != pp.MB(8) {
 		t.Fatalf("after 50%% loss: caps %v/%v, want 4MB/8MB", capOf(0), capOf(1))
 	}
-	if d.Quarantined(0) {
+	if d.shards[0].offline {
 		t.Error("partial loss must not quarantine the shard")
 	}
 	if err := d.RecoverDomain(0); err != nil {
@@ -109,7 +109,7 @@ func TestCapacityLossAndResplit(t *testing.T) {
 	if err := d.InjectCapacityLoss(0, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Quarantined(0) {
+	if !d.shards[0].offline {
 		t.Fatal("full loss must quarantine the shard")
 	}
 	if capOf(0) != 0 || capOf(1) != pp.MB(16) {
@@ -125,9 +125,9 @@ func TestCapacityLossAndResplit(t *testing.T) {
 	if err := d.RecoverDomain(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.Quarantined(0) || capOf(0) != pp.MB(8) || capOf(1) != pp.MB(8) {
+	if d.shards[0].offline || capOf(0) != pp.MB(8) || capOf(1) != pp.MB(8) {
 		t.Fatalf("after reintegration: quarantined=%v caps %v/%v, want online 8MB/8MB",
-			d.Quarantined(0), capOf(0), capOf(1))
+			d.shards[0].offline, capOf(0), capOf(1))
 	}
 	if got := d.RecoveryStats().Reintegrations; got != 2 {
 		t.Fatalf("reintegrations = %d, want 2", got)
@@ -183,7 +183,7 @@ func TestCrashEvacuatesPeriods(t *testing.T) {
 	if rst.Evacuations != 2 || rst.ForcedMoves != 0 {
 		t.Fatalf("evacuations/forced = %d/%d, want 2/0", rst.Evacuations, rst.ForcedMoves)
 	}
-	if !d.Quarantined(0) {
+	if !d.shards[0].offline {
 		t.Error("shard 0 should still be quarantined (never healed)")
 	}
 	if st := d.Stats(); st.Begins != 3 || st.Ends != 3 {
@@ -396,7 +396,7 @@ func TestStallMode(t *testing.T) {
 	if st.Ends != 3 {
 		t.Fatalf("ends = %d, want 3", st.Ends)
 	}
-	if !d.Quarantined(0) {
+	if !d.shards[0].offline {
 		t.Error("stalled shard should remain quarantined")
 	}
 }
@@ -540,7 +540,7 @@ func TestRecoverDomainMidRun(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Quarantined(0) {
+	if d.shards[0].offline {
 		t.Error("shard 0 still quarantined after RecoverDomain")
 	}
 	half := machine.DefaultConfig().LLCCapacity / 2

@@ -333,18 +333,9 @@ func TestDomainBoundsChecks(t *testing.T) {
 	if got := d.Shard(1); got == nil {
 		t.Error("Shard(1) = nil for an in-range index")
 	}
-	if got := d.Policy(); got == nil {
-		t.Error("Policy() = nil on a built set")
-	}
 	var empty DomainSet
-	if got := empty.Policy(); got != nil {
-		t.Errorf("zero-value Policy() = %v, want nil", got)
-	}
 	if got := empty.Shard(0); got != nil {
 		t.Errorf("zero-value Shard(0) = %v, want nil", got)
-	}
-	if empty.Quarantined(0) {
-		t.Error("zero-value Quarantined(0) = true")
 	}
 }
 

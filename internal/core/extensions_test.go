@@ -14,7 +14,7 @@ func TestSetReserveAffectsAdmission(t *testing.T) {
 		t.Fatal("12 MB denied on empty 15 MB cache")
 	}
 	s.SetReserve(pp.MB(5))
-	if s.Reserve() != pp.MB(5) {
+	if s.reserve != pp.MB(5) {
 		t.Fatal("reserve not recorded")
 	}
 	// Now only 10 MB is schedulable... but the empty-load safeguard still

@@ -188,12 +188,6 @@ func (s *Scheduler) SetReserve(b pp.Bytes) {
 	s.reserve = b
 }
 
-// Reserve returns the configured unmanaged-workload reservation.
-func (s *Scheduler) Reserve() pp.Bytes { return s.reserve }
-
-// Policy returns the configured policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Resources returns the resource monitor (read access for reports).
 func (s *Scheduler) Resources() *ResourceMonitor { return s.rm }
 

@@ -285,8 +285,8 @@ func TestRegistryEmptyAfterRun(t *testing.T) {
 
 func TestNilPolicyDefaults(t *testing.T) {
 	s := New(nil, pp.MB(15))
-	if s.Policy().Name() != "default" {
-		t.Fatalf("nil policy resolved to %q", s.Policy().Name())
+	if s.policy.Name() != "default" {
+		t.Fatalf("nil policy resolved to %q", s.policy.Name())
 	}
 }
 

@@ -75,8 +75,6 @@ type Meter struct {
 	pkgJoules  float64
 	dramJoules float64
 
-	llcAccesses  uint64
-	dramAccesses uint64
 	busyCoreSecs float64 // ∫ busy-cores dt, for reporting average power
 	elapsed      sim.Duration
 }
@@ -109,13 +107,11 @@ func (mt *Meter) AdvanceTime(d sim.Duration, busyCores float64) {
 
 // CountLLC adds n LLC accesses.
 func (mt *Meter) CountLLC(n uint64) {
-	mt.llcAccesses += n
 	mt.pkgJoules += float64(n) * mt.model.LLCAccessJoules
 }
 
 // CountDRAM adds n DRAM accesses (LLC misses).
 func (mt *Meter) CountDRAM(n uint64) {
-	mt.dramAccesses += n
 	mt.dramJoules += float64(n) * mt.model.DRAMAccessJoules
 }
 
@@ -127,15 +123,6 @@ func (mt *Meter) DRAMJoules() float64 { return mt.dramJoules }
 
 // SystemJoules returns package + DRAM (the paper's "CPU + cache + DRAM").
 func (mt *Meter) SystemJoules() float64 { return mt.pkgJoules + mt.dramJoules }
-
-// Elapsed returns the integrated wall time.
-func (mt *Meter) Elapsed() sim.Duration { return mt.elapsed }
-
-// LLCAccesses returns the counted LLC accesses.
-func (mt *Meter) LLCAccesses() uint64 { return mt.llcAccesses }
-
-// DRAMAccesses returns the counted DRAM accesses.
-func (mt *Meter) DRAMAccesses() uint64 { return mt.dramAccesses }
 
 // AvgSystemWatts returns mean system power over the elapsed interval
 // (0 for an empty interval).

@@ -106,7 +106,9 @@ type Config struct {
 	// feature.
 	MaxSimTime sim.Duration
 
-	// Seed drives any stochastic elements of workload behaviour.
+	// Seed drives nothing: the machine model draws no random numbers
+	// (jitter and faults are applied to the workload before a run). It
+	// remains only because perfbench still sets it.
 	Seed uint64
 }
 
@@ -137,7 +139,6 @@ func DefaultConfig() Config {
 		Energy: energy.Default(),
 
 		MaxSimTime: 4 * 3600 * sim.Second,
-		Seed:       1,
 	}
 }
 

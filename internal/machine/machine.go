@@ -244,7 +244,7 @@ func New(cfg Config, gate Gate) *Machine {
 	}
 	m := &Machine{
 		cfg:   cfg,
-		eng:   sim.NewEngine(cfg.Seed),
+		eng:   sim.NewEngine(0),
 		meter: energy.NewMeter(cfg.Energy),
 		gate:  gate,
 	}

@@ -40,7 +40,7 @@ func load(t *testing.T, image []byte) ([]Ref, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs := Collect(fs, 0)
+	refs := drain(fs)
 	return refs, fs.Err()
 }
 
@@ -84,7 +84,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		spec := PhaseSpec{Instr: uint64(n), RefsPerInstr: 0.5, HotBytes: 64 * pp.KiB,
 			ColdBytes: 8 * pp.KiB, HotFrac: 0.7, Site: int(seed % 100), JumpEvery: 64}
-		want := Collect(NewPhasedStream(seed, spec), 0)
+		want := drain(NewPhasedStream(seed, spec))
 		got, err := load(t, dumpImage(t, want))
 		return err == nil && slices.Equal(got, want)
 	}
@@ -155,11 +155,11 @@ func TestFileStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(fs, 0)
+	got := drain(fs)
 	if fs.Err() != nil {
 		t.Fatalf("unexpected stream error: %v", fs.Err())
 	}
-	want := Collect(NewPhasedStream(3, spec), 0)
+	want := drain(NewPhasedStream(3, spec))
 	if uint64(len(got)) != n || len(got) != len(want) {
 		t.Fatalf("streamed %d records, wrote %d, generated %d", len(got), n, len(want))
 	}
@@ -176,7 +176,7 @@ func TestFileStreamTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(Collect(fs, 0))
+	n := len(drain(fs))
 	if fs.Err() == nil {
 		t.Fatalf("truncation not reported (read %d records)", n)
 	}
@@ -211,8 +211,8 @@ func TestWriteStreamToFile(t *testing.T) {
 	}
 	// The round-tripped trace must profile identically to the original:
 	// same footprint.
-	orig := Collect(NewPhasedStream(1, spec), 0)
-	if Footprint(got) != Footprint(orig) {
+	orig := drain(NewPhasedStream(1, spec))
+	if lines(got) != lines(orig) {
 		t.Fatal("round-tripped trace has different footprint")
 	}
 }

@@ -7,12 +7,6 @@
 // profiler consumed PIN output: in fixed-size instruction windows.
 package memtrace
 
-import (
-	"fmt"
-
-	"rdasched/internal/pp"
-)
-
 // Ref is one memory reference: the retiring instruction index (within the
 // trace), the virtual address, and whether it is a store. IsJump marks
 // retired JMP instructions, which the profiler samples to correlate
@@ -50,54 +44,4 @@ func (s *SliceStream) Next() (Ref, bool) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, true
-}
-
-// Reset rewinds the stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the total number of references.
-func (s *SliceStream) Len() int { return len(s.refs) }
-
-// Collect drains a stream into a slice (testing/profiling convenience).
-func Collect(s Stream, max int) []Ref {
-	var out []Ref
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-		if max > 0 && len(out) >= max {
-			return out
-		}
-	}
-}
-
-// Footprint returns the number of distinct 64-byte lines touched by refs —
-// the "memory footprint" statistic of the paper's profiler (§2.4).
-func Footprint(refs []Ref) int {
-	seen := make(map[uint64]struct{})
-	for _, r := range refs {
-		if r.IsJump {
-			continue
-		}
-		seen[r.Addr>>6] = struct{}{}
-	}
-	return len(seen)
-}
-
-// FootprintBytes returns Footprint scaled to bytes.
-func FootprintBytes(refs []Ref) pp.Bytes { return pp.Bytes(Footprint(refs)) * 64 }
-
-// Summary renders a short trace summary: reference, memory-reference
-// and jump counts, and the footprint.
-func Summary(refs []Ref) string {
-	mem := 0
-	for _, r := range refs {
-		if !r.IsJump {
-			mem++
-		}
-	}
-	return fmt.Sprintf("%d refs (%d mem, %d jumps), footprint %s",
-		len(refs), mem, len(refs)-mem, FootprintBytes(refs))
 }

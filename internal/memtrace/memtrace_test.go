@@ -12,9 +12,6 @@ import (
 func TestSliceStream(t *testing.T) {
 	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
 	s := NewSliceStream(refs)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
 	var got []uint64
 	for {
 		r, ok := s.Next()
@@ -26,21 +23,32 @@ func TestSliceStream(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Addr != 1 {
-		t.Fatal("Reset did not rewind")
+	if _, ok := s.Next(); ok {
+		t.Fatal("exhausted stream produced a ref")
 	}
 }
 
-func TestCollectMax(t *testing.T) {
-	s := NewSliceStream(make([]Ref, 100))
-	if got := Collect(s, 10); len(got) != 10 {
-		t.Fatalf("Collect(max=10) returned %d", len(got))
+// drain reads s to exhaustion.
+func drain(s Stream) []Ref {
+	var out []Ref
+	for {
+		r, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, r)
 	}
-	s.Reset()
-	if got := Collect(s, 0); len(got) != 100 {
-		t.Fatalf("Collect(max=0) returned %d", len(got))
+}
+
+// lines counts the distinct 64-byte lines refs touch, jumps excluded.
+func lines(refs []Ref) int {
+	seen := make(map[uint64]struct{})
+	for _, r := range refs {
+		if !r.IsJump {
+			seen[r.Addr>>6] = struct{}{}
+		}
 	}
+	return len(seen)
 }
 
 // The tests below pin each access pattern of a PhasedStream phase: the
@@ -53,7 +61,7 @@ const phaseBase = 1 << 30
 // collectPhase generates one phase with no jumps and returns its refs.
 func collectPhase(seed uint64, ph PhaseSpec) []Ref {
 	ph.Site = -1
-	return Collect(NewPhasedStream(seed, ph), 0)
+	return drain(NewPhasedStream(seed, ph))
 }
 
 func TestStreamFootprintMatchesRegion(t *testing.T) {
@@ -61,8 +69,8 @@ func TestStreamFootprintMatchesRegion(t *testing.T) {
 	// region once.
 	refs := collectPhase(1, PhaseSpec{Instr: 1024, RefsPerInstr: 1,
 		ColdBytes: 64 * pp.KiB, ColdStride: 64})
-	if fp := FootprintBytes(refs); fp != 64*pp.KiB {
-		t.Fatalf("footprint = %s, want 64KiB", fp)
+	if fp := lines(refs); fp != 1024 {
+		t.Fatalf("footprint = %d lines, want 1024 (64KiB)", fp)
 	}
 	if len(refs) != 1024 {
 		t.Fatalf("refs = %d", len(refs))
@@ -117,7 +125,7 @@ func TestRandomInSetBounded(t *testing.T) {
 
 func TestRandomInSetReuseGrowsWithCount(t *testing.T) {
 	refs := collectPhase(7, PhaseSpec{Instr: 10000, RefsPerInstr: 1, HotBytes: pp.KiB, HotFrac: 1})
-	fp := Footprint(refs)
+	fp := lines(refs)
 	// 1 KiB = 16 lines; 10000 touches must revisit heavily.
 	if fp > 16 {
 		t.Fatalf("footprint %d lines exceeds region", fp)
@@ -133,8 +141,8 @@ func TestSweepRepeat(t *testing.T) {
 	// 1 KiB repeat the same 16 addresses in order.
 	refs := collectPhase(1, PhaseSpec{Instr: 5 * 16, RefsPerInstr: 1,
 		ColdBytes: pp.KiB, ColdStride: 64})
-	if fp := FootprintBytes(refs); fp != pp.KiB {
-		t.Fatalf("footprint = %s, want 1KiB", fp)
+	if fp := lines(refs); fp != 16 {
+		t.Fatalf("footprint = %d lines, want 16 (1KiB)", fp)
 	}
 	if got, want := len(refs), 5*16; got != want {
 		t.Fatalf("refs = %d, want %d", got, want)
@@ -179,7 +187,7 @@ func TestJumpSites(t *testing.T) {
 		PhaseSpec{Instr: 1000, RefsPerInstr: 0.5, HotBytes: pp.KiB, HotFrac: 1, Site: -1},
 	)
 	var jumps []Ref
-	for _, r := range Collect(s, 0) {
+	for _, r := range drain(s) {
 		if r.IsJump {
 			jumps = append(jumps, r)
 		}
@@ -242,25 +250,11 @@ func TestPhaseSpecValidate(t *testing.T) {
 	}
 }
 
-func TestFootprintIgnoresJumps(t *testing.T) {
-	refs := []Ref{{Addr: 0}, {IsJump: true, Addr: 999999}, {Addr: 64}}
-	if Footprint(refs) != 2 {
-		t.Fatalf("Footprint = %d, want 2", Footprint(refs))
-	}
-}
-
-func TestSummary(t *testing.T) {
-	refs := []Ref{{Addr: 0}, {Addr: 8}, {Addr: 64}, {IsJump: true}}
-	if got, want := Summary(refs), "4 refs (3 mem, 1 jumps), footprint 128B"; got != want {
-		t.Fatalf("Summary = %q, want %q", got, want)
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	spec := PhaseSpec{Instr: 2000, RefsPerInstr: 0.5, HotBytes: 64 * pp.KiB,
 		ColdBytes: 16 * pp.KiB, HotFrac: 0.8, Site: 1, JumpEvery: 100}
-	ra := Collect(NewPhasedStream(99, spec), 0)
-	rb := Collect(NewPhasedStream(99, spec), 0)
+	ra := drain(NewPhasedStream(99, spec))
+	rb := drain(NewPhasedStream(99, spec))
 	if len(ra) != len(rb) {
 		t.Fatal("lengths differ")
 	}
@@ -269,7 +263,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 			t.Fatalf("ref %d differs: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
-	rc := Collect(NewPhasedStream(100, spec), 0)
+	rc := drain(NewPhasedStream(100, spec))
 	same := len(rc) == len(ra)
 	for i := 0; same && i < len(ra); i++ {
 		same = ra[i] == rc[i]
@@ -286,7 +280,7 @@ func TestGenTraceStream(t *testing.T) {
 		PhaseSpec{Instr: 128, RefsPerInstr: 1, HotBytes: pp.KiB, HotFrac: 1, Site: -1},
 		PhaseSpec{Instr: 128, RefsPerInstr: 1, HotBytes: pp.KiB, HotFrac: 1, Site: -1},
 	)
-	refs := Collect(s, 0)
+	refs := drain(s)
 	if len(refs) != 256 {
 		t.Fatalf("trace len = %d", len(refs))
 	}
@@ -312,7 +306,7 @@ func TestFuncStream(t *testing.T) {
 		n++
 		return Ref{Addr: uint64(n)}, true
 	})
-	got := Collect(fs, 0)
+	got := drain(fs)
 	if len(got) != 3 || got[2].Addr != 3 {
 		t.Fatalf("got %v", got)
 	}
@@ -326,7 +320,7 @@ func TestPhasedStreamTotalInstr(t *testing.T) {
 		PhaseSpec{Name: "a", Instr: 100, RefsPerInstr: 0.5, HotBytes: 1024, HotFrac: 1, Site: -1},
 		PhaseSpec{Name: "b", Instr: 200, RefsPerInstr: 0.5, HotBytes: 1024, HotFrac: 1, Site: -1},
 	)
-	refs := Collect(s, 0)
+	refs := drain(s)
 	if len(refs) != 150 {
 		t.Fatalf("refs = %d, want 150", len(refs))
 	}

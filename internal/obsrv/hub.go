@@ -13,8 +13,8 @@ import (
 // simulation goroutine for every decision and must never block — a
 // stalled HTTP client must not be able to stall the virtual clock. Each
 // subscriber therefore owns a bounded ring (a buffered channel); when a
-// ring is full the event is dropped for that subscriber and counted,
-// never queued against the engine.
+// ring is full the event is dropped for that subscriber and counted
+// hub-wide, never queued against the engine.
 type Hub struct {
 	mu       sync.Mutex
 	subs     map[*Subscription]struct{}
@@ -29,10 +29,9 @@ func NewHub() *Hub {
 
 // Subscription is one subscriber's bounded event ring.
 type Subscription struct {
-	hub     *Hub
-	ch      chan core.Event
-	dropped atomic.Uint64
-	once    sync.Once
+	hub  *Hub
+	ch   chan core.Event
+	once sync.Once
 }
 
 // Record implements core.EventSink: deliver e to every subscriber ring
@@ -45,7 +44,6 @@ func (h *Hub) Record(e core.Event) {
 		select {
 		case sub.ch <- e:
 		default:
-			sub.dropped.Add(1)
 			h.dropped.Add(1)
 		}
 	}
@@ -69,10 +67,6 @@ func (h *Hub) Subscribe(buffer int) *Subscription {
 // Events returns the subscription's delivery channel. It is never
 // closed — consumers multiplex it with their own cancellation signal.
 func (s *Subscription) Events() <-chan core.Event { return s.ch }
-
-// Dropped returns how many events this subscriber missed because its
-// ring was full.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Close unregisters the subscription. Idempotent.
 func (s *Subscription) Close() {

@@ -31,14 +31,14 @@ func TestHubDeliversToSubscriber(t *testing.T) {
 			t.Fatalf("event %d not delivered", i)
 		}
 	}
-	if h.Recorded() != 5 || h.Dropped() != 0 || sub.Dropped() != 0 {
-		t.Fatalf("recorded/dropped = %d/%d, sub dropped %d", h.Recorded(), h.Dropped(), sub.Dropped())
+	if h.Recorded() != 5 || h.Dropped() != 0 {
+		t.Fatalf("recorded/dropped = %d/%d", h.Recorded(), h.Dropped())
 	}
 }
 
 // TestHubSlowConsumerDrops: a full ring drops the newest events and
-// counts every one, per subscriber and hub-wide; delivered events are
-// untouched.
+// the hub counts every one; delivered events are untouched. A
+// subscriber's drops are the recorded events its ring did not take.
 func TestHubSlowConsumerDrops(t *testing.T) {
 	h := NewHub()
 	slow := h.Subscribe(2)
@@ -48,11 +48,11 @@ func TestHubSlowConsumerDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Record(ev(i))
 	}
-	if got := slow.Dropped(); got != 8 {
-		t.Fatalf("slow subscriber dropped %d, want 8", got)
+	if got := len(slow.Events()); got != 2 {
+		t.Fatalf("slow subscriber took %d events, want 2 (8 dropped)", got)
 	}
-	if got := fast.Dropped(); got != 0 {
-		t.Fatalf("fast subscriber dropped %d, want 0", got)
+	if got := len(fast.Events()); got != 10 {
+		t.Fatalf("fast subscriber took %d events, want 10 (none dropped)", got)
 	}
 	if got := h.Dropped(); got != 8 {
 		t.Fatalf("hub dropped %d, want 8 (per-delivery accounting)", got)
@@ -88,11 +88,16 @@ func TestHubRecordNeverBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Record blocked against a stalled subscriber")
 	}
-	if got := abandoned.Dropped(); got != 9_999 {
-		t.Fatalf("abandoned subscription dropped %d, want 9999", got)
+	if got := len(abandoned.Events()); got != 1 {
+		t.Fatalf("abandoned subscription took %d events, want 1", got)
 	}
-	if got := closed.Dropped(); got != 0 {
-		t.Fatalf("closed subscription dropped %d, want 0 (still registered?)", got)
+	if got := len(closed.Events()); got != 0 {
+		t.Fatalf("closed subscription took %d events, want 0 (still registered?)", got)
+	}
+	// The abandoned ring drops all but the first; the closed one, being
+	// unregistered, drops none.
+	if got := h.Dropped(); got != 9_999 {
+		t.Fatalf("hub dropped %d, want 9999", got)
 	}
 }
 

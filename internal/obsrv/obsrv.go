@@ -44,15 +44,12 @@ const (
 type Config struct {
 	// Addr is the listen address (e.g. ":8080", "127.0.0.1:0").
 	Addr string
-	// EventBuffer is the per-subscriber ring capacity for /events;
-	// 0 means DefaultEventBuffer.
-	EventBuffer int
 	// StatePeriod is the minimum wall-clock interval between state/blame
 	// publications from MaybePublish; 0 means DefaultStatePeriod.
 	StatePeriod time.Duration
 }
 
-// DefaultEventBuffer is the /events per-subscriber ring capacity.
+// DefaultEventBuffer is the capacity of each /events subscriber's ring.
 const DefaultEventBuffer = 1024
 
 // DefaultStatePeriod is the MaybePublish wall-clock gate.
@@ -66,7 +63,6 @@ type Server struct {
 	hub         *Hub
 	ln          net.Listener
 	srv         *http.Server
-	eventBuffer int
 	statePeriod time.Duration
 
 	registry atomic.Pointer[telemetry.Registry]
@@ -86,9 +82,6 @@ type Server struct {
 // The returned server is live immediately (Addr reports the bound
 // address, which matters for ":0"); the caller must Close it.
 func Serve(cfg Config) (*Server, error) {
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = DefaultEventBuffer
-	}
 	if cfg.StatePeriod <= 0 {
 		cfg.StatePeriod = DefaultStatePeriod
 	}
@@ -99,7 +92,6 @@ func Serve(cfg Config) (*Server, error) {
 	s := &Server{
 		hub:         NewHub(),
 		ln:          ln,
-		eventBuffer: cfg.EventBuffer,
 		statePeriod: cfg.StatePeriod,
 		done:        make(chan struct{}),
 		serveErr:    make(chan error, 1),
@@ -271,7 +263,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Subscribe before the response headers go out: a client that has
 	// seen the 200 is guaranteed to be in the fan-out, so "connect, then
 	// start the run" observes the run's first event.
-	sub := s.hub.Subscribe(s.eventBuffer)
+	sub := s.hub.Subscribe(DefaultEventBuffer)
 	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")

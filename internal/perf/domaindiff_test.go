@@ -156,7 +156,6 @@ func domainDiffArtifacts(t *testing.T, rc RunConfig, rep int, build func(*testin
 	}
 	w = jitter(w, rc.JitterFrac, sim.NewRNG(runner.Seed(rc.Seed+0x5eed, uint64(rep))))
 	cfg := rc.Machine
-	cfg.Seed = rc.Seed*1000 + uint64(rep)
 	g := build(t, rc, cfg)
 	m := machine.New(cfg, g)
 	g.SetWaker(m)

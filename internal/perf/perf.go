@@ -537,8 +537,6 @@ func checkpointDir(base string, rep uint64) string {
 
 func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	cfg := rc.Machine
-	cfg.Seed = rc.Seed*1000 + rep
-
 	if rc.Policy == nil {
 		w = Undeclare(w)
 	}

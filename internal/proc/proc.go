@@ -195,15 +195,6 @@ func (p Program) TotalInstr() float64 {
 	return sum
 }
 
-// TotalFlops sums flop counts across phases, repetitions included.
-func (p Program) TotalFlops() float64 {
-	var sum float64
-	for i := range p {
-		sum += p[i].Instr * p[i].FlopsPerInstr * float64(p[i].Repeats())
-	}
-	return sum
-}
-
 // DeclaredCount returns the number of declared (progress period) phases
 // the program runs, repetitions included.
 func (p Program) DeclaredCount() int {
@@ -307,24 +298,6 @@ func (w Workload) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalThreads counts threads across all processes.
-func (w Workload) TotalThreads() int {
-	n := 0
-	for _, s := range w.Procs {
-		n += s.Threads
-	}
-	return n
-}
-
-// TotalFlops sums expected flops across all threads.
-func (w Workload) TotalFlops() float64 {
-	var sum float64
-	for _, s := range w.Procs {
-		sum += float64(s.Threads) * s.Program.TotalFlops()
-	}
-	return sum
 }
 
 // Clone returns a deep copy of the spec (the program slice is not

@@ -61,9 +61,6 @@ func TestProgramTotals(t *testing.T) {
 	if got := prog.TotalInstr(); got != 400 {
 		t.Fatalf("TotalInstr = %v", got)
 	}
-	if got := prog.TotalFlops(); got != 350 {
-		t.Fatalf("TotalFlops = %v", got)
-	}
 	if got := prog.DeclaredCount(); got != 1 {
 		t.Fatalf("DeclaredCount = %v", got)
 	}
@@ -77,9 +74,6 @@ func TestRepeatedProgram(t *testing.T) {
 	}
 	if got := prog.TotalInstr(); got != 1010 {
 		t.Fatalf("TotalInstr = %v", got)
-	}
-	if got := prog.TotalFlops(); got != 950 {
-		t.Fatalf("TotalFlops = %v", got)
 	}
 	if got := prog.DeclaredCount(); got != 3 {
 		t.Fatalf("DeclaredCount = %v", got)
@@ -136,13 +130,6 @@ func TestWorkloadValidateAndTotals(t *testing.T) {
 	}
 	if err := w.Validate(); err != nil {
 		t.Fatalf("valid workload rejected: %v", err)
-	}
-	if got := w.TotalThreads(); got != 5 {
-		t.Fatalf("TotalThreads = %d", got)
-	}
-	wantFlops := 5 * 1e6 * 0.5
-	if got := w.TotalFlops(); got != wantFlops {
-		t.Fatalf("TotalFlops = %v, want %v", got, wantFlops)
 	}
 	if err := (Workload{Name: "empty"}).Validate(); err == nil {
 		t.Fatal("empty workload accepted")

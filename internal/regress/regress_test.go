@@ -102,31 +102,6 @@ func TestAccuracyBounds(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty input not zero")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %v, want 2", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("non-positive input not rejected")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty input not zero")
-	}
-}
-
 func TestLogFitPredictsHeldOutPoint(t *testing.T) {
 	// The Figure 12 procedure in miniature: fit on three points of a
 	// log curve plus mild contamination, predict the fourth, and land in

@@ -31,23 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values: each value is rendered with
-// %v for strings and ints, %.4g for floats.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.4g", v))
-		case float32:
-			row = append(row, fmt.Sprintf("%.4g", v))
-		default:
-			row = append(row, fmt.Sprintf("%v", c))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 

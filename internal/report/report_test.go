@@ -37,15 +37,6 @@ func TestTablePadsShortRows(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "a", "b", "c")
-	tb.AddRowf("x", 3.14159265, 42)
-	out := tb.String()
-	if !strings.Contains(out, "3.142") || !strings.Contains(out, "42") {
-		t.Fatalf("formatted row wrong:\n%s", out)
-	}
-}
-
 func TestMarkdown(t *testing.T) {
 	tb := NewTable("T", "a", "b")
 	tb.AddRow("1", "2")

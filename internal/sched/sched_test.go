@@ -1,9 +1,14 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// all accepts every waiter, so WakeAll(all) empties a queue in FIFO
+// order.
+func all[T any](T) bool { return true }
 
 func TestWaitQueueFIFO(t *testing.T) {
 	var q WaitQueue[int]
@@ -13,14 +18,11 @@ func TestWaitQueueFIFO(t *testing.T) {
 	if q.Len() != 5 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	for i := 0; i < 5; i++ {
-		v, ok := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("dequeue %d = %v,%v", i, v, ok)
-		}
+	if got := q.WakeAll(all[int]); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("woke %v, want [0 1 2 3 4]", got)
 	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("dequeue from empty succeeded")
+	if got := q.WakeAll(all[int]); len(got) != 0 {
+		t.Fatalf("empty queue woke %v", got)
 	}
 }
 
@@ -50,46 +52,11 @@ func TestWaitQueueRemove(t *testing.T) {
 	if q.Remove(t2) {
 		t.Fatal("double remove succeeded")
 	}
-	v, _ := q.Dequeue()
-	if v != 1 {
-		t.Fatalf("head = %d", v)
-	}
-	v, _ = q.Dequeue()
-	if v != 3 {
-		t.Fatalf("second = %d", v)
+	if got := q.WakeAll(all[int]); !slices.Equal(got, []int{1, 3}) {
+		t.Fatalf("woke %v, want [1 3]", got)
 	}
 	_ = t1
 	_ = t3
-}
-
-func TestWakeFirstOrder(t *testing.T) {
-	var q WaitQueue[int]
-	for _, v := range []int{10, 3, 7, 2} {
-		q.Enqueue(v)
-	}
-	// First waiter that fits under a budget of 5: 3 (10 is skipped but
-	// stays queued).
-	v, ok := q.WakeFirst(func(x int) bool { return x <= 5 })
-	if !ok || v != 3 {
-		t.Fatalf("woke %v,%v; want 3", v, ok)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	if head, _ := q.Peek(); head != 10 {
-		t.Fatalf("head = %d, want 10 still queued", head)
-	}
-}
-
-func TestWakeFirstNoneFits(t *testing.T) {
-	var q WaitQueue[int]
-	q.Enqueue(100)
-	if _, ok := q.WakeFirst(func(int) bool { return false }); ok {
-		t.Fatal("woke a waiter that does not fit")
-	}
-	if q.Len() != 1 {
-		t.Fatal("waiter lost")
-	}
 }
 
 func TestWakeAllCapacityShrinks(t *testing.T) {
@@ -110,20 +77,6 @@ func TestWakeAllCapacityShrinks(t *testing.T) {
 	}
 	if q.Len() != 2 {
 		t.Fatalf("left %d queued", q.Len())
-	}
-}
-
-func TestDrain(t *testing.T) {
-	var q WaitQueue[int]
-	for i := 0; i < 3; i++ {
-		q.Enqueue(i)
-	}
-	out := q.Drain()
-	if len(out) != 3 || out[0] != 0 || out[2] != 2 {
-		t.Fatalf("drain = %v", out)
-	}
-	if q.Len() != 0 {
-		t.Fatal("queue not empty after drain")
 	}
 }
 
@@ -180,7 +133,7 @@ func TestAgedAcrossEmptyTransition(t *testing.T) {
 	if v, _, ok := q.AgedFirst(2, prio); !ok || v != 8 {
 		t.Fatalf("aged first = %v after refill", v)
 	}
-	q.Drain()
+	q.WakeAll(all[int])
 	if _, _, ok := q.AgedFirst(0, prio); ok {
 		t.Fatal("aged waiter survived a drain")
 	}
@@ -215,10 +168,8 @@ func TestEnqueueAsRestoresPosition(t *testing.T) {
 		t.Fatal("remove failed")
 	}
 	q.EnqueueAs(2, t2)
-	for want := 1; want <= 3; want++ {
-		if v, ok := q.Dequeue(); !ok || v != want {
-			t.Fatalf("dequeue = %v, want %d", v, want)
-		}
+	if got := q.WakeAll(all[int]); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("woke %v, want [1 2 3]", got)
 	}
 }
 
@@ -246,13 +197,7 @@ func TestWaitQueueFIFOProperty(t *testing.T) {
 		for _, v := range vals {
 			q.Enqueue(v)
 		}
-		for _, v := range vals {
-			got, ok := q.Dequeue()
-			if !ok || got != v {
-				return false
-			}
-		}
-		return q.Len() == 0
+		return slices.Equal(q.WakeAll(all[int]), vals) && q.Len() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

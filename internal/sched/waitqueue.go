@@ -12,8 +12,8 @@ import "fmt"
 
 // WaitQueue is a FIFO wait queue with wake events, generic over the
 // waiter handle type. It is deliberately minimal: the paper's extension
-// needs exactly enqueue (pause), wake-first-that-fits (resume), and
-// removal on exit.
+// needs exactly enqueue (pause), wake-in-order-whatever-fits (resume),
+// and removal on exit.
 type WaitQueue[T any] struct {
 	items []waiter[T]
 	seq   uint64
@@ -57,18 +57,6 @@ func (q *WaitQueue[T]) Peek() (T, bool) {
 		return zero, false
 	}
 	return q.items[0].v, true
-}
-
-// Dequeue removes and returns the oldest waiter.
-func (q *WaitQueue[T]) Dequeue() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0].v
-	q.items[0] = waiter[T]{} // release reference
-	q.items = q.items[1:]
-	return v, true
 }
 
 // EnqueueAs re-inserts v under a previously issued ticket, restoring its
@@ -148,23 +136,6 @@ func (q *WaitQueue[T]) Remove(ticket uint64) bool {
 	return false
 }
 
-// WakeFirst scans waiters in FIFO order and dequeues the first one
-// accepted by fits. It returns the woken value, or ok=false when nothing
-// fits. This is the admission scan the progress monitor performs when a
-// period completes: strictly ordered, so a large early waiter is not
-// starved by small late ones slipping past it more than once per scan.
-func (q *WaitQueue[T]) WakeFirst(fits func(T) bool) (T, bool) {
-	var zero T
-	for i := range q.items {
-		if fits(q.items[i].v) {
-			v := q.items[i].v
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			return v, true
-		}
-	}
-	return zero, false
-}
-
 // WakeAll dequeues every waiter accepted by fits, in FIFO order,
 // re-evaluating fits after each wake (capacity shrinks as waiters are
 // admitted). It returns the woken values.
@@ -180,16 +151,6 @@ func (q *WaitQueue[T]) WakeAll(fits func(T) bool) []T {
 		}
 	}
 	return woken
-}
-
-// Drain removes and returns all waiters.
-func (q *WaitQueue[T]) Drain() []T {
-	out := make([]T, len(q.items))
-	for i := range q.items {
-		out[i] = q.items[i].v
-	}
-	q.items = q.items[:0]
-	return out
 }
 
 func (q *WaitQueue[T]) String() string {

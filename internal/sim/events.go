@@ -55,23 +55,20 @@ type Engine struct {
 	now    Time
 	queue  eventHeap
 	seq    uint64
-	rng    *RNG
 	fired  uint64
 	halted bool
 	hook   func(Time)
 }
 
-// NewEngine returns an engine at time zero with a deterministic RNG
-// derived from seed.
+// NewEngine returns an engine at time zero. The engine draws no random
+// numbers, so seed has no effect; it remains only because perfbench
+// still passes one.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// RNG returns the engine's deterministic random source.
-func (e *Engine) RNG() *RNG { return e.rng }
 
 // Fired returns the number of events fired so far (useful in tests and as
 // a progress/runaway indicator).
@@ -170,19 +167,7 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// RunUntil fires events with time ≤ deadline; events beyond the deadline
-// stay queued and the clock is left at min(deadline, last fired event).
-func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.halted && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline && !e.halted {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Halt stops Run/RunUntil after the current event returns.
+// Halt stops Run after the current event returns.
 func (e *Engine) Halt() { e.halted = true }
 
 // Resume clears a Halt so Run/Step can continue draining the queue. The

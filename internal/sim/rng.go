@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic random number generator
 // (xorshift128+). The standard library's math/rand would also work, but a
 // local implementation pins the sequence across Go releases so recorded
@@ -64,36 +62,4 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard-normal variate (Box–Muller; one value per
-// call, the twin is discarded for simplicity).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Fork derives an independent generator; child streams do not overlap the
-// parent's in practice because the derivation re-mixes through SplitMix64.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
 }

@@ -188,25 +188,6 @@ func TestEngineHalt(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
-	var fired []Time
-	for _, at := range []Time{5, 15, 25} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(20)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events, want 2 (≤ deadline)", len(fired))
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock = %v, want advanced to deadline 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
 // Property: however events are scheduled, they fire in non-decreasing time
 // order and the clock never rewinds.
 func TestEventOrderProperty(t *testing.T) {
@@ -284,24 +265,6 @@ func TestRNGIntnUniformish(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRNGPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -309,25 +272,6 @@ func TestRNGPanics(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
-}
-
-func TestRNGNormFloat64Moments(t *testing.T) {
-	r := NewRNG(11)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if mean < -0.02 || mean > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if variance < 0.95 || variance > 1.05 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
 }
 
 func BenchmarkEngineScheduleFire(b *testing.B) {
@@ -350,9 +294,6 @@ func BenchmarkRNGUint64(b *testing.B) {
 
 func TestAccessors(t *testing.T) {
 	e := NewEngine(5)
-	if e.RNG() == nil {
-		t.Fatal("nil RNG")
-	}
 	ev := e.At(42, func() {})
 	if ev.When() != 42 {
 		t.Fatalf("When = %v", ev.When())
@@ -388,12 +329,6 @@ func TestUint64nAndFork(t *testing.T) {
 		if v := r.Uint64n(7); v >= 7 {
 			t.Fatalf("Uint64n out of range: %d", v)
 		}
-	}
-	child := r.Fork()
-	if child.Uint64() == r.Uint64() {
-		// One collision is astronomically unlikely; a match means Fork
-		// returned an aliased stream.
-		t.Fatal("forked stream aliases parent")
 	}
 	defer func() {
 		if recover() == nil {

@@ -57,10 +57,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add offsets the value. Single-writer: the load-op-store pair is not
-// atomic against other writers, only against readers.
-func (g *Gauge) Add(v float64) { g.Set(g.Value() + v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

