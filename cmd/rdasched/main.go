@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -227,7 +228,7 @@ func main() {
 		}
 	}
 	if *timeline {
-		if err := runTimeline(w, pol); err != nil {
+		if err := runTimeline(os.Stdout, w, pol); err != nil {
 			fatal(err)
 		}
 		return
@@ -475,8 +476,8 @@ func fatal(err error) {
 }
 
 // runTimeline executes one un-jittered run with utilization sampling and
-// the scheduler decision log enabled, and renders both.
-func runTimeline(w proc.Workload, pol core.Policy) error {
+// the scheduler decision log enabled, and renders both to out.
+func runTimeline(out io.Writer, w proc.Workload, pol core.Policy) error {
 	cfg := machine.DefaultConfig()
 	var m *machine.Machine
 	var schd *core.Scheduler
@@ -508,16 +509,16 @@ func runTimeline(w proc.Workload, pol core.Policy) error {
 		labels = append(labels, fmt.Sprintf("%6.2fs", samples[i].At.Seconds()))
 		busy = append(busy, samples[i].BusyCores)
 	}
-	fmt.Print(report.Bars(fmt.Sprintf("busy cores over time (of %d)", cfg.Cores), labels, busy, 48))
+	fmt.Fprint(out, report.Bars(fmt.Sprintf("busy cores over time (of %d)", cfg.Cores), labels, busy, 48))
 
 	if schd != nil {
 		events, dropped := schd.Events()
-		fmt.Printf("\nlast %d scheduler decisions (%d earlier dropped):\n", len(events), dropped)
+		fmt.Fprintf(out, "\nlast %d scheduler decisions (%d earlier dropped):\n", len(events), dropped)
 		for _, e := range events {
-			fmt.Println("  ", e)
+			fmt.Fprintln(out, "  ", e)
 		}
 	}
-	fmt.Printf("\n%.2f s, %.1f J system, %.3f GFLOPS\n",
+	_, err = fmt.Fprintf(out, "\n%.2f s, %.1f J system, %.3f GFLOPS\n",
 		res.Elapsed.Seconds(), res.SystemJ, res.GFLOPS())
-	return nil
+	return err
 }

@@ -1,10 +1,67 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"rdasched/internal/core"
+	"rdasched/internal/proc"
+	"rdasched/internal/workloads"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/timeline.golden")
+
+// TestTimelineGolden pins -timeline's output, the busy-core bars and
+// the scheduler's last decisions, for one SPLASH-2 and one BLAS-3
+// workload under every policy at -scale 0.2. Regenerate with:
+//
+//	go test ./cmd/rdasched -run TimelineGolden -update
+func TestTimelineGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, name := range []string{"water_nsq", "BLAS-3"} {
+		for _, policy := range []string{"default", "strict", "compromise"} {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = proc.ScaleInstr(w, 0.2)
+			var pol core.Policy
+			if policy != "default" {
+				if pol, err = core.PolicyByName(policy); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fmt.Fprintf(&got, "== -workload %s -policy %s -scale 0.2 -timeline\n", name, policy)
+			if err := runTimeline(&got, w, pol); err != nil {
+				t.Fatalf("%s %s: %v", name, policy, err)
+			}
+		}
+	}
+	path := filepath.Join("testdata", "timeline.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-timeline output drifted from %s (run with -update if intended):\n--- got ---\n%s\n--- want ---\n%s",
+			path, got.Bytes(), want)
+	}
+}
 
 // TestValidateFlags pins the CLI's numeric-range checks. The -scale
 // check in particular regresses a real bug: the CLI used to apply
