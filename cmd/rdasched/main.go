@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"rdasched"
 	"rdasched/internal/core"
 	"rdasched/internal/experiments"
 	"rdasched/internal/faults"
@@ -476,17 +475,20 @@ func fatal(err error) {
 }
 
 // runTimeline executes one un-jittered run with utilization sampling and
-// the scheduler decision log enabled, and renders both to out.
+// a ring of the scheduler's last decisions, and renders both to out.
 func runTimeline(out io.Writer, w proc.Workload, pol core.Policy) error {
 	cfg := machine.DefaultConfig()
-	var m *machine.Machine
-	var schd *core.Scheduler
 	if pol == nil {
 		w = perf.Undeclare(w)
-		m = machine.New(cfg, nil)
-	} else {
-		m, schd = rdasched.NewScheduledMachine(cfg, pol)
-		schd.EnableLog(64)
+	}
+	m, schd, err := perf.NewMachine(perf.RunConfig{Machine: cfg, Policy: pol})
+	if err != nil {
+		return err
+	}
+	var ring *core.EventRing
+	if schd != nil {
+		ring = core.NewEventRing(64)
+		schd.AddSink(ring)
 	}
 	m.EnableTimeline(0) // default interval
 	if err := m.AddWorkload(w); err != nil {
@@ -511,9 +513,9 @@ func runTimeline(out io.Writer, w proc.Workload, pol core.Policy) error {
 	}
 	fmt.Fprint(out, report.Bars(fmt.Sprintf("busy cores over time (of %d)", cfg.Cores), labels, busy, 48))
 
-	if schd != nil {
-		events, dropped := schd.Events()
-		fmt.Fprintf(out, "\nlast %d scheduler decisions (%d earlier dropped):\n", len(events), dropped)
+	if ring != nil {
+		events := ring.Events()
+		fmt.Fprintf(out, "\nlast %d scheduler decisions (%d earlier dropped):\n", len(events), ring.Drops())
 		for _, e := range events {
 			fmt.Fprintln(out, "  ", e)
 		}

@@ -19,7 +19,6 @@ import (
 	"rdasched/internal/core"
 	"rdasched/internal/machine"
 	"rdasched/internal/perf"
-	"rdasched/internal/pp"
 	"rdasched/internal/report"
 	"rdasched/internal/workloads"
 )
@@ -56,12 +55,15 @@ func main() {
 	}
 	fmt.Print(t.String())
 
-	// Peek inside the scheduler on a strict run: build the pieces by hand
-	// instead of going through perf, to show the wiring.
-	cfg := machine.DefaultConfig()
-	sched := core.New(core.StrictPolicy{}, cfg.LLCCapacity)
-	m := machine.New(cfg, sched)
-	sched.SetWaker(m)
+	// Peek inside the scheduler on a strict run: build the stack perf
+	// measures and run it by hand.
+	m, sched, err := perf.NewMachine(perf.RunConfig{
+		Machine: machine.DefaultConfig(),
+		Policy:  core.StrictPolicy{},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := m.AddWorkload(w); err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +73,6 @@ func main() {
 	st := sched.Stats()
 	fmt.Printf("\nstrict-run scheduler internals: %d periods opened, %d denied at entry, "+
 		"%d admitted by the empty-load safeguard\n", st.Begins, st.Denied, st.Safegrds)
-	fmt.Printf("peak LLC load registered: %v of %v capacity\n",
-		sched.Resources().Peak(pp.ResourceLLC), sched.Resources().Capacity(pp.ResourceLLC))
+	llc := sched.DomainStats().PerDomain[0]
+	fmt.Printf("peak LLC load registered: %v of %v capacity\n", llc.Peak, llc.Capacity)
 }

@@ -55,7 +55,7 @@ const DefaultStealAge = 10 * sim.Millisecond
 // DomainConfig sizes a DomainSet.
 type DomainConfig struct {
 	// Domains is the number of LLC domains; NewDomainSet rejects values
-	// <= 0 (use 1 for the unsharded scheduler behind a facade).
+	// <= 0 (1 runs the unsharded scheduler behind the set's gate).
 	Domains int
 	// StealAge is how long a waitlisted period must have aged on the
 	// virtual clock before the steal pass may migrate it cross-domain.
@@ -65,10 +65,6 @@ type DomainConfig struct {
 	// DisableSteal turns the cross-domain steal pass off entirely.
 	DisableSteal bool
 }
-
-// DefaultDomainConfig returns the default configuration for n domains
-// (stealing enabled at DefaultStealAge).
-func DefaultDomainConfig(n int) DomainConfig { return DomainConfig{Domains: n} }
 
 // Validate reports whether the configuration can build a DomainSet;
 // every violation wraps ErrInvalidDomainConfig.
@@ -187,15 +183,6 @@ func (d *DomainSet) allocID() pp.ID {
 
 // NumDomains returns the number of domains.
 func (d *DomainSet) NumDomains() int { return len(d.shards) }
-
-// Shard returns domain i's scheduler (introspection for tests and
-// benchmarks; treat it as read-only), or nil when i is out of range.
-func (d *DomainSet) Shard(i int) *Scheduler {
-	if i < 0 || i >= len(d.shards) {
-		return nil
-	}
-	return d.shards[i]
-}
 
 // SetWaker binds the machine used to resume paused threads.
 func (d *DomainSet) SetWaker(w Waker) {
@@ -646,15 +633,6 @@ func (d *DomainSet) GovernorStats() GovernorStats {
 		out.Tightened += gs.Tightened
 	}
 	return out
-}
-
-// Waitlisted returns the number of periods waiting across all domains.
-func (d *DomainSet) Waitlisted() int {
-	n := 0
-	for _, s := range d.shards {
-		n += s.Waitlisted()
-	}
-	return n
 }
 
 // ActivePeriods returns the number of admitted periods across all

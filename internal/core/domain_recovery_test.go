@@ -50,12 +50,12 @@ func TestRecoveryConfigValidation(t *testing.T) {
 }
 
 func TestEnableRecoveryErrors(t *testing.T) {
-	single := mustDomainSet(t, StrictPolicy{}, pp.MB(15), DefaultDomainConfig(1))
+	single := mustDomainSet(t, StrictPolicy{}, pp.MB(15), DomainConfig{Domains: 1})
 	if err := single.EnableRecovery(DefaultRecoveryConfig()); !errors.Is(err, ErrInvalidDomain) {
 		t.Errorf("single-domain EnableRecovery: %v, want ErrInvalidDomain", err)
 	}
 
-	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DefaultDomainConfig(2))
+	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DomainConfig{Domains: 2})
 	if err := d.EnableRecovery(RecoveryConfig{MaxRetries: -1}); !errors.Is(err, ErrInvalidRecoveryConfig) {
 		t.Errorf("bad config: %v, want ErrInvalidRecoveryConfig", err)
 	}
@@ -82,11 +82,11 @@ func TestEnableRecoveryErrors(t *testing.T) {
 // evacuate mode) hands its share to the survivor, reintegration restores
 // the baseline split exactly.
 func TestCapacityLossAndResplit(t *testing.T) {
-	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DefaultDomainConfig(2))
+	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DomainConfig{Domains: 2})
 	if err := d.EnableRecovery(DefaultRecoveryConfig()); err != nil {
 		t.Fatal(err)
 	}
-	capOf := func(i int) pp.Bytes { return d.Shard(i).Resources().Capacity(pp.ResourceLLC) }
+	capOf := func(i int) pp.Bytes { return d.shards[i].Resources().Capacity(pp.ResourceLLC) }
 
 	if err := d.InjectCapacityLoss(0, 0.5); err != nil {
 		t.Fatal(err)
@@ -189,18 +189,18 @@ func TestCrashEvacuatesPeriods(t *testing.T) {
 	if st := d.Stats(); st.Begins != 3 || st.Ends != 3 {
 		t.Fatalf("begins/ends = %d/%d, want 3/3", st.Begins, st.Ends)
 	}
-	if got := d.Shard(1).Stats().Ends; got != 3 {
+	if got := d.shards[1].Stats().Ends; got != 3 {
 		t.Fatalf("survivor ends = %d, want 3 (every period ended there)", got)
 	}
 	if sink.counts[EventDomainFail] != 1 || sink.counts[EventEvacuate] != 2 {
 		t.Fatalf("events: %d domain-fail, %d evacuate, want 1 and 2",
 			sink.counts[EventDomainFail], sink.counts[EventEvacuate])
 	}
-	if d.Waitlisted() != 0 || d.ActivePeriods() != 0 || len(d.domainOf) != 0 {
+	if waitlisted(d) != 0 || d.ActivePeriods() != 0 || len(d.domainOf) != 0 {
 		t.Fatal("registries not drained after the run")
 	}
 	for i := 0; i < 2; i++ {
-		if u := d.Shard(i).Resources().Usage(pp.ResourceLLC); u != 0 {
+		if u := d.shards[i].Resources().Usage(pp.ResourceLLC); u != 0 {
 			t.Errorf("shard %d load %v after drain, want 0", i, u)
 		}
 	}
@@ -262,7 +262,7 @@ func TestEvacuationRetryBackoff(t *testing.T) {
 	if st := d.Stats(); st.Fallbacks != 0 {
 		t.Fatalf("fallbacks = %d, want 0 (the waiter was admitted, not abandoned)", st.Fallbacks)
 	}
-	if d.Waitlisted() != 0 || d.ActivePeriods() != 0 {
+	if waitlisted(d) != 0 || d.ActivePeriods() != 0 {
 		t.Fatal("registries not drained after the run")
 	}
 }
@@ -336,7 +336,7 @@ func TestDropMode(t *testing.T) {
 		if err := d.InjectCrash(0); err != nil {
 			t.Error(err)
 		}
-		if u := d.Shard(0).Resources().Usage(pp.ResourceLLC); u != 0 {
+		if u := d.shards[0].Resources().Usage(pp.ResourceLLC); u != 0 {
 			t.Errorf("shard 0 load %v right after drop, want 0", u)
 		}
 	})
@@ -405,7 +405,7 @@ func TestStallMode(t *testing.T) {
 // either direction is repaired back to the exact sum of admitted
 // tracked charges, and Quiesce stays exact through a corruption.
 func TestAuditRepairsLedger(t *testing.T) {
-	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DefaultDomainConfig(2))
+	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DomainConfig{Domains: 2})
 	if err := d.EnableRecovery(DefaultRecoveryConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -415,14 +415,14 @@ func TestAuditRepairsLedger(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		key := periodKey{procID: i, phaseIdx: 0}
 		di := d.place([]pp.Demand{dm})
-		s := d.Shard(di)
+		s := d.shards[di]
 		per := s.reg.open(key)
 		per.demands = append(per.demands, dm)
 		per.id = s.allocID()
 		d.domainOf[key] = di
 		s.admit(per)
 	}
-	usage := func(i int) pp.Bytes { return d.Shard(i).Resources().Usage(pp.ResourceLLC) }
+	usage := func(i int) pp.Bytes { return d.shards[i].Resources().Usage(pp.ResourceLLC) }
 	want0, want1 := usage(0), usage(1)
 
 	if err := d.InjectLedgerCorruption(0, pp.MB(2)); err != nil {
@@ -504,7 +504,7 @@ func TestAuditTickRepairsMidRun(t *testing.T) {
 	if st := d.Stats(); st.Ends != 1 {
 		t.Fatalf("ends = %d, want 1", st.Ends)
 	}
-	if u := d.Shard(0).Resources().Usage(pp.ResourceLLC); u != 0 {
+	if u := d.shards[0].Resources().Usage(pp.ResourceLLC); u != 0 {
 		t.Fatalf("shard 0 load %v after drain, want 0", u)
 	}
 }
@@ -545,7 +545,7 @@ func TestRecoverDomainMidRun(t *testing.T) {
 	}
 	half := machine.DefaultConfig().LLCCapacity / 2
 	for i := 0; i < 2; i++ {
-		if c := d.Shard(i).Resources().Capacity(pp.ResourceLLC); c != half {
+		if c := d.shards[i].Resources().Capacity(pp.ResourceLLC); c != half {
 			t.Errorf("shard %d capacity %v after heal, want baseline %v", i, c, half)
 		}
 	}

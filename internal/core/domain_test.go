@@ -35,6 +35,15 @@ func mustDomainSet(t *testing.T, policy Policy, llc pp.Bytes, dcfg DomainConfig)
 	return d
 }
 
+// waitlisted sums the periods waiting on every shard of d.
+func waitlisted(d *DomainSet) int {
+	n := 0
+	for _, s := range d.shards {
+		n += s.Waitlisted()
+	}
+	return n
+}
+
 func TestSplitShare(t *testing.T) {
 	for _, tc := range []struct {
 		total pp.Bytes
@@ -58,6 +67,18 @@ func TestSplitShare(t *testing.T) {
 			t.Errorf("splitShare(%d, ·, %d) sums to %d", tc.total, tc.n, sum)
 		}
 	}
+	// A set's per-domain capacities are that split of the whole LLC.
+	d := mustDomainSet(t, StrictPolicy{}, pp.MB(15), DomainConfig{Domains: 3})
+	if n := d.NumDomains(); n != 3 {
+		t.Fatalf("NumDomains = %d, want 3", n)
+	}
+	var total pp.Bytes
+	for _, per := range d.DomainStats().PerDomain {
+		total += per.Capacity
+	}
+	if total != pp.MB(15) {
+		t.Errorf("per-domain capacities sum to %v, want the whole LLC", total)
+	}
 }
 
 // TestDomainSingleMatchesUnsharded locks the Domains=1 aggregation
@@ -67,7 +88,7 @@ func TestDomainSingleMatchesUnsharded(t *testing.T) {
 	s, ms := build(t, StrictPolicy{})
 	s.SetClock(ms.Now) // buildDomains binds a clock; match it so MaxWait compares
 	s.SetTimer(ms.Engine())
-	d, md := buildDomains(t, StrictPolicy{}, DefaultDomainConfig(1))
+	d, md := buildDomains(t, StrictPolicy{}, DomainConfig{Domains: 1})
 	for i := 0; i < 10; i++ {
 		if _, err := ms.AddProcess(declaredProc("p", pp.MB(4), 1e7)); err != nil {
 			t.Fatal(err)
@@ -85,8 +106,8 @@ func TestDomainSingleMatchesUnsharded(t *testing.T) {
 	if got, want := d.Stats(), s.Stats(); got != want {
 		t.Errorf("single-domain stats %+v != unsharded %+v", got, want)
 	}
-	if got, want := d.Waitlisted(), s.Waitlisted(); got != want {
-		t.Errorf("Waitlisted() = %d, want %d", got, want)
+	if got, want := waitlisted(d), s.Waitlisted(); got != want {
+		t.Errorf("waitlisted = %d, want %d", got, want)
 	}
 	if got, want := d.ActivePeriods(), s.ActivePeriods(); got != want {
 		t.Errorf("ActivePeriods() = %d, want %d", got, want)
@@ -109,7 +130,7 @@ func TestDomainSingleMatchesUnsharded(t *testing.T) {
 // the shard max), and every counter the run produced is accounted to
 // exactly one domain.
 func TestDomainAggregatesSumShards(t *testing.T) {
-	d, m := buildDomains(t, StrictPolicy{}, DefaultDomainConfig(3))
+	d, m := buildDomains(t, StrictPolicy{}, DomainConfig{Domains: 3})
 	for i := 0; i < 12; i++ {
 		if _, err := m.AddProcess(declaredProc("p", pp.MB(3), 1e7)); err != nil {
 			t.Fatal(err)
@@ -120,7 +141,7 @@ func TestDomainAggregatesSumShards(t *testing.T) {
 	}
 	var want Stats
 	for i := 0; i < d.NumDomains(); i++ {
-		st := d.Shard(i).Stats()
+		st := d.shards[i].Stats()
 		want.Begins += st.Begins
 		want.Ends += st.Ends
 		want.Admitted += st.Admitted
@@ -143,11 +164,11 @@ func TestDomainAggregatesSumShards(t *testing.T) {
 	if st.Begins != 12 || st.Ends != 12 {
 		t.Fatalf("begins/ends = %d/%d, want 12/12", st.Begins, st.Ends)
 	}
-	if d.Waitlisted() != 0 || d.ActivePeriods() != 0 {
+	if waitlisted(d) != 0 || d.ActivePeriods() != 0 {
 		t.Fatal("registry not empty after run")
 	}
 	for i := 0; i < d.NumDomains(); i++ {
-		if u := d.Shard(i).Resources().Usage(pp.ResourceLLC); u != 0 {
+		if u := d.shards[i].Resources().Usage(pp.ResourceLLC); u != 0 {
 			t.Errorf("domain %d load %v after drain, want 0", i, u)
 		}
 	}
@@ -162,12 +183,12 @@ func TestDomainAggregatesSumShards(t *testing.T) {
 // TestPlaceBestFit drives the placer directly: pack-tight among
 // admitting domains, least-loaded fallback, lower index on ties.
 func TestPlaceBestFit(t *testing.T) {
-	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DefaultDomainConfig(2)) // 8 MB per domain
+	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DomainConfig{Domains: 2}) // 8 MB per domain
 	dm := func(mb float64) []pp.Demand {
 		return []pp.Demand{{Resource: pp.ResourceLLC, WorkingSet: pp.MB(mb), Reuse: pp.ReuseHigh}}
 	}
 	occupy := func(i int, mb float64) {
-		d.Shard(i).Resources().Increment(dm(mb)[0])
+		d.shards[i].Resources().Increment(dm(mb)[0])
 	}
 	if got := d.place(dm(2)); got != 0 {
 		t.Errorf("empty set: place(2MB) = %d, want 0 (tie breaks low)", got)
@@ -257,7 +278,7 @@ func TestStealMigratesAgedWaiter(t *testing.T) {
 	if got := d.Stats().MaxWait; got != wk.Wait {
 		t.Errorf("MaxWait = %v, want the waiter's full wait %v", got, wk.Wait)
 	}
-	if d.Waitlisted() != 0 || d.ActivePeriods() != 0 {
+	if waitlisted(d) != 0 || d.ActivePeriods() != 0 {
 		t.Fatal("registry not empty after run")
 	}
 }
@@ -320,22 +341,21 @@ func TestDomainConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDomainBoundsChecks pins the introspection accessors on empty and
-// out-of-range inputs: nil, never a panic.
+// TestDomainBoundsChecks pins the introspection accessors on a
+// zero-value set: zero values, never a panic.
 func TestDomainBoundsChecks(t *testing.T) {
-	d := mustDomainSet(t, StrictPolicy{}, pp.MB(15), DefaultDomainConfig(2))
-	if got := d.Shard(-1); got != nil {
-		t.Errorf("Shard(-1) = %v, want nil", got)
-	}
-	if got := d.Shard(2); got != nil {
-		t.Errorf("Shard(2) = %v, want nil", got)
-	}
-	if got := d.Shard(1); got == nil {
-		t.Error("Shard(1) = nil for an in-range index")
-	}
 	var empty DomainSet
-	if got := empty.Shard(0); got != nil {
-		t.Errorf("zero-value Shard(0) = %v, want nil", got)
+	if n := empty.NumDomains(); n != 0 {
+		t.Errorf("zero-value NumDomains() = %d, want 0", n)
+	}
+	if st := empty.Stats(); st != (Stats{}) {
+		t.Errorf("zero-value Stats() = %+v, want zero", st)
+	}
+	if n := empty.ActivePeriods(); n != 0 {
+		t.Errorf("zero-value ActivePeriods() = %d, want 0", n)
+	}
+	if ds := empty.DomainStats(); ds.Domains != 0 || len(ds.PerDomain) != 0 {
+		t.Errorf("zero-value DomainStats() = %+v, want no domains", ds)
 	}
 }
 
@@ -366,7 +386,7 @@ func TestStealSkipsOpenBreaker(t *testing.T) {
 	// steal path at all.)
 	m.Engine().After(sim.Millisecond, func() {
 		for i := 0; i < d.NumDomains(); i++ {
-			s := d.Shard(i)
+			s := d.shards[i]
 			s.gov.breakers = growSlots(s.gov.breakers, waiter.ID())
 			s.gov.breakers[waiter.ID()] = &breaker{state: BreakerOpen, openedAt: m.Now()}
 		}
@@ -386,12 +406,12 @@ func TestStealSkipsOpenBreaker(t *testing.T) {
 // registered period is reclaimed in domain order and the set reports
 // zero residue afterwards.
 func TestDomainQuiesce(t *testing.T) {
-	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DefaultDomainConfig(2))
+	d := mustDomainSet(t, StrictPolicy{}, pp.MB(16), DomainConfig{Domains: 2})
 	dm := pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(3), Reuse: pp.ReuseHigh}
 	for i := 0; i < 4; i++ {
 		key := periodKey{procID: i, phaseIdx: 0}
 		di := d.place([]pp.Demand{dm})
-		s := d.Shard(di)
+		s := d.shards[di]
 		per := s.reg.open(key)
 		per.demands = append(per.demands, dm)
 		per.id = s.allocID()
@@ -405,7 +425,7 @@ func TestDomainQuiesce(t *testing.T) {
 		t.Fatalf("Quiesce reclaimed %d, want 4", got)
 	}
 	for i := 0; i < 2; i++ {
-		if u := d.Shard(i).Resources().Usage(pp.ResourceLLC); u != 0 {
+		if u := d.shards[i].Resources().Usage(pp.ResourceLLC); u != 0 {
 			t.Errorf("domain %d load %v after Quiesce, want 0", i, u)
 		}
 	}

@@ -115,7 +115,8 @@ func TestMultiResourceAdmission(t *testing.T) {
 func TestDecisionLog(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
 	s.SetClock(m.Now)
-	s.EnableLog(1024)
+	ring := NewEventRing(1024)
+	s.AddSink(ring)
 	for i := 0; i < 6; i++ {
 		if _, err := m.AddProcess(declaredProc("p", pp.MB(4), 1e7)); err != nil {
 			t.Fatal(err)
@@ -124,8 +125,8 @@ func TestDecisionLog(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	events, dropped := s.Events()
-	if dropped != 0 {
+	events := ring.Events()
+	if dropped := ring.Drops(); dropped != 0 {
 		t.Fatalf("dropped %d events with roomy ring", dropped)
 	}
 	counts := map[EventKind]int{}
@@ -157,7 +158,8 @@ func TestDecisionLog(t *testing.T) {
 
 func TestDecisionLogRing(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
-	s.EnableLog(4) // tiny ring: must drop and keep the most recent
+	ring := NewEventRing(4) // tiny ring: must drop and keep the most recent
+	s.AddSink(ring)
 	for i := 0; i < 8; i++ {
 		if _, err := m.AddProcess(declaredProc("p", pp.MB(1), 1e6)); err != nil {
 			t.Fatal(err)
@@ -166,11 +168,11 @@ func TestDecisionLogRing(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	events, dropped := s.Events()
+	events := ring.Events()
 	if len(events) != 4 {
 		t.Fatalf("ring holds %d, want 4", len(events))
 	}
-	if dropped == 0 {
+	if ring.Drops() == 0 {
 		t.Fatal("no drops despite overflow")
 	}
 	// The retained events are the last ones: all should be ends (the run
@@ -181,20 +183,25 @@ func TestDecisionLogRing(t *testing.T) {
 	}
 }
 
+// TestDecisionLogDisabled pins the disabled decision log: AddSink(nil)
+// subscribes nothing, so the run keeps the sink-free path (a nil sink
+// would panic on the first decision), and a ring subscribed after the
+// run holds none of its decisions.
 func TestDecisionLogDisabled(t *testing.T) {
 	s, m := build(t, StrictPolicy{})
+	s.AddSink(nil)
+	if len(s.sinks) != 0 {
+		t.Fatalf("AddSink(nil) subscribed %d sinks", len(s.sinks))
+	}
 	if _, err := m.AddProcess(declaredProc("p", pp.MB(1), 1e6)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if events, _ := s.Events(); len(events) != 0 {
-		t.Fatal("events recorded while disabled")
-	}
-	s.EnableLog(8)
-	s.EnableLog(0) // disable again
-	if events, _ := s.Events(); len(events) != 0 {
-		t.Fatal("disable did not clear")
+	ring := NewEventRing(8)
+	s.AddSink(ring)
+	if events := ring.Events(); len(events) != 0 || ring.Drops() != 0 {
+		t.Fatalf("a ring subscribed after the run holds %d events, %d dropped", len(events), ring.Drops())
 	}
 }

@@ -134,7 +134,7 @@ func checkDomainInvariants(seed uint64, domains, polIdx uint8) error {
 			seed, n, st.Begins, st.Ends, st.Reclaimed)
 	}
 	for i := 0; i < d.NumDomains(); i++ {
-		s := d.Shard(i)
+		s := d.shards[i]
 		if u := s.Resources().Usage(pp.ResourceLLC); u != 0 {
 			return fmt.Errorf("seed %d domain %d: leftover load %v", seed, i, u)
 		}

@@ -170,7 +170,7 @@ func checkRecoveryInvariants(seed uint64, domains, modeIdx uint8) error {
 			seed, mode, rst.Corruptions)
 	}
 	for i := 0; i < d.NumDomains(); i++ {
-		s := d.Shard(i)
+		s := d.shards[i]
 		if u := s.Resources().Usage(pp.ResourceLLC); u != 0 {
 			return fmt.Errorf("seed %d mode %s domain %d: leftover load %v", seed, mode, i, u)
 		}

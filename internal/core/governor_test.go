@@ -79,14 +79,15 @@ func phaseDuration(t *testing.T) sim.Duration {
 // breaker, a lying one re-trips it.
 func TestQuarantineLifecycle(t *testing.T) {
 	d := phaseDuration(t)
-	run := func(t *testing.T, lies []bool) (*Scheduler, *machine.Machine, *machine.Process) {
+	run := func(t *testing.T, lies []bool) (*Scheduler, *machine.Machine, *machine.Process, *EventRing) {
 		t.Helper()
 		s, m := buildRobust(t, StrictPolicy{}, 0, 0)
 		cfg := quietGovernor()
 		cfg.Strikes = 2
 		cfg.Probation = d + d/2 // between one and two phases after the trip
 		s.EnableGovernor(cfg)
-		s.EnableLog(64)
+		ring := NewEventRing(64)
+		s.AddSink(ring)
 		p, err := m.AddProcess(multiPhaseProc("liar", lies))
 		if err != nil {
 			t.Fatal(err)
@@ -94,12 +95,11 @@ func TestQuarantineLifecycle(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return s, m, p
+		return s, m, p, ring
 	}
-	countEvents := func(s *Scheduler, kind EventKind) int {
-		events, _ := s.Events()
+	countEvents := func(ring *EventRing, kind EventKind) int {
 		n := 0
-		for _, e := range events {
+		for _, e := range ring.Events() {
 			if e.Kind == kind {
 				n++
 			}
@@ -111,7 +111,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 		// ph0 lie: strike 1. ph1 lie: strike 2, trip — quarantined.
 		// ph2: inside probation — quarantined. ph3 truthful: probation
 		// elapsed, half-open probe — clean, restored. ph4, ph5: normal.
-		s, m, p := run(t, []bool{true, true, true, false, false, false})
+		s, m, p, ring := run(t, []bool{true, true, true, false, false, false})
 		gs := s.GovernorStats()
 		if gs.Strikes != 2 || gs.Quarantines != 1 {
 			t.Errorf("strikes/quarantines = %d/%d, want 2/1", gs.Strikes, gs.Quarantines)
@@ -125,10 +125,10 @@ func TestQuarantineLifecycle(t *testing.T) {
 		if st := s.BreakerState(p.ID(), m.Now()); st != BreakerClosed {
 			t.Errorf("breaker %v after a clean probe, want closed", st)
 		}
-		if n := countEvents(s, EventGovernorQuarantine); n != 2 {
+		if n := countEvents(ring, EventGovernorQuarantine); n != 2 {
 			t.Errorf("quarantine events = %d, want 2", n)
 		}
-		if n := countEvents(s, EventGovernorRestore); n != 1 {
+		if n := countEvents(ring, EventGovernorRestore); n != 1 {
 			t.Errorf("restore events = %d, want 1", n)
 		}
 		st := s.Stats()
@@ -148,7 +148,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	t.Run("lying-probe-retrips", func(t *testing.T) {
 		// ph3's probe lies: the breaker re-trips for a second probation;
 		// ph5 is the second probe and restores.
-		s, m, p := run(t, []bool{true, true, true, true, true, false})
+		s, m, p, _ := run(t, []bool{true, true, true, true, true, false})
 		gs := s.GovernorStats()
 		if gs.Quarantines != 2 {
 			t.Errorf("quarantines = %d, want 2 (trip + half-open re-trip)", gs.Quarantines)
@@ -178,7 +178,8 @@ func TestGovernorHysteresisDegradeRecover(t *testing.T) {
 	cfg.RecoverHold = 5 * sim.Millisecond
 	cfg.Window = 3 * sim.Millisecond
 	s.EnableGovernor(cfg)
-	s.EnableLog(64)
+	ring := NewEventRing(64)
+	s.AddSink(ring)
 	// The occupant leaks its 14 MB registration (no lease here), so the
 	// victim can never be admitted under Strict — only the ladder's step
 	// to Compromise (14+14+1 = 29 <= 30) unblocks it. The background
@@ -222,7 +223,7 @@ func TestGovernorHysteresisDegradeRecover(t *testing.T) {
 	if st.MaxWait > 20*sim.Millisecond {
 		t.Fatalf("max wait %v: the ladder never admitted the victim", st.MaxWait)
 	}
-	events, _ := s.Events()
+	events := ring.Events()
 	var degrade, recover bool
 	for _, e := range events {
 		switch e.Kind {
@@ -264,7 +265,8 @@ func TestGovernorLeaseTightening(t *testing.T) {
 	cfg.Window = 3 * sim.Millisecond
 	cfg.LeaseTighten = 8 // 48 ms / 8 = 6 ms tightened horizon
 	s.EnableGovernor(cfg)
-	s.EnableLog(64)
+	ring := NewEventRing(64)
+	s.AddSink(ring)
 	if _, err := m.AddProcess(leakyProc("occupant", pp.MB(14), 1e6)); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func TestGovernorLeaseTightening(t *testing.T) {
 	}
 	// The point of the mechanism: both reclaims fire at the tightened
 	// horizon, a small fraction of the 48 ms lease.
-	events, _ := s.Events()
+	events := ring.Events()
 	reclaims := 0
 	for _, e := range events {
 		if e.Kind != EventReclaim {
@@ -336,7 +338,8 @@ func TestGovernorReservationPreservesTicket(t *testing.T) {
 	cfg := quietGovernor()
 	cfg.AgeThreshold = 1e-9 // any waiter ages immediately
 	s.EnableGovernor(cfg)
-	s.EnableLog(64)
+	ring := NewEventRing(64)
+	s.AddSink(ring)
 	// hog(8 MB) runs ~52 ms. big(10 MB) is denied at t=0 and can only run
 	// once the hog ends. smallA/smallB are admitted at t=0 (8+3+3 = 14)
 	// and end at ~21 ms and ~32 ms — each end probes the aged big waiter
@@ -379,7 +382,7 @@ func TestGovernorReservationPreservesTicket(t *testing.T) {
 	if st.MaxWait < 45*sim.Millisecond {
 		t.Fatalf("max wait %v, want the full wait since t=0 preserved across re-denials", st.MaxWait)
 	}
-	events, _ := s.Events()
+	events := ring.Events()
 	var bigWaits []sim.Duration // reserve, reserve, wake — must be strictly increasing
 	bigWake, lateWake := -1, -1
 	for i, e := range events {

@@ -27,7 +27,9 @@ func TestBeginEndAllocatesNothing(t *testing.T) {
 		gate func() machine.Gate
 	}{
 		{"scheduler", func() machine.Gate { return New(StrictPolicy{}, cfg.LLCCapacity) }},
-		{"two-domains", func() machine.Gate { return mustDomainSet(t, StrictPolicy{}, cfg.LLCCapacity, DefaultDomainConfig(2)) }},
+		{"two-domains", func() machine.Gate {
+			return mustDomainSet(t, StrictPolicy{}, cfg.LLCCapacity, DomainConfig{Domains: 2})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.gate()
@@ -169,7 +171,7 @@ func BenchmarkCoreBeginEnd(b *testing.B) {
 	}
 }
 
-// TestImportRefusesHostileIDs hands ImportState states whose process,
+// TestImportRefusesHostileIDs hands importDomain states whose process,
 // phase or thread IDs the machine could not have issued. Each must be
 // refused with an error — before any of them indexes a registry or
 // breaker slot, where a negative ID would panic and a huge one allocate
@@ -204,7 +206,7 @@ func TestImportRefusesHostileIDs(t *testing.T) {
 	st := valid()
 	want, _ := st.Canonical()
 	s := gate()
-	if err := s.ImportState(st, m.ThreadByID); err != nil {
+	if err := s.importDomain(st.Domains[0], m.ThreadByID); err != nil {
 		t.Fatalf("valid state refused: %v", err)
 	}
 	back := s.ExportState()
@@ -237,7 +239,7 @@ func TestImportRefusesHostileIDs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			st := valid()
 			mut(&st.Domains[0])
-			if err := gate().ImportState(st, m.ThreadByID); err == nil {
+			if err := gate().importDomain(st.Domains[0], m.ThreadByID); err == nil {
 				t.Fatal("hostile state imported without error")
 			}
 		})

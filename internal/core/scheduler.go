@@ -113,7 +113,6 @@ type Scheduler struct {
 	// Decision stream (log.go) and metrics sampling (metrics.go).
 	clock Clock
 	sinks []EventSink
-	ring  *EventRing
 	met   *schedMetrics
 
 	// Blame sinks (blame.go): the subset of sinks that also take the

@@ -272,19 +272,12 @@ func (d *DomainSet) ExportState() State {
 	return st
 }
 
-// ImportState restores a single-domain State into this scheduler, which
-// must be freshly built with the same policy, capacity, and bindings
-// (waker, clock, timer, lease, deadline, governor config) as the one
-// that exported it. Waiter thread IDs are re-linked through resolve,
-// and every persisted lease/deadline/tick expiry is re-armed on the
-// bound timer at its original absolute time.
-func (s *Scheduler) ImportState(st State, resolve ThreadResolver) error {
-	if len(st.Domains) != 1 || st.Set != nil {
-		return fmt.Errorf("core: import of %d-domain state (set=%v) into unsharded scheduler", len(st.Domains), st.Set != nil)
-	}
-	return s.importDomain(st.Domains[0], resolve)
-}
-
+// importDomain restores one domain's state into this shard, which must
+// be freshly built with the same policy, capacity, and bindings (waker,
+// clock, timer, lease, deadline, governor config) as the one that
+// exported it. Waiter thread IDs are re-linked through resolve, and
+// every persisted lease/deadline/tick expiry is re-armed on the bound
+// timer at its original absolute time.
 func (s *Scheduler) importDomain(d DomainState, resolve ThreadResolver) error {
 	if s.reg.len() != 0 || s.waitlist.Len() != 0 || s.stats != (Stats{}) {
 		return fmt.Errorf("core: ImportState into a scheduler that already ran")

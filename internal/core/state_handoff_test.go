@@ -34,7 +34,7 @@ func handOff(t *testing.T, m *machine.Machine, s *Scheduler, killAt sim.Duration
 	st := s.ExportState()
 	s.Detach()
 	s2 := mk()
-	if err := s2.ImportState(st, m.ThreadByID); err != nil {
+	if err := s2.importDomain(st.Domains[0], m.ThreadByID); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	m.SetGate(s2)
@@ -46,10 +46,9 @@ func handOff(t *testing.T, m *machine.Machine, s *Scheduler, killAt sim.Duration
 }
 
 // wakeOrder extracts the EventWake process IDs from a decision log.
-func wakeOrder(s *Scheduler) []int {
-	events, _ := s.Events()
+func wakeOrder(ring *EventRing) []int {
 	var ids []int
-	for _, e := range events {
+	for _, e := range ring.Events() {
 		if e.Kind == EventWake {
 			ids = append(ids, e.Proc)
 		}
@@ -66,21 +65,22 @@ func wakeOrder(s *Scheduler) []int {
 func TestStateHandoffMidProbationBreaker(t *testing.T) {
 	d := phaseDuration(t)
 	lies := []bool{true, true, true, false, false, false}
-	setup := func(t *testing.T) (*Scheduler, *machine.Machine, GovernorConfig) {
+	setup := func(t *testing.T) (*Scheduler, *machine.Machine, GovernorConfig, *EventRing) {
 		t.Helper()
 		s, m := buildRobust(t, StrictPolicy{}, 0, 0)
 		cfg := quietGovernor()
 		cfg.Strikes = 2
 		cfg.Probation = d + d/2
 		s.EnableGovernor(cfg)
-		s.EnableLog(64)
+		ring := NewEventRing(64)
+		s.AddSink(ring)
 		if _, err := m.AddProcess(multiPhaseProc("liar", lies)); err != nil {
 			t.Fatal(err)
 		}
-		return s, m, cfg
+		return s, m, cfg, ring
 	}
 
-	sb, mb, _ := setup(t)
+	sb, mb, _, ringB := setup(t)
 	if _, err := mb.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +88,8 @@ func TestStateHandoffMidProbationBreaker(t *testing.T) {
 	// Calibrate the kill from the baseline's own log: half a probation
 	// window past the trip is strictly inside it, whatever the phase
 	// timing works out to.
-	events, _ := sb.Events()
 	var tripAt sim.Duration = -1
-	for _, e := range events {
+	for _, e := range ringB.Events() {
 		if e.Kind == EventGovernorQuarantine {
 			tripAt = e.At.DurationSince(0)
 			break
@@ -100,7 +99,7 @@ func TestStateHandoffMidProbationBreaker(t *testing.T) {
 		t.Fatal("baseline never tripped the breaker")
 	}
 
-	s, m, cfg := setup(t)
+	s, m, cfg, _ := setup(t)
 	s2 := handOff(t, m, s, tripAt+cfg.Probation/2, func(live *Scheduler) {
 		if bs := live.BreakerState(0, m.Now()); bs != BreakerOpen {
 			t.Fatalf("breaker %v at the kill, want open mid-probation", bs)
@@ -114,7 +113,6 @@ func TestStateHandoffMidProbationBreaker(t *testing.T) {
 		n.SetTimer(m.Engine())
 		n.SetClock(m.Now)
 		n.EnableGovernor(cfg)
-		n.EnableLog(64)
 		return n
 	})
 	if gs := s2.GovernorStats(); gs != wantGov {
@@ -136,13 +134,14 @@ func TestStateHandoffMidProbationBreaker(t *testing.T) {
 // waiter strictly before the younger one that would otherwise fit — and
 // its full wait clock.
 func TestStateHandoffPreservesWaitTicketOrder(t *testing.T) {
-	setup := func(t *testing.T) (*Scheduler, *machine.Machine, GovernorConfig) {
+	setup := func(t *testing.T) (*Scheduler, *machine.Machine, GovernorConfig, *EventRing) {
 		t.Helper()
 		s, m := buildRobust(t, StrictPolicy{}, 0, 0)
 		cfg := quietGovernor()
 		cfg.AgeThreshold = 1e-9
 		s.EnableGovernor(cfg)
-		s.EnableLog(64)
+		ring := NewEventRing(64)
+		s.AddSink(ring)
 		for _, spec := range []struct {
 			name  string
 			wss   pp.Bytes
@@ -158,23 +157,22 @@ func TestStateHandoffPreservesWaitTicketOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s, m, cfg
+		return s, m, cfg, ring
 	}
 
-	sb, mb, _ := setup(t)
+	sb, mb, _, ringB := setup(t)
 	if _, err := mb.Run(); err != nil {
 		t.Fatal(err)
 	}
-	wantWakes, wantStats, wantGov := wakeOrder(sb), sb.Stats(), sb.GovernorStats()
+	wantWakes, wantStats, wantGov := wakeOrder(ringB), sb.Stats(), sb.GovernorStats()
 	if len(wantWakes) != 2 {
 		t.Fatalf("baseline woke %v, want big then late", wantWakes)
 	}
 	// Calibrate the kill between the two reservation probes: smallA's end
 	// has probed and re-denied big (back on the queue under its t=0
 	// ticket, reservation held), smallB's end has not yet.
-	events, _ := sb.Events()
 	var resAt []sim.Duration
-	for _, e := range events {
+	for _, e := range ringB.Events() {
 		if e.Kind == EventGovernorReserve {
 			resAt = append(resAt, e.At.DurationSince(0))
 		}
@@ -183,7 +181,8 @@ func TestStateHandoffPreservesWaitTicketOrder(t *testing.T) {
 		t.Fatalf("baseline took %d reservations, want 2", len(resAt))
 	}
 
-	s, m, cfg := setup(t)
+	s, m, cfg, ring := setup(t)
+	var ring2 *EventRing
 	s2 := handOff(t, m, s, (resAt[0]+resAt[1])/2, func(live *Scheduler) {
 		if gs := live.GovernorStats(); gs.Reservations != 1 {
 			t.Fatalf("reservations at the kill = %d, want exactly the first probe taken", gs.Reservations)
@@ -197,12 +196,13 @@ func TestStateHandoffPreservesWaitTicketOrder(t *testing.T) {
 		n.SetTimer(m.Engine())
 		n.SetClock(m.Now)
 		n.EnableGovernor(cfg)
-		n.EnableLog(64)
+		ring2 = NewEventRing(64)
+		n.AddSink(ring2)
 		return n
 	})
 	// The decision log spans both schedulers: wakes before the handoff
-	// live in the detached one, the rest in the import.
-	gotWakes := append(wakeOrder(s), wakeOrder(s2)...)
+	// live in the detached one's ring, the rest in the import's.
+	gotWakes := append(wakeOrder(ring), wakeOrder(ring2)...)
 	if len(gotWakes) != len(wantWakes) {
 		t.Fatalf("handoff run woke %v, baseline woke %v", gotWakes, wantWakes)
 	}

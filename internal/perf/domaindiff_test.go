@@ -123,7 +123,7 @@ func unshardedGate(t *testing.T, rc RunConfig, cfg machine.Config) stack {
 
 // singleDomainGate is perf's own gate for rc at Domains=0.
 func singleDomainGate(t *testing.T, rc RunConfig, cfg machine.Config) stack {
-	d, err := newGate(rc, cfg)
+	d, err := newGate(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,15 +358,51 @@ func Sample(w proc.Workload, rc RunConfig, rep int) (Metrics, error) {
 	return runOnce(w, rc, uint64(rep))
 }
 
+// NewMachine builds the stack Run measures: a machine with rc.Machine's
+// configuration whose declared phases are gated by a DomainSet of
+// max(rc.Domains, 1) shards under rc.Policy, bound to the machine's
+// waker, clock (event times, waits, blame), event engine (leases,
+// admission deadlines, the governor's tick) and memory bandwidth. It
+// reads rc's Machine, Policy, Domains, StealAge, Reserve and, when
+// domain faults are planned, Recovery; Run layers the lease, deadline,
+// governor, observers, faults and checkpoints on top. With a nil
+// Policy the gate is nil and the machine runs ungated; strip the
+// workload's declarations with Undeclare as Run does. It refuses a
+// configuration Validate rejects.
+func NewMachine(rc RunConfig) (*machine.Machine, *core.DomainSet, error) {
+	if err := rc.Validate(); err != nil {
+		return nil, nil, err
+	}
+	schd, err := newGate(rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := machine.New(rc.Machine, nil)
+	if schd != nil {
+		m.SetGate(schd)
+		bindMachine(schd, m)
+	}
+	return m, schd, nil
+}
+
+// bindMachine binds a gate to the machine it gates: the machine wakes
+// paused threads, its clock stamps decisions and its engine times
+// leases, deadlines and ticks.
+func bindMachine(schd *core.DomainSet, m *machine.Machine) {
+	schd.SetWaker(m)
+	schd.SetClock(m.Now)
+	schd.SetTimer(m.Engine())
+}
+
 // newGate builds the admission gate for one repetition, a DomainSet of
 // max(rc.Domains, 1) shards (nil for the uninstrumented baseline).
-// Extracted from runOnce so the restore path can build a second,
-// identical gate to import the checkpoint into.
-func newGate(rc RunConfig, cfg machine.Config) (*core.DomainSet, error) {
+// NewMachine binds it to a fresh machine; the restore path builds a
+// second, identical gate to import the checkpoint into.
+func newGate(rc RunConfig) (*core.DomainSet, error) {
 	if rc.Policy == nil {
 		return nil, nil
 	}
-	dset, err := core.NewDomainSet(rc.Policy, cfg.LLCCapacity,
+	dset, err := core.NewDomainSet(rc.Policy, rc.Machine.LLCCapacity,
 		core.DomainConfig{Domains: max(rc.Domains, 1), StealAge: rc.StealAge})
 	if err != nil {
 		return nil, err
@@ -374,7 +410,7 @@ func newGate(rc RunConfig, cfg machine.Config) (*core.DomainSet, error) {
 	// Track memory bandwidth as a second resource: periods declaring
 	// BWDemand are gated against the machine's DRAM roofline, split
 	// across the domains like the LLC budget.
-	dset.SetResourceCapacity(pp.ResourceMemBW, pp.Bytes(cfg.MemBandwidth))
+	dset.SetResourceCapacity(pp.ResourceMemBW, pp.Bytes(rc.Machine.MemBandwidth))
 	if rc.Reserve > 0 {
 		dset.SetReserve(rc.Reserve)
 	}
@@ -436,12 +472,9 @@ func (in *introspection) step(now sim.Time) {
 	in.srv.MaybePublish(in.gate.ExportState, rpt)
 }
 
-// bind wires one gate to the machine and attaches the (lazily created)
-// observers.
-func (sk *runSinks) bind(schd *core.DomainSet, m *machine.Machine, rc RunConfig) error {
-	schd.SetWaker(m)
-	schd.SetClock(m.Now)
-	schd.SetTimer(m.Engine())
+// bind configures one machine-bound gate's lease, deadline and
+// governor and attaches the (lazily created) observers.
+func (sk *runSinks) bind(schd *core.DomainSet, rc RunConfig) error {
 	schd.SetLease(rc.Lease)
 	schd.SetAdmissionDeadline(rc.AdmitDeadline)
 	if rc.Governor != nil {
@@ -536,19 +569,16 @@ func checkpointDir(base string, rep uint64) string {
 }
 
 func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
-	cfg := rc.Machine
 	if rc.Policy == nil {
 		w = Undeclare(w)
 	}
-	schd, err := newGate(rc, cfg)
+	m, schd, err := NewMachine(rc)
 	if err != nil {
 		return Metrics{}, err
 	}
-	m := machine.New(cfg, nil)
 	sk := &runSinks{}
 	if schd != nil {
-		m.SetGate(schd)
-		if err := sk.bind(schd, m, rc); err != nil {
+		if err := sk.bind(schd, rc); err != nil {
 			return Metrics{}, err
 		}
 	}
@@ -631,7 +661,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 			}
 			return Metrics{}, fmt.Errorf("perf: process killed at %v: %w", m.Now(), err)
 		}
-		schd, res, err = resumeRestored(m, rc, cfg, schd, sk, tr)
+		schd, res, err = resumeRestored(m, rc, schd, sk, tr)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -763,7 +793,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 // snapshot or journal misrepresents changes the resumed schedule, and
 // the E9 golden (byte-identical final tables vs. the unkilled run)
 // catches it.
-func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old *core.DomainSet, sk *runSinks, tr *stateTracker) (*core.DomainSet, *machine.Result, error) {
+func resumeRestored(m *machine.Machine, rc RunConfig, old *core.DomainSet, sk *runSinks, tr *stateTracker) (*core.DomainSet, *machine.Result, error) {
 	if tr.err != nil {
 		return nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
 	}
@@ -783,11 +813,12 @@ func resumeRestored(m *machine.Machine, rc RunConfig, cfg machine.Config, old *c
 			m.Now(), len(wb), len(lb))
 	}
 	old.Detach()
-	schd, err := newGate(rc, cfg)
+	schd, err := newGate(rc)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := sk.bind(schd, m, rc); err != nil {
+	bindMachine(schd, m)
+	if err := sk.bind(schd, rc); err != nil {
 		return nil, nil, err
 	}
 	if err := schd.ImportState(want, m.ThreadByID); err != nil {
