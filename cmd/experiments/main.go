@@ -17,7 +17,8 @@
 // One table, harnesses, lists every table, figure and experiment with
 // the outputs it produces. It drives selection and the flag help, and
 // an output flag that no selected harness honours exits 2 before
-// anything runs.
+// anything runs, as does any flag given with -version, which reads
+// none.
 package main
 
 import (
@@ -185,10 +186,23 @@ func (t task) String() string {
 	return "-" + t.h.mode + " " + t.pick
 }
 
-// selectTasks resolves the mode flags to the harnesses to run: every
-// harness under -all, else the one that the single set mode flag names.
-// set maps each mode flag's name to its value ("" when not given).
+// selectTasks resolves the mode flags to the harnesses to run: none
+// under -version, which reads no other flag; every harness under -all;
+// else the one that the single set mode flag names. set maps the name
+// of every flag given on the command line to its value.
 func selectTasks(all bool, set map[string]string) ([]task, error) {
+	if set["version"] == "true" {
+		var others []string
+		for n := range set {
+			if n != "version" {
+				others = append(others, n)
+			}
+		}
+		if len(others) > 0 {
+			return nil, fmt.Errorf("-%s: -version reads no other flag", slices.Min(others))
+		}
+		return nil, nil
+	}
 	var given []string
 	for _, m := range modes {
 		if set[m] != "" {
@@ -292,10 +306,11 @@ func validateFlags(scale, jitter float64, reps, jobs int, listen, pace string) e
 
 func main() {
 	var (
-		table    = flag.String("table", "", modeUsage("table", "table to regenerate:"))
-		fig      = flag.String("fig", "", modeUsage("fig", "figure to regenerate:"))
-		ext      = flag.String("ext", "", modeUsage("ext", "extension experiment:"))
-		exp      = flag.String("experiment", "", modeUsage("experiment", "named experiment:"))
+		// selectTasks reads the mode flags from the set of given flags.
+		_        = flag.String("table", "", modeUsage("table", "table to regenerate:"))
+		_        = flag.String("fig", "", modeUsage("fig", "figure to regenerate:"))
+		_        = flag.String("ext", "", modeUsage("ext", "extension experiment:"))
+		_        = flag.String("experiment", "", modeUsage("experiment", "named experiment:"))
 		all      = flag.Bool("all", false, "regenerate everything")
 		scale    = flag.Float64("scale", 1, "shrink phase lengths (0 < scale ≤ 1) for quick runs")
 		reps     = flag.Int("reps", 4, "repetitions per measurement")
@@ -314,15 +329,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if *showVer {
-		fmt.Println(version.String())
-		return
-	}
 	if err := validateFlags(*scale, *jitter, *reps, *jobs, *listen, *pace); err != nil {
 		usage(err)
 	}
 	ratio, _ := obsrv.ParsePace(*pace) // validated above
-	tasks, err := selectTasks(*all, map[string]string{"table": *table, "fig": *fig, "ext": *ext, "experiment": *exp})
+	set := map[string]string{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+	tasks, err := selectTasks(*all, set)
 	if err == nil {
 		err = refuse(tasks, map[string]bool{
 			"-trace-dir": *traceDir != "",
@@ -334,6 +347,10 @@ func main() {
 	}
 	if err != nil {
 		usage(err)
+	}
+	if *showVer {
+		fmt.Println(version.String())
+		return
 	}
 
 	opt := experiments.Defaults()

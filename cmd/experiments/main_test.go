@@ -122,10 +122,21 @@ func TestSelectTasks(t *testing.T) {
 		{false, map[string]string{"experiment": "e10"}, `unknown -experiment "e10"`},
 		{false, map[string]string{"fig": "7", "ext": "waits"}, "-fig and -ext are exclusive"},
 		{true, map[string]string{"experiment": "e4"}, "-all and -experiment are exclusive"},
+		{false, map[string]string{"version": "true", "fig": "7", "trace-dir": "D"}, "-fig: -version reads no other flag"},
+		{false, map[string]string{"version": "true", "fig": "nope"}, "-fig: -version reads no other flag"},
+		{false, map[string]string{"version": "true", "scale": "0.5"}, "-scale: -version reads no other flag"},
+		{true, map[string]string{"version": "true", "all": "true"}, "-all: -version reads no other flag"},
 	} {
 		if _, err := selectTasks(tc.all, tc.set); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("selectTasks(%v, %v) = %v, want an error containing %q", tc.all, tc.set, err, tc.wantErr)
 		}
+	}
+	// -version alone runs no harness; -version=false is no mode at all.
+	if tasks, err := selectTasks(false, map[string]string{"version": "true"}); err != nil || len(tasks) != 0 {
+		t.Errorf("-version selected %v, %v; want nothing", tasks, err)
+	}
+	if tasks, err := selectTasks(false, map[string]string{"version": "false", "table": "1"}); err != nil || len(tasks) != 1 {
+		t.Errorf("-version=false -table 1 selected %v, %v; want Table 1", tasks, err)
 	}
 }
 
