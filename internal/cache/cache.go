@@ -1,7 +1,7 @@
-// Package cache implements a trace-driven, set-associative cache simulator
-// with a configurable multi-level hierarchy (private L1/L2 per core plus a
-// shared last-level cache). It substitutes for the real E5-2420 cache
-// hierarchy the paper measured. The cache calibration
+// Package cache implements a trace-driven, set-associative LRU cache
+// simulator with a configurable multi-level hierarchy (private L1/L2 per
+// core plus a shared last-level cache). It substitutes for the real
+// E5-2420 cache hierarchy the paper measured. The cache calibration
 // (experiments.RunCalibration) replays co-running address streams through
 // it to justify the analytic contention model's residency exponent in
 // internal/machine; the profiler does not use it, since it counts
@@ -14,41 +14,13 @@ import (
 	"rdasched/internal/pp"
 )
 
-// ReplacementPolicy selects the victim line within a set.
-type ReplacementPolicy int
-
-const (
-	// LRU evicts the least recently used line (what the analytic model
-	// assumes and what Intel's LLC approximates).
-	LRU ReplacementPolicy = iota
-	// FIFO evicts the oldest-filled line.
-	FIFO
-	// Random evicts a pseudo-random line: each cache draws from its own
-	// xorshift64 state, seeded with a fixed constant and reduced modulo
-	// Assoc, so replays stay reproducible. No generator can be supplied.
-	Random
-)
-
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "Random"
-	default:
-		return fmt.Sprintf("ReplacementPolicy(%d)", int(p))
-	}
-}
-
-// Config describes one cache level.
+// Config describes one cache level. Replacement is always LRU (what the
+// analytic model assumes and what Intel's LLC approximates).
 type Config struct {
 	Name       string
 	Size       pp.Bytes
 	LineSize   pp.Bytes
 	Assoc      int // ways per set
-	Policy     ReplacementPolicy
 	LatencyCyc int // access latency in core cycles (hit cost)
 }
 
@@ -79,25 +51,19 @@ type Stats struct {
 	Evictions uint64
 }
 
-// Cache is a single set-associative cache level. Its lines live in two
-// flat arrays indexed set*assoc + way: tags holds each way's block number
-// (addr >> lineShift) and stamps its LRU touch or FIFO fill tick, with
-// stamp 0 marking an invalid way. Ticks start at 1, so a valid line never
-// carries stamp 0, and valid stamps within a set are distinct.
-//
-// The valid ways of every set form a prefix of it: a fill takes the
-// first invalid way, an eviction replaces a valid one, and only Flush
-// invalidates, all ways at once.
+// Cache is a single set-associative LRU cache level. Its lines live in
+// one flat array indexed set*assoc + rank: tags holds each line's block
+// number (addr >> lineShift), and within a set the valid lines fill
+// ranks 0..valid[set]-1 in recency order, most recently used first.
+// Ranks at and past valid[set] are stale and never read.
 type Cache struct {
 	cfg        Config
 	tags       []uint64
-	stamps     []uint64
+	valid      []int // valid lines per set
 	numSets    uint64
 	setMask    uint64 // numSets-1 when numSets is a power of two
 	pow2Sets   bool
 	lineShift  uint
-	tick       uint64
-	randState  uint64
 	stats      Stats
 	population int // valid lines
 }
@@ -111,13 +77,12 @@ func New(cfg Config) *Cache {
 	lines := int(cfg.Size / cfg.LineSize)
 	numSets := uint64(lines / cfg.Assoc)
 	c := &Cache{
-		cfg:       cfg,
-		tags:      make([]uint64, lines),
-		stamps:    make([]uint64, lines),
-		numSets:   numSets,
-		setMask:   numSets - 1,
-		pow2Sets:  numSets&(numSets-1) == 0,
-		randState: 0x2545f4914f6cdd1d,
+		cfg:      cfg,
+		tags:     make([]uint64, lines),
+		valid:    make([]int, numSets),
+		numSets:  numSets,
+		setMask:  numSets - 1,
+		pow2Sets: numSets&(numSets-1) == 0,
 	}
 	for sz := cfg.LineSize; sz > 1; sz >>= 1 {
 		c.lineShift++
@@ -131,8 +96,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int { return c.population }
 
-// set returns the ways of the set block blk maps to.
-func (c *Cache) set(blk uint64) (tags, stamps []uint64) {
+// set returns the index of the set block blk maps to and that set's
+// ranks.
+func (c *Cache) set(blk uint64) (int, []uint64) {
 	var idx uint64
 	if c.pow2Sets {
 		idx = blk & c.setMask
@@ -141,7 +107,7 @@ func (c *Cache) set(blk uint64) (tags, stamps []uint64) {
 	}
 	base := int(idx) * c.cfg.Assoc
 	end := base + c.cfg.Assoc
-	return c.tags[base:end:end], c.stamps[base:end:end]
+	return int(idx), c.tags[base:end:end]
 }
 
 // Access touches addr, returning true on hit. On a miss the line is filled
@@ -155,62 +121,48 @@ func (c *Cache) Access(addr uint64) bool {
 // AccessEvict is Access but also reports the eviction a miss caused:
 // evicted is true when the fill replaced a valid line, and victim is
 // then that line's line-aligned address (which may be 0). On hits and
-// on fills into invalid ways, evicted is false and victim is 0.
+// on fills into a set with an invalid way, evicted is false and victim
+// is 0.
 //
-// The victim is the first invalid way of the set, else the oldest line
-// (lowest stamp) under LRU and FIFO, or a pseudo-random way under Random.
-// Because the valid ways form a prefix of the set, one pass finds the
-// hit, the first invalid way and the oldest line: no way past the
-// first invalid one can hit.
+// One pass over the valid ranks both searches and moves to front: each
+// rank takes the line above it, rank 0 takes blk, and the pass stops at
+// the hit, whose line blk replaces. A miss thus shifts every valid line
+// down one rank; in a full set the last rank's line, the least recently
+// used, falls off as the victim.
 func (c *Cache) AccessEvict(addr uint64) (hit bool, victim uint64, evicted bool) {
-	c.tick++
 	c.stats.Accesses++
 	blk := addr >> c.lineShift
-	tags, stamps := c.set(blk)
+	set, ranks := c.set(blk)
+	n := c.valid[set]
 
-	way, oldest := 0, stamps[0]
-	for i, s := range stamps {
-		if s == 0 {
-			way, oldest = i, 0
-			break
-		}
-		if tags[i] == blk {
+	prev := blk
+	for i, t := range ranks[:n] {
+		ranks[i] = prev
+		if t == blk {
 			c.stats.Hits++
-			if c.cfg.Policy == LRU {
-				stamps[i] = c.tick
-			}
 			return true, 0, false
 		}
-		if s < oldest {
-			way, oldest = i, s
-		}
+		prev = t
 	}
 	c.stats.Misses++
 
-	if oldest == 0 {
-		c.population++
-	} else {
-		if c.cfg.Policy == Random {
-			c.randState ^= c.randState << 13
-			c.randState ^= c.randState >> 7
-			c.randState ^= c.randState << 17
-			way = int(c.randState % uint64(c.cfg.Assoc))
-		}
+	if n == len(ranks) {
 		c.stats.Evictions++
-		victim, evicted = tags[way]<<c.lineShift, true
+		return false, prev << c.lineShift, true
 	}
-	tags[way] = blk
-	stamps[way] = c.tick
-	return false, victim, evicted
+	ranks[n] = prev
+	c.valid[set]++
+	c.population++
+	return false, 0, false
 }
 
 // Probe reports whether addr is resident without updating replacement
 // state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	blk := addr >> c.lineShift
-	tags, stamps := c.set(blk)
-	for i, t := range tags {
-		if t == blk && stamps[i] != 0 {
+	set, ranks := c.set(blk)
+	for _, t := range ranks[:c.valid[set]] {
+		if t == blk {
 			return true
 		}
 	}
@@ -219,6 +171,6 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Flush invalidates all lines and counts nothing.
 func (c *Cache) Flush() {
-	clear(c.stamps)
+	clear(c.valid)
 	c.population = 0
 }

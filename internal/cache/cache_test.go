@@ -10,7 +10,7 @@ import (
 )
 
 func smallCfg() Config {
-	return Config{Name: "t", Size: 4 * pp.KiB, LineSize: 64, Assoc: 4, Policy: LRU, LatencyCyc: 1}
+	return Config{Name: "t", Size: 4 * pp.KiB, LineSize: 64, Assoc: 4, LatencyCyc: 1}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -59,7 +59,7 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// One set: 256-byte cache, 64-byte lines, 4-way → 1 set.
-	c := New(Config{Name: "oneset", Size: 256, LineSize: 64, Assoc: 4, Policy: LRU})
+	c := New(Config{Name: "oneset", Size: 256, LineSize: 64, Assoc: 4})
 	// Fill ways with lines 0..3 (same set because only one set exists).
 	for i := uint64(0); i < 4; i++ {
 		c.Access(i * 64)
@@ -77,23 +77,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestFIFOEvictionOrder(t *testing.T) {
-	c := New(Config{Name: "fifo", Size: 256, LineSize: 64, Assoc: 4, Policy: FIFO})
-	for i := uint64(0); i < 4; i++ {
-		c.Access(i * 64)
-	}
-	c.Access(0) // re-touch does NOT rescue line 0 under FIFO
-	_, victim, evicted := c.AccessEvict(4 * 64)
-	if !evicted || victim != 0 {
-		t.Fatalf("evicted %v %#x, want line 0 (first-filled)", evicted, victim)
-	}
-}
-
 // TestEvictAddressZero pins AccessEvict's flag: the line at address 0
 // is a real victim, distinct from the "no eviction" of a hit or of a
 // fill into an invalid way, although both report victim address 0.
 func TestEvictAddressZero(t *testing.T) {
-	c := New(Config{Name: "direct", Size: 128, LineSize: 64, Assoc: 1, Policy: LRU})
+	c := New(Config{Name: "direct", Size: 128, LineSize: 64, Assoc: 1})
 	if hit, victim, evicted := c.AccessEvict(0x10); hit || evicted || victim != 0 {
 		t.Fatalf("cold fill = (%v, %#x, %v), want a miss with no eviction", hit, victim, evicted)
 	}
@@ -110,16 +98,6 @@ func TestEvictAddressZero(t *testing.T) {
 	}
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
-	}
-}
-
-func TestRandomPolicyStaysInSet(t *testing.T) {
-	c := New(Config{Name: "rnd", Size: 256, LineSize: 64, Assoc: 4, Policy: Random})
-	for i := uint64(0); i < 64; i++ {
-		c.Access(i * 64)
-	}
-	if c.Occupancy() != 4 {
-		t.Fatalf("occupancy = %d, want 4 (capacity)", c.Occupancy())
 	}
 }
 
@@ -140,7 +118,7 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 // Property: an access is always a hit if the same line was touched within
 // the last (assoc-1) distinct same-set lines under LRU.
 func TestLRUReuseWithinAssocAlwaysHits(t *testing.T) {
-	c := New(Config{Name: "oneset", Size: 256, LineSize: 64, Assoc: 4, Policy: LRU})
+	c := New(Config{Name: "oneset", Size: 256, LineSize: 64, Assoc: 4})
 	c.Access(0)
 	// Touch assoc-1 = 3 other lines, then line 0 must still be resident.
 	c.Access(64)
@@ -211,7 +189,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 func TestWorkingSetExceedsCapacityThrashesLRU(t *testing.T) {
 	// Cyclic sweep over capacity+1 sets' worth of lines with LRU
 	// produces no hits at all (the classic LRU worst case).
-	c := New(Config{Name: "oneset", Size: 256, LineSize: 64, Assoc: 4, Policy: LRU})
+	c := New(Config{Name: "oneset", Size: 256, LineSize: 64, Assoc: 4})
 	for pass := 0; pass < 4; pass++ {
 		for i := uint64(0); i < 5; i++ {
 			c.Access(i * 64)
@@ -293,14 +271,8 @@ func TestHierarchyPanicsOnBadCore(t *testing.T) {
 	h.Access(99, 0)
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || Random.String() != "Random" {
-		t.Fatal("policy strings wrong")
-	}
-}
-
 func BenchmarkCacheAccess(b *testing.B) {
-	c := New(Config{Name: "llc", Size: 15360 * pp.KiB, LineSize: 64, Assoc: 20, Policy: LRU})
+	c := New(Config{Name: "llc", Size: 15360 * pp.KiB, LineSize: 64, Assoc: 20})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i) * 64 % (32 << 20))

@@ -32,9 +32,9 @@ type HierarchyConfig struct {
 func E5_2420() HierarchyConfig {
 	return HierarchyConfig{
 		Cores:      12,
-		L1:         Config{Name: "L1D", Size: 32 * pp.KiB, LineSize: 64, Assoc: 8, Policy: LRU, LatencyCyc: 4},
-		L2:         Config{Name: "L2", Size: 256 * pp.KiB, LineSize: 64, Assoc: 8, Policy: LRU, LatencyCyc: 12},
-		LLC:        Config{Name: "LLC", Size: 15360 * pp.KiB, LineSize: 64, Assoc: 20, Policy: LRU, LatencyCyc: 30},
+		L1:         Config{Name: "L1D", Size: 32 * pp.KiB, LineSize: 64, Assoc: 8, LatencyCyc: 4},
+		L2:         Config{Name: "L2", Size: 256 * pp.KiB, LineSize: 64, Assoc: 8, LatencyCyc: 12},
+		LLC:        Config{Name: "LLC", Size: 15360 * pp.KiB, LineSize: 64, Assoc: 20, LatencyCyc: 30},
 		MemLatency: 180,
 	}
 }

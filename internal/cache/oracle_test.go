@@ -1,17 +1,20 @@
 package cache
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"rdasched/internal/pp"
 	"rdasched/internal/sim"
 )
 
-// oracleLine and oracleCache are the original per-set implementation
-// the flat-array Cache replaced: a slice of lines per set, a valid flag,
-// tags split from the block number by division, and separate scans for
-// the hit, the first invalid way and the oldest way. They are kept as
-// the differential oracle for FuzzCacheMatchesOracle.
+// oracleLine and oracleCache are the original per-set LRU implementation
+// the ranked Cache replaced: a slice of lines per set, a valid flag,
+// tags split from the block number by division, a global tick stamped
+// on every touched line, and separate scans for the hit, the first
+// invalid way and the oldest (lowest-stamped) way. They are kept as the
+// differential oracle for FuzzCacheMatchesOracle.
 type oracleLine struct {
 	tag   uint64
 	valid bool
@@ -24,7 +27,6 @@ type oracleCache struct {
 	numSets    uint64
 	lineShift  uint
 	tick       uint64
-	randState  uint64
 	stats      Stats
 	population int
 }
@@ -36,10 +38,9 @@ func newOracleCache(cfg Config) *oracleCache {
 	lines := int64(cfg.Size / cfg.LineSize)
 	numSets := lines / int64(cfg.Assoc)
 	c := &oracleCache{
-		cfg:       cfg,
-		sets:      make([][]oracleLine, numSets),
-		numSets:   uint64(numSets),
-		randState: 0x2545f4914f6cdd1d,
+		cfg:     cfg,
+		sets:    make([][]oracleLine, numSets),
+		numSets: uint64(numSets),
 	}
 	backing := make([]oracleLine, lines)
 	for i := range c.sets {
@@ -65,9 +66,7 @@ func (c *oracleCache) accessEvict(addr uint64) (hit bool, victim uint64, evicted
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.stats.Hits++
-			if c.cfg.Policy == LRU {
-				set[i].stamp = c.tick
-			}
+			set[i].stamp = c.tick
 			return true, 0, false
 		}
 	}
@@ -81,20 +80,12 @@ func (c *oracleCache) accessEvict(addr uint64) (hit bool, victim uint64, evicted
 		}
 	}
 	if way < 0 {
-		switch c.cfg.Policy {
-		case LRU, FIFO:
-			oldest := uint64(1<<64 - 1)
-			for i := range set {
-				if set[i].stamp < oldest {
-					oldest = set[i].stamp
-					way = i
-				}
+		oldest := uint64(1<<64 - 1)
+		for i := range set {
+			if set[i].stamp < oldest {
+				oldest = set[i].stamp
+				way = i
 			}
-		case Random:
-			c.randState ^= c.randState << 13
-			c.randState ^= c.randState >> 7
-			c.randState ^= c.randState << 17
-			way = int(c.randState % uint64(len(set)))
 		}
 		c.stats.Evictions++
 		l := &set[way]
@@ -127,34 +118,56 @@ func (c *oracleCache) flush() {
 	c.population = 0
 }
 
-// oracleGeometry derives a valid cache geometry from four fuzz bytes:
+// oracleGeometry derives a valid cache geometry from three fuzz bytes:
 // line sizes 1 B–128 B, 1–24 ways and 1–80 sets, so single-set and
 // non-power-of-two set counts are both common.
-func oracleGeometry(shift, assoc, sets, policy uint8) Config {
+func oracleGeometry(shift, assoc, sets uint8) Config {
 	cfg := Config{
 		Name:     "fuzz",
 		LineSize: pp.Bytes(1) << (shift % 8),
 		Assoc:    1 + int(assoc%24),
-		Policy:   ReplacementPolicy(policy % 3),
 	}
 	cfg.Size = cfg.LineSize * pp.Bytes(cfg.Assoc) * pp.Bytes(1+int(sets%80))
 	return cfg
 }
 
-// prefixValid reports whether the valid ways of set form a prefix of
-// it, the invariant AccessEvict's one-pass scan relies on.
-func prefixValid(c *Cache, set int) bool {
-	stamps := c.stamps[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
-	way := 0
-	for way < len(stamps) && stamps[way] != 0 {
-		way++
-	}
-	for ; way < len(stamps); way++ {
-		if stamps[way] != 0 {
-			return false
+// checkRanks returns an error unless set's ranks 0..valid-1 hold exactly
+// the oracle's valid lines of that set, most recently touched (highest
+// stamp) first, each rebuilt as its block number tag*numSets+set.
+func checkRanks(c *Cache, o *oracleCache, set int) error {
+	var want []oracleLine
+	for _, l := range o.sets[set] {
+		if l.valid {
+			want = append(want, l)
 		}
 	}
-	return true
+	sort.Slice(want, func(i, j int) bool { return want[i].stamp > want[j].stamp })
+	ranks := c.tags[set*c.cfg.Assoc : set*c.cfg.Assoc+c.valid[set]]
+	if len(ranks) != len(want) {
+		return fmt.Errorf("set %d holds %d valid lines, oracle %d", set, len(ranks), len(want))
+	}
+	for i, l := range want {
+		if blk := l.tag*o.numSets + uint64(set); ranks[i] != blk {
+			return fmt.Errorf("set %d rank %d holds block %#x, oracle %#x (ranks %#x)", set, i, ranks[i], blk, ranks)
+		}
+	}
+	return nil
+}
+
+// checkAllRanks runs checkRanks on every set and returns an error unless
+// the per-set valid counts sum to Occupancy.
+func checkAllRanks(c *Cache, o *oracleCache) error {
+	total := 0
+	for set, n := range c.valid {
+		if err := checkRanks(c, o, set); err != nil {
+			return err
+		}
+		total += n
+	}
+	if total != c.Occupancy() {
+		return fmt.Errorf("valid counts sum to %d, occupancy %d", total, c.Occupancy())
+	}
+	return nil
 }
 
 // checkAgainstOracle drives a Cache and the oracle with one address
@@ -165,11 +178,12 @@ func prefixValid(c *Cache, set int) bool {
 // arbitrary 64-bit addresses, whose large block numbers exercise tag
 // and victim-address reconstruction.
 //
-// It also fails when a set's valid ways stop forming a prefix: after
-// every access it checks the set the access maps to, the only one an
-// access changes, and at the end every set. Scanning all 12,288 sets
-// of the E5-2420 LLC after every access would make the test about
-// fifteen times slower.
+// It also fails when a set's ranks stop holding the oracle's valid lines
+// in recency order (checkRanks): after every access it checks the set
+// the access maps to, the only one an access changes, and after the
+// flush and at the end every set, with the valid counts summed against
+// Occupancy. Checking all 12,288 sets of the E5-2420 LLC after every
+// access would make the test many times slower.
 func checkAgainstOracle(t *testing.T, cfg Config, seed uint64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
@@ -197,6 +211,9 @@ func checkAgainstOracle(t *testing.T, cfg Config, seed uint64) {
 				t.Fatalf("%+v seed %d: after Flush occupancy %d stats %+v, oracle stats %+v",
 					cfg, seed, c.Occupancy(), c.Stats(), o.stats)
 			}
+			if err := checkAllRanks(c, o); err != nil {
+				t.Fatalf("%+v seed %d: after Flush: %v", cfg, seed, err)
+			}
 		}
 		a := addr()
 		hit, victim, evicted := c.AccessEvict(a)
@@ -209,9 +226,9 @@ func checkAgainstOracle(t *testing.T, cfg Config, seed uint64) {
 			t.Fatalf("%+v seed %d step %d: stats %+v occupancy %d, oracle %+v %d",
 				cfg, seed, i, c.Stats(), c.Occupancy(), o.stats, o.population)
 		}
-		if set, _ := o.indexTag(a); !prefixValid(c, int(set)) {
-			t.Fatalf("%+v seed %d step %d: valid ways of set %d are not a prefix: stamps %v",
-				cfg, seed, i, set, c.stamps[int(set)*cfg.Assoc:int(set+1)*cfg.Assoc])
+		set, _ := o.indexTag(a)
+		if err := checkRanks(c, o, int(set)); err != nil {
+			t.Fatalf("%+v seed %d step %d addr %#x: %v", cfg, seed, i, a, err)
 		}
 		for _, p := range []uint64{a, victim, addr()} {
 			if c.Probe(p) != o.probe(p) {
@@ -220,19 +237,16 @@ func checkAgainstOracle(t *testing.T, cfg Config, seed uint64) {
 			}
 		}
 	}
-	for set := 0; set < int(c.numSets); set++ {
-		if !prefixValid(c, set) {
-			t.Fatalf("%+v seed %d: after the stream, valid ways of set %d are not a prefix", cfg, seed, set)
-		}
+	if err := checkAllRanks(c, o); err != nil {
+		t.Fatalf("%+v seed %d: after the stream: %v", cfg, seed, err)
 	}
 }
 
-// FuzzCacheMatchesOracle compares the flat-array Cache with the
-// original per-set implementation on random geometry, policy and
-// address streams.
+// FuzzCacheMatchesOracle compares the ranked Cache with the original
+// per-set implementation on random geometry and address streams.
 func FuzzCacheMatchesOracle(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed uint64, shift, assoc, sets, policy uint8) {
-		checkAgainstOracle(t, oracleGeometry(shift, assoc, sets, policy), seed)
+	f.Fuzz(func(t *testing.T, seed uint64, shift, assoc, sets uint8) {
+		checkAgainstOracle(t, oracleGeometry(shift, assoc, sets), seed)
 	})
 }
 
@@ -242,13 +256,10 @@ func TestCacheMatchesOracle(t *testing.T) {
 	for seed := uint64(0); seed < 300; seed++ {
 		rng := sim.NewRNG(seed ^ 0x5eed)
 		b := func() uint8 { return uint8(rng.Intn(256)) }
-		checkAgainstOracle(t, oracleGeometry(b(), b(), b(), b()), seed)
+		checkAgainstOracle(t, oracleGeometry(b(), b(), b()), seed)
 	}
 	hc := E5_2420()
 	for i, cfg := range []Config{hc.L1, hc.L2, hc.LLC} {
-		for _, p := range []ReplacementPolicy{LRU, FIFO, Random} {
-			cfg.Policy = p
-			checkAgainstOracle(t, cfg, uint64(i))
-		}
+		checkAgainstOracle(t, cfg, uint64(i))
 	}
 }
