@@ -6,6 +6,7 @@ import (
 	"html"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -283,13 +284,9 @@ func writeTopK(b *bufio.Writer, meta ReportMeta, rpt *Report, k int) {
 		b.WriteString("<p class=\"sub\">no period was ever waitlisted.</p>\n")
 		return
 	}
-	top := append([]PeriodBlame(nil), rpt.Periods...)
-	sort.SliceStable(top, func(i, j int) bool { return top[i].Wait > top[j].Wait })
-	if len(top) > k {
-		top = top[:k]
-	}
 	b.WriteString("<table>\n<tr><th>period</th><th>rep</th><th>outcome</th><th>wait</th><th>blamed</th><th>unattributed</th><th>top blocker</th></tr>\n")
-	for _, p := range top {
+	for _, i := range longestWaits(rpt.Periods, k) {
+		p := &rpt.Periods[i]
 		topBlocker := "–"
 		var best sim.Duration = -1
 		for _, s := range p.Shares {
@@ -304,6 +301,26 @@ func writeTopK(b *bufio.Writer, meta ReportMeta, rpt *Report, k int) {
 			secs(p.Unattributed), html.EscapeString(topBlocker))
 	}
 	b.WriteString("</table>\n")
+}
+
+// longestWaits returns the indices of the k longest waits in ps, longest
+// first and equal waits in their order in ps: the first k periods of a
+// stable sort by Wait, descending, without copying or sorting ps.
+func longestWaits(ps []PeriodBlame, k int) []int {
+	top := make([]int, 0, k+1)
+	for i := range ps {
+		j := len(top)
+		for j > 0 && ps[top[j-1]].Wait < ps[i].Wait {
+			j--
+		}
+		if j < k {
+			top = slices.Insert(top, j, i)
+			if len(top) > k {
+				top = top[:k]
+			}
+		}
+	}
+	return top
 }
 
 // writeBurnTimeline renders the burn-rate samples as one polyline per
