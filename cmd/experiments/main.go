@@ -279,9 +279,10 @@ func honouredBy(out output) string {
 }
 
 // validateFlags rejects out-of-range numeric flags with a clear error
-// instead of silently clamping or misbehaving downstream.
+// instead of silently clamping or misbehaving downstream. Each float
+// bound is written so that NaN fails it too.
 func validateFlags(scale, jitter float64, reps, jobs int, listen, pace string) error {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale %g out of range (need 0 < scale <= 1)", scale)
 	}
 	if !(jitter >= 0 && jitter < 1) {

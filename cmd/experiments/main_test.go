@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -27,8 +28,11 @@ func TestValidateFlags(t *testing.T) {
 		{"scale-zero", 0, 0.02, 4, 1, "", "max", "-scale"},
 		{"scale-negative", -0.5, 0.02, 4, 1, "", "max", "-scale"},
 		{"scale-above-one", 2, 0.02, 4, 1, "", "max", "-scale"},
+		{"scale-nan", math.NaN(), 0.02, 4, 1, "", "max", "-scale"},
 		{"jitter-negative", 1, -0.01, 4, 1, "", "max", "-jitter"},
 		{"jitter-one", 1, 1, 4, 1, "", "max", "-jitter"},
+		{"jitter-above-one", 1, 1.5, 4, 1, "", "max", "-jitter"},
+		{"jitter-nan", 1, math.NaN(), 4, 1, "", "max", "-jitter"},
 		{"reps-zero", 1, 0.02, 0, 1, "", "max", "-reps"},
 		{"reps-negative", 1, 0.02, -3, 1, "", "max", "-reps"},
 		{"jobs-zero", 1, 0.02, 4, 0, "", "max", "-jobs"},

@@ -48,13 +48,14 @@ import (
 
 // validateFlags rejects out-of-range numeric flags with a clear error.
 // The old behaviour silently ignored an out-of-range -scale, which made
-// `-scale 10` look like a slow full run instead of a typo.
-func validateFlags(scale, jitter float64, reps, jobs int, sloMS, ckptEvery, killAt float64, listen, pace string) error {
-	if scale <= 0 || scale > 1 {
+// `-scale 10` look like a slow full run instead of a typo. Each float
+// bound is written so that NaN fails it too.
+func validateFlags(scale, jitter float64, reps, jobs int, domFaults, sloMS, ckptEvery, killAt float64, listen, pace string) error {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale %g out of range (need 0 < scale <= 1)", scale)
 	}
-	if jitter < 0 {
-		return fmt.Errorf("-jitter %g is negative", jitter)
+	if !(jitter >= 0 && jitter < 1) {
+		return fmt.Errorf("-jitter %g out of range (need 0 <= jitter < 1)", jitter)
 	}
 	if reps < 1 {
 		return fmt.Errorf("-reps %d, need at least 1", reps)
@@ -62,14 +63,13 @@ func validateFlags(scale, jitter float64, reps, jobs int, sloMS, ckptEvery, kill
 	if jobs < 1 {
 		return fmt.Errorf("-jobs %d, need at least 1", jobs)
 	}
-	if sloMS < 0 {
-		return fmt.Errorf("-slo-ms %g is negative", sloMS)
-	}
-	if ckptEvery < 0 {
-		return fmt.Errorf("-checkpoint-every %g is negative", ckptEvery)
-	}
-	if killAt < 0 {
-		return fmt.Errorf("-kill-at %g is negative", killAt)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"domain-faults", domFaults}, {"slo-ms", sloMS}, {"checkpoint-every", ckptEvery}, {"kill-at", killAt}} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("-%s %g out of range (need >= 0)", f.name, f.v)
+		}
 	}
 	if listen != "" {
 		if _, _, err := net.SplitHostPort(listen); err != nil {
@@ -161,7 +161,7 @@ func main() {
 		sloMS     = flag.Float64("slo-ms", 0, "admission-latency SLO objective in virtual milliseconds for the -obs-dir report (0 = default 50ms)")
 		ckptDir   = flag.String("checkpoint-dir", "", "append an admission journal and periodic state snapshots into this directory while running (repetition i > 0 writes into its rep<i> subdirectory); needs -policy strict or compromise")
 		ckptEvery = flag.Float64("checkpoint-every", 0, "virtual seconds between periodic snapshots under -checkpoint-dir (0 = journal-only after the attach snapshot)")
-		restore   = flag.String("restore", "", "restore the gate from this checkpoint directory and resume the killed run to completion")
+		restore   = flag.String("restore", "", "re-execute the killed run whose checkpoint is in this directory, check its gate against the checkpoint at the kill, and resume it to completion")
 		killAt    = flag.Float64("kill-at", 0, "kill the process at this virtual second (crash injection); needs -checkpoint-dir, then resume with -restore")
 		listen    = flag.String("listen", "", "serve live introspection endpoints (/metrics, /events, /state, /blame, /debug/pprof) on this address while the run executes, e.g. :8080")
 		pace      = flag.String("pace", "max", `wall-clock pacing of virtual time: "max" (unthrottled) or a ratio like "1x" (real time) or "10x"`)
@@ -171,7 +171,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*scale, *jitter, *reps, *jobs, *sloMS, *ckptEvery, *killAt, *listen, *pace); err != nil {
+	if err := validateFlags(*scale, *jitter, *reps, *jobs, *domFaults, *sloMS, *ckptEvery, *killAt, *listen, *pace); err != nil {
 		usage(err)
 	}
 	set := map[string]string{}

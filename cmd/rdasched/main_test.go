@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -69,11 +70,12 @@ func TestTimelineGolden(t *testing.T) {
 // for anything else, so `-scale 10` looked like a very slow quick run.
 func TestValidateFlags(t *testing.T) {
 	type in struct {
-		scale, jitter            float64
-		reps, jobs               int
-		sloMS, ckptEvery, killAt float64
-		listen, pace             string
+		scale, jitter                       float64
+		reps, jobs                          int
+		domFaults, sloMS, ckptEvery, killAt float64
+		listen, pace                        string
 	}
+	nan := math.NaN()
 	valid := in{scale: 1, jitter: 0.02, reps: 4, jobs: 1, pace: "max"}
 	cases := []struct {
 		name    string
@@ -81,19 +83,27 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // substring; empty means valid
 	}{
 		{"defaults", valid, ""},
-		{"quick-run", in{scale: 0.05, reps: 1, jobs: 4, sloMS: 25, ckptEvery: 0.5, killAt: 1.5, pace: "max"}, ""},
+		{"quick-run", in{scale: 0.05, reps: 1, jobs: 4, domFaults: 0.5, sloMS: 25, ckptEvery: 0.5, killAt: 1.5, pace: "max"}, ""},
 		{"live-watch", in{scale: 1, reps: 1, jobs: 1, listen: ":8080", pace: "10x"}, ""},
 		{"listen-any-port", in{scale: 1, reps: 1, jobs: 1, listen: "127.0.0.1:0", pace: "1x"}, ""},
 		{"pace-fractional", in{scale: 1, reps: 1, jobs: 1, pace: "0.5x"}, ""},
 		{"scale-zero", in{scale: 0, reps: 1, jobs: 1, pace: "max"}, "-scale"},
 		{"scale-negative", in{scale: -1, reps: 1, jobs: 1, pace: "max"}, "-scale"},
 		{"scale-above-one", in{scale: 10, reps: 1, jobs: 1, pace: "max"}, "-scale"},
+		{"scale-nan", in{scale: nan, reps: 1, jobs: 1, pace: "max"}, "-scale"},
 		{"jitter-negative", in{scale: 1, jitter: -0.1, reps: 1, jobs: 1, pace: "max"}, "-jitter"},
+		{"jitter-one", in{scale: 1, jitter: 1, reps: 1, jobs: 1, pace: "max"}, "-jitter"},
+		{"jitter-nan", in{scale: 1, jitter: nan, reps: 1, jobs: 1, pace: "max"}, "-jitter"},
 		{"reps-zero", in{scale: 1, reps: 0, jobs: 1, pace: "max"}, "-reps"},
 		{"jobs-zero", in{scale: 1, reps: 1, jobs: 0, pace: "max"}, "-jobs"},
+		{"domain-faults-negative", in{scale: 1, reps: 1, jobs: 1, domFaults: -1, pace: "max"}, "-domain-faults"},
+		{"domain-faults-nan", in{scale: 1, reps: 1, jobs: 1, domFaults: nan, pace: "max"}, "-domain-faults"},
 		{"slo-negative", in{scale: 1, reps: 1, jobs: 1, sloMS: -50, pace: "max"}, "-slo-ms"},
+		{"slo-nan", in{scale: 1, reps: 1, jobs: 1, sloMS: nan, pace: "max"}, "-slo-ms"},
 		{"checkpoint-every-negative", in{scale: 1, reps: 1, jobs: 1, ckptEvery: -1, pace: "max"}, "-checkpoint-every"},
+		{"checkpoint-every-nan", in{scale: 1, reps: 1, jobs: 1, ckptEvery: nan, pace: "max"}, "-checkpoint-every"},
 		{"kill-at-negative", in{scale: 1, reps: 1, jobs: 1, killAt: -2, pace: "max"}, "-kill-at"},
+		{"kill-at-nan", in{scale: 1, reps: 1, jobs: 1, killAt: nan, pace: "max"}, "-kill-at"},
 		{"listen-no-port", in{scale: 1, reps: 1, jobs: 1, listen: "localhost", pace: "max"}, "-listen"},
 		{"listen-garbage", in{scale: 1, reps: 1, jobs: 1, listen: "http://:8080", pace: "max"}, "-listen"},
 		{"pace-zero", in{scale: 1, reps: 1, jobs: 1, pace: "0x"}, "-pace"},
@@ -104,7 +114,7 @@ func TestValidateFlags(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			err := validateFlags(tc.in.scale, tc.in.jitter, tc.in.reps, tc.in.jobs,
-				tc.in.sloMS, tc.in.ckptEvery, tc.in.killAt, tc.in.listen, tc.in.pace)
+				tc.in.domFaults, tc.in.sloMS, tc.in.ckptEvery, tc.in.killAt, tc.in.listen, tc.in.pace)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

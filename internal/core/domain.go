@@ -130,7 +130,7 @@ type DomainSet struct {
 	reg      *telemetry.Registry // bound by SetMetrics; recovery histogram source
 	stealing bool                // reentry guard for the steal scan (and Quiesce suppression)
 	stealEv  *sim.Event          // pending not-yet-aged re-scan tick
-	rsink    ReplaySink          // admission journal (replay.go); nil when detached or absent
+	rsink    ReplaySink          // admission journal (replay.go); nil when none is attached
 
 	// Fault and recovery state; nil until EnableRecovery
 	// (domain_recovery.go).

@@ -436,13 +436,10 @@ func (s *Scheduler) govScheduleTick() {
 }
 
 // govTick is the armed self-evaluation callback. It journals itself
-// (RecGovTick) so the restored governor carries the post-tick ladder
-// state and the re-armed tick time — a restore never has to normalize
-// an expired-but-unfired tick, because every firing is a record.
+// (RecGovTick) so a restored state carries the post-tick ladder state
+// and the re-armed tick time — a restore never has to normalize an
+// expired-but-unfired tick, because every firing is a record.
 func (s *Scheduler) govTick() {
-	if s.detached {
-		return
-	}
 	g := s.gov
 	g.tickEv = nil
 	s.govEvaluate(s.now())

@@ -148,9 +148,6 @@ func (s *Scheduler) noteWait(per *period) {
 // late pp_end is recognized, and re-runs the wait queue against the
 // recovered capacity.
 func (s *Scheduler) reclaim(per *period) {
-	if s.detached {
-		return
-	}
 	if s.reg.get(per.key) != per || !per.admitted {
 		return // ended (or was never admitted) in the meantime
 	}
@@ -179,9 +176,6 @@ func (s *Scheduler) reclaim(per *period) {
 // load is charged, the stock scheduler takes over — so an unsatisfiable
 // demand degrades to the paper's baseline instead of starving.
 func (s *Scheduler) fallbackAdmit(per *period) {
-	if s.detached {
-		return
-	}
 	if per.admitted || s.reg.get(per.key) != per {
 		return // admitted or reclaimed in the meantime
 	}

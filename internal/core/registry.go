@@ -84,7 +84,7 @@ func (r *registry) open(key periodKey) *period {
 	return per
 }
 
-// add registers an existing period (a migration or an import).
+// add registers per: a period just opened, or one migrating in.
 func (r *registry) add(per *period) {
 	r.procs = growSlots(r.procs, per.key.procID)
 	ps := &r.procs[per.key.procID]

@@ -305,7 +305,7 @@ func upsertPeriod(d *DomainState, ps PeriodState) {
 func removePeriod(d *DomainState, id pp.ID) {
 	i := sort.Search(len(d.Periods), func(i int) bool { return d.Periods[i].ID >= id })
 	if i < len(d.Periods) && d.Periods[i].ID == id {
-		d.Periods = append(d.Periods[:i], d.Periods[i+1:]...)
+		d.Periods = without(d.Periods, i)
 	}
 }
 
@@ -332,7 +332,7 @@ func upsertInside(d *DomainState, e InsideEntry) {
 func removeInside(d *DomainState, tid int) {
 	i := sort.Search(len(d.Inside), func(i int) bool { return d.Inside[i].Thread >= tid })
 	if i < len(d.Inside) && d.Inside[i].Thread == tid {
-		d.Inside = append(d.Inside[:i], d.Inside[i+1:]...)
+		d.Inside = without(d.Inside, i)
 	}
 }
 
@@ -350,7 +350,7 @@ func addSortedInt(xs []int, v int) []int {
 func delSortedInt(xs []int, v int) []int {
 	i := sort.SearchInts(xs, v)
 	if i < len(xs) && xs[i] == v {
-		return append(xs[:i], xs[i+1:]...)
+		return without(xs, i)
 	}
 	return xs
 }
@@ -388,6 +388,17 @@ func removePlacement(ss *SetState, k ProcPhase) {
 		return p.Proc > k.Proc || (p.Proc == k.Proc && p.Phase >= k.Phase)
 	})
 	if i < len(ss.DomainOf) && ss.DomainOf[i].Proc == k.Proc && ss.DomainOf[i].Phase == k.Phase {
-		ss.DomainOf = append(ss.DomainOf[:i], ss.DomainOf[i+1:]...)
+		ss.DomainOf = without(ss.DomainOf, i)
 	}
+}
+
+// without deletes xs[i]. Deleting the last element leaves nil, not an
+// empty slice: ExportState leaves an empty list nil, and the two encode
+// differently (null, []) under the canonical JSON the restore check
+// compares.
+func without[T any](xs []T, i int) []T {
+	if len(xs) == 1 {
+		return nil
+	}
+	return append(xs[:i], xs[i+1:]...)
 }

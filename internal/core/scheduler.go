@@ -136,13 +136,10 @@ type Scheduler struct {
 	// Checkpoint hooks (replay.go / state.go). rsink receives the
 	// admission journal stream; setStamp, set by a sharded DomainSet,
 	// stamps set-level post-state onto every shard record; pendingLease
-	// accumulates governor lease re-arms between records; detached marks
-	// a scheduler abandoned by the restore path — its timers are
-	// cancelled and any stray callback must become a no-op.
+	// accumulates governor lease re-arms between records.
 	rsink        ReplaySink
 	setStamp     func(*ReplayRecord)
 	pendingLease []LeasePatch
-	detached     bool
 
 	// Recovery hooks (domain_recovery.go). offline quarantines the shard:
 	// the predicate denies everything, including the empty-load safeguard,
@@ -469,11 +466,6 @@ func (s *Scheduler) unregister(per *period) {
 // cascades: a trigger arriving mid-scan (a governor degradation, a
 // reentrant release) re-runs the scan instead of nesting it.
 func (s *Scheduler) wakeWaitlist() {
-	if s.detached {
-		// A stray rescan tick firing after the restore path abandoned
-		// this scheduler; the restored replacement owns the state now.
-		return
-	}
 	if s.inWake {
 		s.rescan = true
 		return

@@ -33,10 +33,10 @@ import (
 // three times: the uninterrupted baseline; the killed run, which halts
 // at the armed process death (machine.ErrHalted) leaving only the
 // checkpoint directory behind; and the revival run, which loads the
-// last valid snapshot, replays the journal suffix, verifies the
-// restored state byte-for-byte against the deterministically
-// re-executed prefix, and hands the machine to a gate built purely
-// from disk. The "identical" column is the experiment's verdict; the
+// last valid snapshot, replays the journal suffix, re-executes the
+// prefix deterministically, checks the gate's state at the kill
+// byte-for-byte against the restored one, and resumes on that same
+// gate. The "identical" column is the experiment's verdict; the
 // journal/snapshot/replay columns are the provenance the rda_persist_*
 // telemetry family reports.
 
@@ -241,7 +241,8 @@ func runRevival(c reviveCell, w proc.Workload, opt Options, lease, deadline sim.
 // Table renders the E9 revival table. Per-resource load ledgers,
 // waitlists, and lease expiries all feed the "identical" verdict
 // through the metrics encoding; the provenance columns show how much of
-// the revived state came from disk.
+// the checked state came from the snapshot and how much from the
+// journal.
 func (r *ReviveResult) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E9: crash-restart revival — journal+snapshot restore vs unkilled run (%s)", r.Workload),

@@ -16,8 +16,7 @@ import (
 // ErrHalted is returned by Run/Resume when the simulation was stopped by
 // sim.Engine.Halt before every process completed (the crash-restart
 // machinery's process-death fault). The machine's state is intact: the
-// run can continue via Resume, typically after a restored gate has been
-// swapped in with SetGate.
+// run can continue via Resume, on the same gate.
 var ErrHalted = errors.New("machine: halted")
 
 // State is a thread's scheduling state.
@@ -333,9 +332,9 @@ func (m *Machine) start() error {
 }
 
 // Resume continues a run that Run (or a previous Resume) left with
-// ErrHalted. The caller must first clear the engine halt (sim.Engine
-// Resume); typically a restored gate has been installed with SetGate so
-// the remainder of the schedule is driven by the revived scheduler.
+// ErrHalted, on the same gate. The caller must first clear the engine
+// halt (sim.Engine Resume); a revival does so once it has checked the
+// gate against the checkpoint.
 func (m *Machine) Resume() (*Result, error) {
 	if !m.ran {
 		return nil, fmt.Errorf("machine: Resume before Run")
@@ -390,15 +389,9 @@ func (m *Machine) drive() (*Result, error) {
 	return res, nil
 }
 
-// SetGate replaces the admission gate mid-run. It exists for the restore
-// path: after a halt, a scheduler rebuilt from a checkpoint takes over
-// from the one that "died". The caller is responsible for the old gate's
-// pending timers — a detached gate must never touch the machine again.
-func (m *Machine) SetGate(g Gate) { m.gate = g }
-
 // ThreadByID returns the thread with the given machine-wide id, or nil
 // when no such thread exists. IDs are dense slice indexes assigned in
-// AddProcess order, so restored checkpoints can re-link waiter lists.
+// AddProcess order.
 func (m *Machine) ThreadByID(id int) *Thread {
 	if id < 0 || id >= len(m.threads) {
 		return nil

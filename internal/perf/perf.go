@@ -182,9 +182,9 @@ type RunConfig struct {
 	Checkpoint *persist.Config
 	// Restore, when non-nil, resumes a killed run from a loaded
 	// checkpoint: the pre-kill prefix is re-executed (the simulation is
-	// deterministic), verified byte-for-byte against the restored state,
-	// and then a scheduler built purely from the checkpoint takes over
-	// the machine for the remainder.
+	// deterministic), the gate's state at the kill is checked
+	// byte-for-byte against the restored one, and the same gate then
+	// runs the remainder.
 	Restore *persist.Restored
 	// Jobs fans repetitions out across a worker pool (internal/runner);
 	// 0 and 1 run them serially. Results are bit-identical for every
@@ -377,27 +377,19 @@ func NewMachine(rc RunConfig) (*machine.Machine, *core.DomainSet, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := machine.New(rc.Machine, nil)
-	if schd != nil {
-		m.SetGate(schd)
-		bindMachine(schd, m)
+	if schd == nil {
+		// A nil *DomainSet must not become a non-nil machine.Gate.
+		return machine.New(rc.Machine, nil), nil, nil
 	}
-	return m, schd, nil
-}
-
-// bindMachine binds a gate to the machine it gates: the machine wakes
-// paused threads, its clock stamps decisions and its engine times
-// leases, deadlines and ticks.
-func bindMachine(schd *core.DomainSet, m *machine.Machine) {
+	m := machine.New(rc.Machine, schd)
 	schd.SetWaker(m)
 	schd.SetClock(m.Now)
 	schd.SetTimer(m.Engine())
+	return m, schd, nil
 }
 
 // newGate builds the admission gate for one repetition, a DomainSet of
 // max(rc.Domains, 1) shards (nil for the uninstrumented baseline).
-// NewMachine binds it to a fresh machine; the restore path builds a
-// second, identical gate to import the checkpoint into.
 func newGate(rc RunConfig) (*core.DomainSet, error) {
 	if rc.Policy == nil {
 		return nil, nil
@@ -426,30 +418,24 @@ func newGate(rc RunConfig) (*core.DomainSet, error) {
 	return dset, nil
 }
 
-// runSinks holds the observers shared by a repetition's gates. The
-// restore path binds them to two gates in sequence — the one that
-// re-executes the pre-kill prefix and the one built from the checkpoint
-// — so the resulting trace, metrics, and SLO streams cover the whole
-// run exactly once, like an uninterrupted run's would.
+// runSinks holds the observers rc attaches to a repetition's gate.
 type runSinks struct {
 	reg  *telemetry.Registry
 	col  *trace.Collector
 	bcol *blame.Collector
 	smon *blame.SLOMonitor
-	in   *introspection
 }
 
 // introspection is the per-repetition bridge between the engine step
 // hook and the live server: stop requests, wall-clock pacing, and
 // periodic state/blame publication. It runs entirely on the engine
-// goroutine; the gate pointer is re-aimed when the restore path swaps
-// gates so /state keeps tracking the live one.
+// goroutine.
 type introspection struct {
 	srv   *obsrv.Server
 	pacer *obsrv.Pacer
 	eng   *sim.Engine
 	gate  *core.DomainSet
-	sk    *runSinks
+	bcol  *blame.Collector
 }
 
 // step is the sim.Engine hook: honor a pending stop first (so a stuck
@@ -466,14 +452,14 @@ func (in *introspection) step(now sim.Time) {
 		return
 	}
 	var rpt func() *blame.Report
-	if in.sk.bcol != nil {
-		rpt = in.sk.bcol.Report
+	if in.bcol != nil {
+		rpt = in.bcol.Report
 	}
 	in.srv.MaybePublish(in.gate.ExportState, rpt)
 }
 
-// bind configures one machine-bound gate's lease, deadline and
-// governor and attaches the (lazily created) observers.
+// bind configures the gate's lease, deadline and governor and creates
+// and attaches the observers.
 func (sk *runSinks) bind(schd *core.DomainSet, rc RunConfig) error {
 	schd.SetLease(rc.Lease)
 	schd.SetAdmissionDeadline(rc.AdmitDeadline)
@@ -481,30 +467,21 @@ func (sk *runSinks) bind(schd *core.DomainSet, rc RunConfig) error {
 		schd.EnableGovernor(*rc.Governor)
 	}
 	if rc.Telemetry {
-		if sk.reg == nil {
-			sk.reg = telemetry.NewRegistry()
-		}
+		sk.reg = telemetry.NewRegistry()
 		schd.SetMetrics(sk.reg)
 	}
 	if rc.Trace {
-		if sk.col == nil {
-			sk.col = trace.NewCollector()
-		}
+		sk.col = trace.NewCollector()
 		schd.AddSink(sk.col)
 	}
 	if rc.Blame {
-		if sk.bcol == nil {
-			sk.bcol = blame.NewCollector()
-		}
+		sk.bcol = blame.NewCollector()
 		schd.AddSink(sk.bcol)
 	}
 	if rc.SLO != nil {
-		if sk.smon == nil {
-			var err error
-			sk.smon, err = blame.NewSLOMonitor(*rc.SLO)
-			if err != nil {
-				return err
-			}
+		var err error
+		if sk.smon, err = blame.NewSLOMonitor(*rc.SLO); err != nil {
+			return err
 		}
 		schd.AddSink(sk.smon)
 	}
@@ -518,29 +495,30 @@ func (sk *runSinks) bind(schd *core.DomainSet, rc RunConfig) error {
 }
 
 // stateTracker is the replay sink a revival run attaches to the gate
-// that re-executes the pre-kill prefix: every record the prefix emits is
-// folded into the restored state with the same State.Apply the journal
-// replay used. For a journal that survived intact this is a no-op —
-// records are idempotent post-state patches and the on-disk journal
-// already contained every one of them. For a journal torn mid-frame it
-// regenerates the lost suffix: the records past the truncation point are
-// an exact function of the deterministic re-execution, so the tracked
-// state converges on the gate at the kill no matter where the tear
-// landed.
+// that re-executes the pre-kill prefix. It skips the first skip records,
+// which the checkpoint already holds, and folds the rest into the
+// restored state with the same State.Apply the journal replay used. For
+// a journal that survived intact there is no rest. For a journal torn
+// mid-frame the rest is the lost suffix: the records past the
+// truncation point are an exact function of the deterministic
+// re-execution. Either way the records the checkpoint holds reach the
+// check only as the state read from disk, so a checkpoint that
+// misrepresents any of them is refused.
 type stateTracker struct {
-	st  core.State
-	err error
+	st   core.State
+	skip uint64
+	err  error
 }
 
 // newStateTracker deep-copies the restored state (through its canonical
-// encoding) so folding prefix records never mutates the caller's
-// Restored value.
-func newStateTracker(st core.State) (*stateTracker, error) {
-	b, err := st.Canonical()
+// encoding) so folding records never mutates the caller's Restored
+// value.
+func newStateTracker(res *persist.Restored) (*stateTracker, error) {
+	b, err := res.State.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	tr := &stateTracker{}
+	tr := &stateTracker{skip: res.Seq}
 	if err := json.Unmarshal(b, &tr.st); err != nil {
 		return nil, err
 	}
@@ -550,6 +528,10 @@ func newStateTracker(st core.State) (*stateTracker, error) {
 // Replay implements core.ReplaySink. Apply errors are sticky and
 // surface when the revival protocol runs.
 func (t *stateTracker) Replay(r core.ReplayRecord) {
+	if t.skip > 0 {
+		t.skip--
+		return
+	}
 	if t.err != nil {
 		return
 	}
@@ -583,14 +565,14 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		}
 	}
 	if rc.Obsrv != nil || rc.Pace > 0 {
-		sk.in = &introspection{
+		in := &introspection{
 			srv:   rc.Obsrv,
 			pacer: obsrv.NewPacer(rc.Pace),
 			eng:   m.Engine(),
 			gate:  schd,
-			sk:    sk,
+			bcol:  sk.bcol,
 		}
-		m.Engine().SetStepHook(sk.in.step)
+		m.Engine().SetStepHook(in.step)
 		if rc.Obsrv != nil {
 			rc.Obsrv.SetReady(true)
 		}
@@ -624,7 +606,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 	}
 	var tr *stateTracker
 	if rc.Restore != nil {
-		tr, err = newStateTracker(rc.Restore.State)
+		tr, err = newStateTracker(rc.Restore)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -634,6 +616,13 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		return Metrics{}, err
 	}
 	res, err := m.Run()
+	if err == nil && rc.Restore != nil {
+		// The killed run halted at its checkpoint's kill time. A
+		// re-execution that finishes first is not that run, and nothing
+		// was checked against the checkpoint.
+		return Metrics{}, fmt.Errorf("perf: restored run finished at %v, before its checkpoint's kill time %v",
+			m.Now(), sim.Time(0).Add(rc.Restore.KillAt))
+	}
 	if err != nil {
 		if !errors.Is(err, machine.ErrHalted) {
 			return Metrics{}, err
@@ -661,7 +650,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 			}
 			return Metrics{}, fmt.Errorf("perf: process killed at %v: %w", m.Now(), err)
 		}
-		schd, res, err = resumeRestored(m, rc, schd, sk, tr)
+		res, err = resumeRestored(m, schd, tr)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -771,71 +760,41 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 // resumeRestored is the revival protocol, entered when the re-executed
 // pre-kill prefix halts at the checkpointed kill time:
 //
-//  1. Verify: the live gate's exported state must match the tracked
-//     restored state — the checkpoint plus every record the prefix
-//     re-emitted (a no-op for an intact journal, the regenerated suffix
-//     for a torn one) — byte-for-byte under canonical JSON. (The
-//     tracked state's clock reads the last record, which can trail the
-//     kill by a stretch with no admission activity, so the timestamps
-//     are aligned before comparing.) A mismatch means the journal and
-//     the deterministic re-execution disagree — corruption beyond what
-//     the checksums caught, or nondeterminism; either way, refuse.
-//  2. Detach the prefix gate: cancel its timers, drop its sinks; any
-//     already-queued event against it becomes a no-op.
-//  3. Build a fresh gate from the run configuration, import the
-//     restored state into it (re-linking waiter threads through the
-//     machine, re-arming every lease/deadline/tick at its original
-//     expiry), re-attach the observers, and swap it under the machine.
-//  4. Clear the halt and drive the run to completion.
+//  1. Check: the live gate's exported state must equal the restored
+//     state, with any regenerated journal suffix folded in, byte-for-byte
+//     under canonical JSON. (The tracked state's clock reads the last
+//     record, which can trail the kill by a stretch with no admission
+//     activity, so the timestamps are aligned before comparing.) A
+//     mismatch means the checkpoint and the deterministic re-execution
+//     disagree — corruption beyond what the checksums caught, or
+//     nondeterminism; either way, refuse.
+//  2. Detach the tracker, clear the halt and drive the same gate to
+//     completion: the revived run is the killed run's own continuation.
 //
-// The imported state — not the re-executed prefix gate — owns the rest
-// of the run, so the persistence layer is load-bearing: any field the
-// snapshot or journal misrepresents changes the resumed schedule, and
-// the E9 golden (byte-identical final tables vs. the unkilled run)
-// catches it.
-func resumeRestored(m *machine.Machine, rc RunConfig, old *core.DomainSet, sk *runSinks, tr *stateTracker) (*core.DomainSet, *machine.Result, error) {
+// Every field the snapshot or journal misrepresents fails the check, so
+// the persistence layer is load-bearing without a second gate.
+func resumeRestored(m *machine.Machine, schd *core.DomainSet, tr *stateTracker) (*machine.Result, error) {
 	if tr.err != nil {
-		return nil, nil, fmt.Errorf("perf: folding re-executed prefix into restored state: %w", tr.err)
+		return nil, fmt.Errorf("perf: folding the regenerated journal suffix into the restored state: %w", tr.err)
 	}
-	live := old.ExportState()
+	live := schd.ExportState()
 	want := tr.st
 	want.At = live.At
 	lb, err := live.Canonical()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	wb, err := want.Canonical()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !bytes.Equal(lb, wb) {
-		return nil, nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
+		return nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
 			m.Now(), len(wb), len(lb))
 	}
-	old.Detach()
-	schd, err := newGate(rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	bindMachine(schd, m)
-	if err := sk.bind(schd, rc); err != nil {
-		return nil, nil, err
-	}
-	if err := schd.ImportState(want, m.ThreadByID); err != nil {
-		return nil, nil, err
-	}
-	if sk.in != nil {
-		// The imported gate owns the rest of the run; /state must track
-		// it, not the detached prefix gate.
-		sk.in.gate = schd
-	}
-	m.SetGate(schd)
+	schd.SetReplaySink(nil)
 	m.Engine().Resume()
-	res, err := m.Resume()
-	if err != nil {
-		return nil, nil, err
-	}
-	return schd, res, nil
+	return m.Resume()
 }
 
 // armDomainFaults schedules a plan's domain-level faults, which

@@ -3,7 +3,8 @@
 // decision as a length-prefixed, CRC-32C-checksummed record), periodic
 // full-state snapshots, and a restore path that loads the last valid
 // snapshot, replays the journal suffix, and reconstructs the exact gate
-// a killed run had at its last completed engine event.
+// state a killed run had at its last completed engine event, which the
+// revival checks its re-executed gate against.
 //
 // Durability model: the journal is appended one frame per record, so a
 // process death tears at most the final frame; the reader truncates at

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rdasched/internal/core"
@@ -62,10 +63,11 @@ func reviveConfig(policy core.Policy, domains int) perf.RunConfig {
 	}
 }
 
-// killRestore runs the full protocol: baseline, killed run with a
-// checkpoint, restore from disk, revival run; it returns baseline and
-// revived metrics plus the checkpoint provenance.
-func killRestore(t *testing.T, rc perf.RunConfig, frac float64, mutate func(dir string)) (base, revived perf.Metrics, res *persist.Restored) {
+// killRun runs the baseline and then the same configuration killed at
+// frac of the baseline's makespan with a checkpoint, on top of any fault
+// plan rc carries; it returns the baseline metrics, the checkpoint
+// directory and the kill time.
+func killRun(t *testing.T, rc perf.RunConfig, frac float64) (base perf.Metrics, dir string, killAt sim.Duration) {
 	t.Helper()
 	w := reviveWorkload()
 	base, err := perf.Sample(w, rc, 0)
@@ -75,20 +77,34 @@ func killRestore(t *testing.T, rc perf.RunConfig, frac float64, mutate func(dir 
 	if base.MaxWaitSec == 0 {
 		t.Fatal("workload forms no waitlist; the round trip would not exercise restore")
 	}
-	killAt := sim.FromSeconds(base.ElapsedSec * frac)
-	dir := t.TempDir()
+	killAt = sim.FromSeconds(base.ElapsedSec * frac)
+	dir = t.TempDir()
 
+	var plan faults.Plan
+	if rc.Faults != nil {
+		plan = *rc.Faults
+	}
+	plan.KillAt = killAt
 	krc := rc
-	krc.Faults = &faults.Plan{KillAt: killAt}
+	krc.Faults = &plan
 	krc.Checkpoint = &persist.Config{Dir: dir, Every: killAt / 3}
 	if _, err := perf.Sample(w, krc, 0); !errors.Is(err, machine.ErrHalted) {
 		t.Fatalf("killed run returned %v, want machine.ErrHalted", err)
 	}
+	return base, dir, killAt
+}
+
+// killRestore runs the full protocol: baseline, killed run with a
+// checkpoint, restore from disk, revival run; it returns baseline and
+// revived metrics plus the checkpoint provenance.
+func killRestore(t *testing.T, rc perf.RunConfig, frac float64, mutate func(dir string)) (base, revived perf.Metrics, res *persist.Restored) {
+	t.Helper()
+	base, dir, killAt := killRun(t, rc, frac)
 	if mutate != nil {
 		mutate(dir)
 	}
 
-	res, err = persist.Restore(dir)
+	res, err := persist.Restore(dir)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -98,7 +114,7 @@ func killRestore(t *testing.T, rc perf.RunConfig, frac float64, mutate func(dir 
 
 	rrc := rc
 	rrc.Restore = res
-	revived, err = perf.Sample(w, rrc, 0)
+	revived, err = perf.Sample(reviveWorkload(), rrc, 0)
 	if err != nil {
 		t.Fatalf("revival run: %v", err)
 	}
@@ -121,6 +137,15 @@ func assertSameMetrics(t *testing.T, want, got perf.Metrics) {
 	if !bytes.Equal(wb, gb) {
 		t.Fatalf("revived run diverged from the unkilled baseline:\nbaseline %s\nrevived  %s", wb, gb)
 	}
+}
+
+// domSuffix names a sharded row's domain count; a single-domain row
+// carries no suffix.
+func domSuffix(domains int) string {
+	if domains > 1 {
+		return fmt.Sprintf("-%ddom", domains)
+	}
+	return ""
 }
 
 // TestKillRestoreRoundTrip is the tentpole invariant: kill the process
@@ -158,15 +183,19 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 }
 
 // TestKillRestoreEarlyAndLate moves the kill point: early (during the
-// admission pile-up) and late (most periods already drained).
+// admission pile-up) and late (most periods already drained), unsharded
+// and sharded. Late kills on a sharded gate find domains whose registry,
+// waiters or placements the journal has emptied; the restored lists must
+// encode like the live gate's.
 func TestKillRestoreEarlyAndLate(t *testing.T) {
-	for _, frac := range []float64{0.1, 0.75} {
-		frac := frac
-		t.Run(fmt.Sprintf("frac-%.2f", frac), func(t *testing.T) {
-			rc := reviveConfig(core.StrictPolicy{}, 0)
-			base, revived, _ := killRestore(t, rc, frac, nil)
-			assertSameMetrics(t, base, revived)
-		})
+	for _, domains := range []int{0, 2, 4} {
+		for _, frac := range []float64{0.1, 0.75, 0.8, 0.85, 0.9, 0.95} {
+			t.Run(fmt.Sprintf("frac-%.2f%s", frac, domSuffix(domains)), func(t *testing.T) {
+				rc := reviveConfig(core.StrictPolicy{}, domains)
+				base, revived, _ := killRestore(t, rc, frac, nil)
+				assertSameMetrics(t, base, revived)
+			})
+		}
 	}
 }
 
@@ -230,6 +259,126 @@ func TestRestoreSkipsCorruptSnapshot(t *testing.T) {
 	assertSameMetrics(t, base, revived)
 	if res.Snapshots != len(snaps) {
 		t.Fatalf("Restored.Snapshots = %d, directory lists %d snapshot files %v", res.Snapshots, len(snaps), snaps)
+	}
+}
+
+// TestRestoreRefusesCorruptCheckpoint alters what persist.Restore
+// returns, as a checkpoint that passed its checksums but misrepresents
+// the killed run would: fields the journal's records patch, fields no
+// record touches, whole registries, process, phase and thread IDs the
+// machine could not have issued, and a kill time past the run's end.
+// The revival must refuse every one with an error, not panic and not
+// resume, on one domain and on four.
+func TestRestoreRefusesCorruptCheckpoint(t *testing.T) {
+	huge := 1 << 40
+	llc := pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(1), Reuse: pp.ReuseHigh}
+	// Each row alters d, a domain holding an admitted period with a
+	// thread inside it, or the state around it.
+	rows := []struct {
+		name string
+		mut  func(res *persist.Restored, d *core.DomainState)
+	}{
+		{"period-refs", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Refs++ }},
+		{"period-admitted-at", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].AdmittedAt++ }},
+		{"period-enqueued-at", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].EnqueuedAt++ }},
+		{"period-ticket", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Ticket++ }},
+		{"period-waiters", func(_ *persist.Restored, d *core.DomainState) {
+			d.Periods[0].Waiters = append(d.Periods[0].Waiters, d.Inside[0].Thread)
+		}},
+		{"stats", func(_ *persist.Restored, d *core.DomainState) { d.Stats.Begins++ }},
+		{"usage", func(_ *persist.Restored, d *core.DomainState) { d.Usage[pp.ResourceLLC]++ }},
+		{"capacity", func(_ *persist.Restored, d *core.DomainState) { d.Capacity[pp.ResourceLLC]-- }},
+		{"reserve", func(_ *persist.Restored, d *core.DomainState) { d.Reserve++ }},
+		{"drop-period", func(_ *persist.Restored, d *core.DomainState) { d.Periods = d.Periods[1:] }},
+		{"extra-period", func(_ *persist.Restored, d *core.DomainState) {
+			last := d.Periods[len(d.Periods)-1]
+			d.Periods = append(d.Periods, core.PeriodState{ID: last.ID + 1000, Proc: last.Proc, Phase: last.Phase + 1,
+				Demands: []pp.Demand{llc}, Admitted: true})
+		}},
+		{"empty-every-domain", func(res *persist.Restored, _ *core.DomainState) {
+			for i := range res.State.Domains {
+				e := &res.State.Domains[i]
+				e.Periods, e.Inside, e.Parked, e.Stats = nil, nil, nil, core.Stats{}
+				e.Usage = make([]pp.Bytes, pp.NumResources)
+			}
+		}},
+		{"parked-negative", func(_ *persist.Restored, d *core.DomainState) { d.Parked = append(d.Parked, -1) }},
+		{"parked-huge", func(_ *persist.Restored, d *core.DomainState) { d.Parked = append(d.Parked, huge) }},
+		{"reclaimed-neg-proc", func(_ *persist.Restored, d *core.DomainState) {
+			d.Reclaimed = append(d.Reclaimed, core.ProcPhase{Proc: -1})
+		}},
+		{"reclaimed-neg-phase", func(_ *persist.Restored, d *core.DomainState) {
+			d.Reclaimed = append(d.Reclaimed, core.ProcPhase{Phase: -1})
+		}},
+		{"inside-neg-thread", func(_ *persist.Restored, d *core.DomainState) { d.Inside[0].Thread = -1 }},
+		{"inside-huge-thread", func(_ *persist.Restored, d *core.DomainState) { d.Inside[0].Thread = huge }},
+		{"inside-wrong-proc", func(_ *persist.Restored, d *core.DomainState) { d.Inside[0].Proc++ }},
+		{"inside-neg-proc", func(_ *persist.Restored, d *core.DomainState) { d.Inside[0].Proc = -1 }},
+		{"inside-neg-phase", func(_ *persist.Restored, d *core.DomainState) { d.Inside[0].Phase = -1 }},
+		{"period-neg-proc", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Proc = -1 }},
+		{"period-huge-proc", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Proc = huge }},
+		{"period-neg-phase", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Phase = -1 }},
+		{"period-no-demand", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Demands = nil }},
+		{"period-twice", func(_ *persist.Restored, d *core.DomainState) {
+			twin := d.Periods[len(d.Periods)-1]
+			twin.ID += 1000
+			d.Periods = append(d.Periods, twin)
+		}},
+		{"breaker-negative", func(_ *persist.Restored, d *core.DomainState) {
+			d.Gov.Breakers = append(d.Gov.Breakers, core.BreakerSnap{Proc: -1, State: core.BreakerOpen, Strikes: 1})
+		}},
+		{"breaker-huge", func(_ *persist.Restored, d *core.DomainState) {
+			d.Gov.Breakers = append(d.Gov.Breakers, core.BreakerSnap{Proc: huge, State: core.BreakerOpen, Strikes: 1})
+		}},
+		{"kill-after-end", func(res *persist.Restored, _ *core.DomainState) { res.KillAt = 1000 * sim.Second }},
+	}
+	for _, domains := range []int{1, 4} {
+		rc := governedConfig(domains)
+		base, dir, _ := killRun(t, rc, 0.4)
+		restore := func(t *testing.T) (*persist.Restored, *core.DomainState) {
+			t.Helper()
+			res, err := persist.Restore(dir)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			for i := range res.State.Domains {
+				if d := &res.State.Domains[i]; len(d.Periods) > 0 && len(d.Inside) > 0 {
+					return res, d
+				}
+			}
+			t.Fatal("no domain holds an admitted period at the kill")
+			return nil, nil
+		}
+		t.Run("intact"+domSuffix(domains), func(t *testing.T) {
+			res, _ := restore(t)
+			rrc := rc
+			rrc.Restore = res
+			revived, err := perf.Sample(reviveWorkload(), rrc, 0)
+			if err != nil {
+				t.Fatalf("revival run: %v", err)
+			}
+			assertSameMetrics(t, base, revived)
+		})
+		for _, row := range rows {
+			t.Run(row.name+domSuffix(domains), func(t *testing.T) {
+				res, d := restore(t)
+				row.mut(res, d)
+				rrc := rc
+				rrc.Restore = res
+				err := func() (err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("panic: %v", p)
+						}
+					}()
+					_, err = perf.Sample(reviveWorkload(), rrc, 0)
+					return err
+				}()
+				if err == nil || !strings.HasPrefix(err.Error(), "perf: restored ") {
+					t.Fatalf("revival from the altered checkpoint returned %v, want the restore check's refusal", err)
+				}
+			})
+		}
 	}
 }
 
@@ -307,6 +456,53 @@ func TestKilledRepetitionsSameCheckpointTree(t *testing.T) {
 	for name, b := range serial {
 		if !bytes.Equal(b, parallel[name]) {
 			t.Errorf("%s differs between jobs 1 and jobs 4", name)
+		}
+	}
+}
+
+// governedConfig attaches the admission governor to reviveConfig's
+// strict run with a breaker that trips on the first misdeclaration and
+// stays open for half the admission deadline, and misdeclares demands
+// (with leaks, crashes, oversize demands and arrival bursts) at rate
+// 0.3, so the kill lands on open breakers, probation clocks and aged
+// waiters.
+func governedConfig(domains int) perf.RunConfig {
+	rc := reviveConfig(core.StrictPolicy{}, domains)
+	gov := core.DefaultGovernorConfig()
+	gov.Strikes = 1
+	gov.Probation = rc.AdmitDeadline / 2
+	rc.Governor = &gov
+	plan := faults.Uniform(0.3, rc.Machine.LLCCapacity)
+	rc.Faults = &plan
+	return rc
+}
+
+// TestKillRestoreGoverned kills governed runs, sharded and not, early,
+// midway and late: every kill lands with a misdeclaring process
+// quarantined behind an open breaker, in runs whose governor also
+// reserves capacity for aged waiters. The revived run must end exactly
+// where the unkilled one does.
+func TestKillRestoreGoverned(t *testing.T) {
+	for _, domains := range []int{0, 4} {
+		for _, frac := range []float64{0.25, 0.5, 0.75} {
+			t.Run(fmt.Sprintf("frac-%.2f%s", frac, domSuffix(domains)), func(t *testing.T) {
+				base, revived, res := killRestore(t, governedConfig(domains), frac, nil)
+				if base.GovernorQuarantines == 0 || base.GovernorReservations == 0 {
+					t.Fatalf("baseline quarantined %v and reserved %v times, want both", base.GovernorQuarantines, base.GovernorReservations)
+				}
+				open := 0
+				for _, d := range res.State.Domains {
+					for _, b := range d.Gov.Breakers {
+						if b.State == core.BreakerOpen {
+							open++
+						}
+					}
+				}
+				if open == 0 {
+					t.Fatal("no breaker open at the kill")
+				}
+				assertSameMetrics(t, base, revived)
+			})
 		}
 	}
 }

@@ -34,21 +34,9 @@ func (q *WaitQueue[T]) Enqueue(v T) uint64 {
 	return q.seq
 }
 
-// Seq returns the highest ticket issued so far. Together with EnqueueAs
-// it lets a checkpoint capture the queue exactly: persist Seq plus each
-// waiter's ticket, then rebuild with Reset(seq) + EnqueueAs per waiter.
+// Seq returns the highest ticket issued so far: a checkpoint records it
+// beside each waiter's ticket, which captures the queue exactly.
 func (q *WaitQueue[T]) Seq() uint64 { return q.seq }
-
-// Reset clears the queue and restores the ticket counter to seq, which
-// must be at least the current counter value of a fresh queue (i.e. any
-// value; on a used queue it must not rewind below tickets still enqueued
-// — Reset empties the queue first, so that cannot arise). It exists for
-// the restore path: set the persisted counter, then re-insert waiters
-// under their original tickets with EnqueueAs.
-func (q *WaitQueue[T]) Reset(seq uint64) {
-	q.items = q.items[:0]
-	q.seq = seq
-}
 
 // Peek returns the oldest waiter without removing it.
 func (q *WaitQueue[T]) Peek() (T, bool) {

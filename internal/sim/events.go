@@ -173,8 +173,8 @@ func (e *Engine) Halt() { e.halted = true }
 // Resume clears a Halt so Run/Step can continue draining the queue. The
 // clock and pending events are untouched: a halted engine that is resumed
 // behaves exactly as if Halt had never been called, which is what the
-// crash-restart machinery relies on when it swaps a restored scheduler in
-// under a live machine.
+// crash-restart machinery relies on when it resumes a revived run past
+// its kill.
 func (e *Engine) Resume() { e.halted = false }
 
 // Halted reports whether Halt has been called.
