@@ -1,12 +1,13 @@
 package rdasched_test
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablation benchmarks for the design choices DESIGN.md calls out. Each
-// evaluation benchmark runs its experiment at a reduced (shape-
-// preserving) scale per iteration and reports the figure's headline
-// quantity as a custom metric, so `go test -bench=.` both exercises the
-// full pipeline and prints the reproduced numbers. cmd/experiments -all
-// regenerates the full-scale versions recorded in EXPERIMENTS.md.
+// One benchmark per table and figure of the paper's evaluation (Figs
+// 7–10 share one, as they share one sweep), plus ablation benchmarks
+// for the design choices DESIGN.md calls out. Each evaluation benchmark
+// runs its experiment at a reduced (shape-preserving) scale per
+// iteration and reports the figure's headline quantity as a custom
+// metric, so `go test -bench=.` both exercises the full pipeline and
+// prints the reproduced numbers. cmd/experiments -all regenerates the
+// full-scale versions recorded in EXPERIMENTS.md.
 
 import (
 	"fmt"
@@ -55,44 +56,38 @@ func BenchmarkTable2Workloads(b *testing.B) {
 	}
 }
 
-// comparisonBench runs the Figures 7–10 sweep and reports one metric.
-func comparisonBench(b *testing.B, metric func(perf.Metrics) float64, unit string) {
-	b.Helper()
-	var last float64
+// BenchmarkFigs7to10 runs the Figures 7–10 sweep once per iteration and
+// reports each figure's headline: the strict/default ratio of its
+// metric, summed over the Table 2 workloads.
+func BenchmarkFigs7to10(b *testing.B) {
+	figs := []struct {
+		unit   string
+		metric func(perf.Metrics) float64
+	}{
+		{"strict/default-J", func(m perf.Metrics) float64 { return m.SystemJ }},
+		{"strict/default-dramJ", func(m perf.Metrics) float64 { return m.DRAMJ }},
+		{"strict/default-gflops", func(m perf.Metrics) float64 { return m.GFLOPS }},
+		{"strict/default-gfpw", func(m perf.Metrics) float64 { return m.GFLOPSPerWatt }},
+	}
+	var rows []experiments.PolicyRow
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunPolicyComparison(workloads.Table2(), benchOpts())
-		if err != nil {
+		var err error
+		if rows, err = experiments.RunPolicyComparison(workloads.Table2(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
-		// Headline: strict vs default, averaged over workloads.
+	}
+	for _, f := range figs {
 		var strictSum, defSum float64
 		for _, r := range rows {
 			switch r.Policy {
 			case "strict":
-				strictSum += metric(r.Mean)
+				strictSum += f.metric(r.Mean)
 			case "default":
-				defSum += metric(r.Mean)
+				defSum += f.metric(r.Mean)
 			}
 		}
-		last = strictSum / defSum
+		b.ReportMetric(strictSum/defSum, f.unit)
 	}
-	b.ReportMetric(last, unit)
-}
-
-func BenchmarkFig7SystemEnergy(b *testing.B) {
-	comparisonBench(b, func(m perf.Metrics) float64 { return m.SystemJ }, "strict/default-J")
-}
-
-func BenchmarkFig8DRAMEnergy(b *testing.B) {
-	comparisonBench(b, func(m perf.Metrics) float64 { return m.DRAMJ }, "strict/default-dramJ")
-}
-
-func BenchmarkFig9GFLOPS(b *testing.B) {
-	comparisonBench(b, func(m perf.Metrics) float64 { return m.GFLOPS }, "strict/default-gflops")
-}
-
-func BenchmarkFig10Efficiency(b *testing.B) {
-	comparisonBench(b, func(m perf.Metrics) float64 { return m.GFLOPSPerWatt }, "strict/default-gfpw")
 }
 
 func BenchmarkFig11Granularity(b *testing.B) {

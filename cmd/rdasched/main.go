@@ -49,7 +49,9 @@ import (
 // validateFlags rejects out-of-range numeric flags with a clear error.
 // The old behaviour silently ignored an out-of-range -scale, which made
 // `-scale 10` look like a slow full run instead of a typo. Each float
-// bound is written so that NaN fails it too.
+// bound is written so that NaN fails it too. A time flag must also fit
+// the virtual clock's int64 picoseconds; past that the conversion wraps
+// negative (a -kill-at would arm no kill).
 func validateFlags(scale, jitter float64, reps, jobs int, domFaults, sloMS, ckptEvery, killAt float64, listen, pace string) error {
 	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale %g out of range (need 0 < scale <= 1)", scale)
@@ -66,9 +68,16 @@ func validateFlags(scale, jitter float64, reps, jobs int, domFaults, sloMS, ckpt
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"domain-faults", domFaults}, {"slo-ms", sloMS}, {"checkpoint-every", ckptEvery}, {"kill-at", killAt}} {
-		if !(f.v >= 0) {
-			return fmt.Errorf("-%s %g out of range (need >= 0)", f.name, f.v)
+		unit sim.Duration // virtual time per unit of the flag
+	}{
+		{"domain-faults", domFaults, 2 * sim.Second}, // the domain heals at twice the crash time
+		{"slo-ms", sloMS, sim.Millisecond},
+		{"checkpoint-every", ckptEvery, sim.Second},
+		{"kill-at", killAt, sim.Second},
+	} {
+		// 1<<63 picoseconds is the first time an int64 cannot hold.
+		if !(f.v >= 0 && f.v*float64(f.unit) < 1<<63) {
+			return fmt.Errorf("-%s %g out of range (need 0 <= %s < %g)", f.name, f.v, f.name, (1<<63)/float64(f.unit))
 		}
 	}
 	if listen != "" {

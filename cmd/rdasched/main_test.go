@@ -104,6 +104,10 @@ func TestValidateFlags(t *testing.T) {
 		{"checkpoint-every-nan", in{scale: 1, reps: 1, jobs: 1, ckptEvery: nan, pace: "max"}, "-checkpoint-every"},
 		{"kill-at-negative", in{scale: 1, reps: 1, jobs: 1, killAt: -2, pace: "max"}, "-kill-at"},
 		{"kill-at-nan", in{scale: 1, reps: 1, jobs: 1, killAt: nan, pace: "max"}, "-kill-at"},
+		// Past ~9.2e6 s the int64 picoseconds wrap negative.
+		{"kill-at-overflow", in{scale: 1, reps: 1, jobs: 1, killAt: 1e7, pace: "max"}, "-kill-at"},
+		{"checkpoint-every-overflow", in{scale: 1, reps: 1, jobs: 1, ckptEvery: 1e7, pace: "max"}, "-checkpoint-every"},
+		{"domain-faults-heal-overflow", in{scale: 1, reps: 1, jobs: 1, domFaults: 5e6, pace: "max"}, "-domain-faults"},
 		{"listen-no-port", in{scale: 1, reps: 1, jobs: 1, listen: "localhost", pace: "max"}, "-listen"},
 		{"listen-garbage", in{scale: 1, reps: 1, jobs: 1, listen: "http://:8080", pace: "max"}, "-listen"},
 		{"pace-zero", in{scale: 1, reps: 1, jobs: 1, pace: "0x"}, "-pace"},

@@ -5,17 +5,16 @@ import (
 	"testing"
 
 	"rdasched/internal/core"
-	"rdasched/internal/qsim"
 	"rdasched/internal/telemetry"
 	"rdasched/internal/telemetry/blame"
 )
 
 // TestMetricFamiliesLint registers every metric family the repo
-// publishes — scheduler, governor, domain, recovery, quantum simulator,
-// blame, and SLO — with the instrument kind its publisher uses, and
-// lints the result against the Prometheus exposition conventions. A new
-// family with a malformed or suffix-violating name fails here before it
-// ever reaches an exposition.
+// publishes — scheduler, governor, domain, recovery, blame, and SLO —
+// with the instrument kind its publisher uses, and lints the result
+// against the Prometheus exposition conventions. A new family with a
+// malformed or suffix-violating name fails here before it ever reaches
+// an exposition.
 func TestMetricFamiliesLint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	for _, name := range []string{
@@ -34,8 +33,6 @@ func TestMetricFamiliesLint(t *testing.T) {
 		core.MetricRecoveryForcedMoves, core.MetricRecoveryLadderFalls,
 		core.MetricRecoveryDropped, core.MetricRecoveryAuditRuns,
 		core.MetricRecoveryAuditRepairs, core.MetricRecoveryReintegrations,
-		qsim.MetricCtxSwitches, qsim.MetricReloadLines,
-		qsim.MetricParked, qsim.MetricWoken,
 		blame.MetricBlamePeriods, blame.MetricBlameDenies,
 		blame.MetricSLOAdmissions, blame.MetricSLOBreaches, blame.MetricSLOAlerts,
 	} {
@@ -51,7 +48,6 @@ func TestMetricFamiliesLint(t *testing.T) {
 		core.MetricWaitSeconds, core.MetricPeriodSeconds,
 		core.MetricOccupancyBytes, core.MetricWaitlistDepth,
 		core.MetricRecoverySeconds,
-		qsim.MetricWaitSeconds, qsim.MetricOccupancy, qsim.MetricWaitlistDepth,
 		blame.MetricBlameBlocked, blame.MetricBlameUnattributed,
 	} {
 		reg.Histogram(name)

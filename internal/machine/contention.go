@@ -1,31 +1,16 @@
 package machine
 
-import (
-	"rdasched/internal/pp"
-	"rdasched/internal/proc"
-)
+import "rdasched/internal/proc"
 
-// contentionState captures the shared-cache situation at one instant.
-type contentionState struct {
-	// PressureBytes is the total working-set demand of the active set:
-	// one contribution per (process, phase) group of ready threads,
-	// because threads of a process share their phase's data.
-	PressureBytes pp.Bytes
-	// Residency is min(1, capacity/pressure): the fraction of each
-	// working set that stays resident under symmetric LRU sharing.
-	Residency float64
-	// Groups is the number of distinct (process, phase) groups.
-	Groups int
-}
-
-// contention reads the current LLC pressure of the Ready threads off the
-// pressure ledger.
-func (m *Machine) contention() contentionState {
-	st := contentionState{PressureBytes: m.pressure, Groups: m.groups, Residency: 1}
+// residency is min(1, capacity/pressure): the fraction of each working
+// set that stays resident under symmetric LRU sharing. The pressure
+// ledger counts one working set per (process, phase) group of Ready
+// threads, because threads of a process share their phase's data.
+func (m *Machine) residency() float64 {
 	if m.pressure > m.cfg.LLCCapacity {
-		st.Residency = float64(m.cfg.LLCCapacity) / float64(m.pressure)
+		return float64(m.cfg.LLCCapacity) / float64(m.pressure)
 	}
-	return st
+	return 1
 }
 
 // phasePerf is the per-instruction performance decomposition of one phase
@@ -34,7 +19,6 @@ type perfParams struct {
 	cpi          float64
 	llcPerInstr  float64 // accesses reaching the shared LLC per instruction
 	dramPerInstr float64 // accesses continuing to DRAM per instruction
-	llcHitRate   float64
 }
 
 // phasePerf evaluates the CPI model of DESIGN.md §5:
@@ -67,6 +51,5 @@ func (m *Machine) phasePerf(ph *proc.Phase, resid float64) perfParams {
 		cpi:          cpi,
 		llcPerInstr:  llcPerInstr,
 		dramPerInstr: llcPerInstr * (1 - h),
-		llcHitRate:   h,
 	}
 }

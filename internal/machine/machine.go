@@ -60,7 +60,6 @@ type Thread struct {
 	proc      *Process
 	at        proc.Cursor // position in the program; at.Index is the phase index
 	ph        *proc.Phase // the current phase, nil once done
-	weight    float64     // CFS weight: the process's EffectiveWeight
 	remaining float64     // instructions left in current phase (incl. overhead)
 	penalty   float64     // stall instruction-equivalents (wake refill); drains
 	// before remaining and yields no flops or memory traffic — the
@@ -72,14 +71,9 @@ type Thread struct {
 	crashing bool
 
 	// Cached per-interval model outputs (valid between reschedules).
-	rate          float64 // instructions/second
-	share         float64 // core share in [0,1] (weighted fair)
-	llcPerInstr   float64
-	dramPerInstr  float64
-	flopsPerInstr float64
-
-	instructions float64
-	flops        float64
+	rate         float64 // instructions/second
+	llcPerInstr  float64
+	dramPerInstr float64
 }
 
 // ID returns the machine-wide thread id.
@@ -155,8 +149,6 @@ type Counters struct {
 type Sample struct {
 	At        sim.Time
 	BusyCores float64
-	// PressureBytes is the LLC pressure of the active set at the sample.
-	PressureBytes float64
 }
 
 // Result summarizes one run.
@@ -175,10 +167,8 @@ type Result struct {
 
 // ProcResult is one process's completion record.
 type ProcResult struct {
-	Name         string
-	Finish       sim.Duration
-	Instructions float64
-	Flops        float64
+	Name   string
+	Finish sim.Duration
 }
 
 // GFLOPS returns billions of floating-point operations per wall second.
@@ -210,15 +200,13 @@ type Machine struct {
 	procs   []*Process
 	threads []*Thread
 
-	// ready holds the Ready threads in id order, and pressure and groups
-	// sum the ledger of their (process, phase) groups. They change only
-	// where a thread's state or phase does: startPhase, finishPhase,
-	// completeBarrier and wake. Id order keeps every float
-	// sum over them in the order a scan of all threads would use.
+	// ready holds the Ready threads in id order, and pressure sums the
+	// ledger of their (process, phase) groups. They change only where a
+	// thread's state or phase does: startPhase, finishPhase,
+	// completeBarrier and wake. Id order keeps every float sum over them
+	// in the order a scan of all threads would use.
 	ready    []*Thread
 	pressure pp.Bytes
-	groups   int
-	unsat    []*Thread // computeShares scratch
 
 	lastUpdate  sim.Time
 	completion  *sim.Event // next phase completion; queued while any thread is Ready
@@ -280,7 +268,7 @@ func (m *Machine) AddProcess(spec proc.Spec) (*Process, error) {
 	}
 	p := &Process{id: len(m.procs), spec: spec}
 	for i := 0; i < spec.Threads; i++ {
-		t := &Thread{id: len(m.threads), proc: p, ph: &spec.Program[0], weight: spec.EffectiveWeight()}
+		t := &Thread{id: len(m.threads), proc: p, ph: &spec.Program[0]}
 		p.threads = append(p.threads, t)
 		m.threads = append(m.threads, t)
 	}
@@ -323,7 +311,6 @@ func (m *Machine) start() error {
 		return fmt.Errorf("machine: no processes")
 	}
 	m.ready = make([]*Thread, 0, len(m.threads))
-	m.unsat = make([]*Thread, 0, len(m.threads))
 	for _, t := range m.threads {
 		m.startPhase(t)
 	}
@@ -379,12 +366,7 @@ func (m *Machine) drive() (*Result, error) {
 		Timeline:     m.timeline,
 	}
 	for _, p := range m.procs {
-		pr := ProcResult{Name: p.spec.Name, Finish: p.finish.DurationSince(0)}
-		for _, t := range p.threads {
-			pr.Instructions += t.instructions
-			pr.Flops += t.flops
-		}
-		res.Procs = append(res.Procs, pr)
+		res.Procs = append(res.Procs, ProcResult{Name: p.spec.Name, Finish: p.finish.DurationSince(0)})
 	}
 	return res, nil
 }
@@ -488,10 +470,8 @@ func (m *Machine) advance() {
 			done -= p
 		}
 		t.remaining -= done
-		t.instructions += done
-		t.flops += done * t.flopsPerInstr
 		m.counters.Instructions += done
-		m.counters.Flops += done * t.flopsPerInstr
+		m.counters.Flops += done * t.ph.FlopsPerInstr
 		llc += done * t.llcPerInstr
 		dram += done * t.dramPerInstr
 	}
@@ -521,83 +501,40 @@ func (m *Machine) accumulate(llc, dram float64) {
 // counts as finished; it absorbs picosecond event rounding.
 const completionEpsilon = 0.05
 
-// computeShares assigns each ready thread its weighted fair core share
-// (CFS semantics in the fluid limit) by water-filling: no thread may use
-// more than one core, and leftover capacity from capped threads is
-// redistributed to the rest in proportion to their weights. It returns
-// the total busy-core count (Σ shares). With uniform weights this
-// reduces to share = min(1, cores/ready).
-func (m *Machine) computeShares() float64 {
-	m.unsat = append(m.unsat[:0], m.ready...)
-	unsat := m.unsat
-	for _, t := range unsat {
-		t.share = 0
-	}
-	capacity := float64(m.cfg.Cores)
-	capped := 0
-	for len(unsat) > 0 && capacity > 1e-12 {
-		var sumW float64
-		for _, t := range unsat {
-			sumW += t.weight
-		}
-		next := unsat[:0]
-		for _, t := range unsat {
-			if capacity*t.weight/sumW >= 1 {
-				t.share = 1
-			} else {
-				next = append(next, t)
-			}
-		}
-		if len(next) < len(unsat) {
-			// Recompute remaining capacity and iterate.
-			capped += len(unsat) - len(next)
-			capacity = float64(m.cfg.Cores - capped)
-			unsat = next
-			continue
-		}
-		for _, t := range unsat {
-			t.share = capacity * t.weight / sumW
-		}
-		unsat = nil
-	}
-	total := 0.0
-	for _, t := range m.ready {
-		total += t.share
-	}
-	// Clamp float accumulation noise: Σ shares can exceed the core count
-	// by an ulp after water-filling.
-	if max := float64(m.cfg.Cores); total > max {
-		total = max
-	}
-	return total
-}
-
-// reschedule recomputes contention, rates, and the next completion event.
+// reschedule recomputes the core share, contention, rates, and the next
+// completion event.
 func (m *Machine) reschedule() {
 	m.eng.Cancel(m.completion)
 	if len(m.ready) == 0 {
 		return // threads are blocked/waking/done; timers or the gate move things along
 	}
 
-	ctn := m.contention()
-	m.busyCores = m.computeShares()
+	// CFS in the fluid limit: every Ready thread gets the same share of
+	// the cores, and none more than one core.
+	cores := float64(m.cfg.Cores)
+	share := 1.0
+	if n := len(m.ready); n > m.cfg.Cores {
+		share = cores / float64(n)
+	}
+	m.busyCores = 0
+	for range m.ready {
+		m.busyCores += share
+	}
+	// n equal slices can sum an ulp past the core count.
+	m.busyCores = min(m.busyCores, cores)
 	if m.sampleEvery > 0 && (len(m.timeline) == 0 || m.eng.Now() >= m.lastSample.Add(m.sampleEvery)) {
-		m.timeline = append(m.timeline, Sample{
-			At: m.eng.Now(), BusyCores: m.busyCores,
-			PressureBytes: float64(ctn.PressureBytes),
-		})
+		m.timeline = append(m.timeline, Sample{At: m.eng.Now(), BusyCores: m.busyCores})
 		m.lastSample = m.eng.Now()
 	}
 
 	// Unconstrained rates, then a shared-bandwidth roofline.
-	resid := math.Pow(ctn.Residency, m.cfg.ResidencyExponent)
+	resid := math.Pow(m.residency(), m.cfg.ResidencyExponent)
 	var traffic float64 // bytes/sec of DRAM transfers
 	for _, t := range m.ready {
 		perf := m.phasePerf(t.ph, resid)
 		t.llcPerInstr = perf.llcPerInstr
 		t.dramPerInstr = perf.dramPerInstr
-		t.flopsPerInstr = t.ph.FlopsPerInstr
-		t.rate = t.share * m.cfg.FreqHz / perf.cpi
+		t.rate = share * m.cfg.FreqHz / perf.cpi
 		traffic += t.rate * t.dramPerInstr * float64(m.cfg.LineSize)
 	}
 	scale := 1.0
@@ -774,7 +711,6 @@ func (m *Machine) setReady(t *Thread) {
 	// partition (§6 extension: a fenced streaming app cannot evict its
 	// neighbours beyond its allotment).
 	m.pressure += t.ph.OccupancyBytes()
-	m.groups++
 }
 
 // unready takes Ready thread t out of the ready set and the ledger; the
@@ -792,7 +728,6 @@ func (m *Machine) unready(t *Thread) {
 			p.groups[i] = p.groups[len(p.groups)-1]
 			p.groups = p.groups[:len(p.groups)-1]
 			m.pressure -= t.ph.OccupancyBytes()
-			m.groups--
 		}
 		return
 	}

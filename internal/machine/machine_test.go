@@ -186,8 +186,9 @@ func TestStreamingInsensitiveToContention(t *testing.T) {
 }
 
 func TestProcessorSharingBeyondCores(t *testing.T) {
-	// 24 identical single-thread procs on 12 cores take ~2x as long as 12,
-	// when cache effects are excluded (tiny working sets).
+	// n identical single-thread procs on 12 cores, with cache effects
+	// excluded (tiny working sets): each gets min(1, 12/n) of a core, so
+	// they take max(1, n/12) times as long as 12 procs do.
 	run := func(n int) sim.Duration {
 		m := New(testConfig(), nil)
 		for i := 0; i < n; i++ {
@@ -197,10 +198,14 @@ func TestProcessorSharingBeyondCores(t *testing.T) {
 		}
 		return mustRun(t, m).Elapsed
 	}
-	t12, t24 := run(12), run(24)
-	ratio := float64(t24) / float64(t12)
-	if ratio < 1.99 || ratio > 2.01 {
-		t.Fatalf("24-proc/12-proc time ratio = %v, want ~2", ratio)
+	t12 := run(12)
+	for _, tc := range []struct {
+		n    int
+		want float64
+	}{{11, 1}, {13, 13.0 / 12}, {24, 2}} {
+		if ratio := float64(run(tc.n)) / float64(t12); math.Abs(ratio-tc.want) > 1e-11 {
+			t.Errorf("%d-proc/12-proc time ratio = %v, want %v", tc.n, ratio, tc.want)
+		}
 	}
 }
 
@@ -588,9 +593,9 @@ func BenchmarkMachineRun96Procs(b *testing.B) {
 
 // BenchmarkMachineReschedule times the machine's per-event work in
 // steady state with n Ready threads: each engine event retires one
-// thread's phase, starts its next repetition, and recomputes shares,
-// rates and the next completion for all n. It reports host ns and heap
-// allocations per event.
+// thread's phase, starts its next repetition, and recomputes the core
+// share, rates and the next completion for all n. It reports host ns
+// and heap allocations per event.
 func BenchmarkMachineReschedule(b *testing.B) {
 	for _, n := range []int{12, 96, 768} {
 		b.Run(fmt.Sprintf("ready=%d", n), func(b *testing.B) {
@@ -646,9 +651,6 @@ func TestTimelineSampling(t *testing.T) {
 	for i, s := range res.Timeline {
 		if s.BusyCores < 0 || s.BusyCores > float64(cfg.Cores) {
 			t.Fatalf("sample %d busy = %v", i, s.BusyCores)
-		}
-		if s.PressureBytes <= 0 {
-			t.Fatalf("sample %d pressure = %v", i, s.PressureBytes)
 		}
 		if i > 0 && s.At < res.Timeline[i-1].At {
 			t.Fatal("timeline not monotone")

@@ -14,14 +14,12 @@ import (
 // fullScan is the machine's rate model recomputed the way reschedule
 // computed it before the ready set and the pressure ledger existed: a
 // scan of every thread, a fresh (process, phase) map for the LLC
-// pressure, water-filling over a fresh slice, and residency^γ per
-// thread. It is the test oracle for the incremental state.
+// pressure, the core share from the scan's own count, and residency^γ
+// per thread. It is the test oracle for the incremental state.
 type fullScan struct {
 	ready    []*Thread
 	pressure pp.Bytes
-	groups   int
 	busy     float64
-	shares   []float64 // per ready thread
 	rates    []float64
 	llc      []float64
 	dram     []float64
@@ -44,7 +42,6 @@ func scanAll(m *Machine) fullScan {
 		seen[k] = struct{}{}
 		s.pressure += t.CurrentPhase().OccupancyBytes()
 	}
-	s.groups = len(seen)
 	if len(s.ready) == 0 {
 		return s
 	}
@@ -53,53 +50,17 @@ func scanAll(m *Machine) fullScan {
 		residency = float64(m.cfg.LLCCapacity) / float64(s.pressure)
 	}
 
-	share := make(map[*Thread]float64, len(s.ready))
-	unsat := append([]*Thread(nil), s.ready...)
-	capacity := float64(m.cfg.Cores)
-	for len(unsat) > 0 && capacity > 1e-12 {
-		var sumW float64
-		for _, t := range unsat {
-			sumW += t.proc.spec.EffectiveWeight()
-		}
-		var next []*Thread
-		capped := false
-		for _, t := range unsat {
-			if capacity*t.proc.spec.EffectiveWeight()/sumW >= 1 {
-				share[t] = 1
-				capped = true
-			} else {
-				next = append(next, t)
-			}
-		}
-		if capped {
-			used := 0.0
-			for _, t := range s.ready {
-				if share[t] == 1 {
-					used++
-				}
-			}
-			capacity = float64(m.cfg.Cores) - used
-			unsat = next
-			continue
-		}
-		for _, t := range unsat {
-			share[t] = capacity * t.proc.spec.EffectiveWeight() / sumW
-		}
-		unsat = nil
+	share := math.Min(1, float64(m.cfg.Cores)/float64(len(s.ready)))
+	for range s.ready {
+		s.busy += share
 	}
-	for _, t := range s.ready {
-		s.busy += share[t]
-	}
-	if max := float64(m.cfg.Cores); s.busy > max {
-		s.busy = max
-	}
+	s.busy = math.Min(s.busy, float64(m.cfg.Cores))
 
 	var traffic float64
 	for _, t := range s.ready {
 		perf := m.phasePerf(t.CurrentPhase(), math.Pow(residency, m.cfg.ResidencyExponent))
-		rate := share[t] * m.cfg.FreqHz / perf.cpi
+		rate := share * m.cfg.FreqHz / perf.cpi
 		traffic += rate * perf.dramPerInstr * float64(m.cfg.LineSize)
-		s.shares = append(s.shares, share[t])
 		s.rates = append(s.rates, rate)
 		s.llc = append(s.llc, perf.llcPerInstr)
 		s.dram = append(s.dram, perf.dramPerInstr)
@@ -120,7 +81,7 @@ func scanAll(m *Machine) fullScan {
 }
 
 // checkOracle compares the machine's incremental state with a full scan:
-// ready set, pressure, groups, shares, rates and the next completion.
+// ready set, pressure, busy cores, rates and the next completion.
 // It holds between events, where the state reschedule cached is current.
 func checkOracle(m *Machine) error {
 	s := scanAll(m)
@@ -132,8 +93,8 @@ func checkOracle(m *Machine) error {
 			return fmt.Errorf("ready[%d] is thread %d, scan finds thread %d", i, m.ready[i].id, t.id)
 		}
 	}
-	if s.pressure != m.pressure || s.groups != m.groups {
-		return fmt.Errorf("ledger pressure %v in %d groups, scan %v in %d", m.pressure, m.groups, s.pressure, s.groups)
+	if s.pressure != m.pressure {
+		return fmt.Errorf("ledger pressure %v, scan %v", m.pressure, s.pressure)
 	}
 	if len(s.ready) == 0 {
 		if !m.completion.Cancelled() {
@@ -145,9 +106,9 @@ func checkOracle(m *Machine) error {
 		return fmt.Errorf("busy cores %v, scan %v", m.busyCores, s.busy)
 	}
 	for i, t := range s.ready {
-		if t.share != s.shares[i] || t.rate != s.rates[i] || t.llcPerInstr != s.llc[i] || t.dramPerInstr != s.dram[i] {
-			return fmt.Errorf("thread %d share/rate/llc/dram %v/%v/%v/%v, scan %v/%v/%v/%v", t.id,
-				t.share, t.rate, t.llcPerInstr, t.dramPerInstr, s.shares[i], s.rates[i], s.llc[i], s.dram[i])
+		if t.rate != s.rates[i] || t.llcPerInstr != s.llc[i] || t.dramPerInstr != s.dram[i] {
+			return fmt.Errorf("thread %d rate/llc/dram %v/%v/%v, scan %v/%v/%v", t.id,
+				t.rate, t.llcPerInstr, t.dramPerInstr, s.rates[i], s.llc[i], s.dram[i])
 		}
 	}
 	d := sim.Duration(math.Ceil(s.next * 1e12))
@@ -248,16 +209,13 @@ func (g *randGate) release(t *Thread) {
 }
 
 // randWorkload draws a small mix exercising every path the incremental
-// state changes on: weights, barriers, crashes, cache partitions,
-// repeated phases, and phases short enough to finish in the event that
-// starts them.
+// state changes on: barriers, crashes, cache partitions, repeated
+// phases, and phases short enough to finish in the event that starts
+// them.
 func randWorkload(rng *sim.RNG, procs int) proc.Workload {
 	w := proc.Workload{Name: "fuzz"}
 	for p := 0; p < procs; p++ {
 		s := proc.Spec{Name: fmt.Sprintf("p%d", p), Threads: 1 + rng.Intn(4)}
-		if rng.Float64() < 0.3 {
-			s.Weight = 0.25 + 3*rng.Float64()
-		}
 		for n := 1 + rng.Intn(4); n > 0; n-- {
 			ph := proc.Phase{
 				Name:             "ph",
@@ -354,7 +312,7 @@ func checkRuns(t *testing.T, cfg Config, w proc.Workload, seed uint64, deny floa
 }
 
 // FuzzMachineIncremental checks, at every engine event of a random run,
-// that the incremental ready set, pressure ledger, shares, rates and
+// that the incremental ready set, pressure ledger, busy cores, rates and
 // next completion equal a full scan; that retiring phases from the
 // ready set matches a scan of every thread; and that a run with repeated
 // phases is identical to the same run with the repetitions listed out.

@@ -229,6 +229,8 @@ func (rc RunConfig) Validate() error {
 		return invalid("negative Pace %g", rc.Pace)
 	case rc.StealAge < 0 || rc.Lease < 0 || rc.AdmitDeadline < 0:
 		return invalid("negative StealAge, Lease or AdmitDeadline")
+	case rc.Faults != nil && rc.Faults.KillAt < 0:
+		return invalid("negative Faults.KillAt %vs", rc.Faults.KillAt.Seconds())
 	case rc.Reserve < 0 || rc.Reserve > rc.Machine.LLCCapacity:
 		return invalid("Reserve %v outside [0, LLC capacity %v]", rc.Reserve, rc.Machine.LLCCapacity)
 	case !(rc.JitterFrac >= 0 && rc.JitterFrac < 1):

@@ -58,6 +58,7 @@ func TestValidate(t *testing.T) {
 		{"negative-steal-age", strict(func(rc *RunConfig) { rc.Domains, rc.StealAge = 2, -ms }), nil},
 		{"negative-lease", strict(func(rc *RunConfig) { rc.Lease = -ms }), nil},
 		{"negative-admit-deadline", strict(func(rc *RunConfig) { rc.AdmitDeadline = -ms }), nil},
+		{"negative-kill-at", strict(func(rc *RunConfig) { rc.Faults = &faults.Plan{KillAt: -1} }), nil},
 		{"negative-reserve", strict(func(rc *RunConfig) { rc.Reserve = -1 }), nil},
 		{"reserve-above-llc", strict(func(rc *RunConfig) { rc.Reserve = llc + 1 }), nil},
 		{"negative-jitter", strict(func(rc *RunConfig) { rc.JitterFrac = -0.01 }), nil},

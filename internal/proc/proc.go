@@ -250,11 +250,6 @@ type Spec struct {
 	// per §3.4 the scheduler pauses the whole pool when one member cannot
 	// run, by admitting the pool's aggregate demand atomically.
 	TaskPool bool
-	// Weight is the CFS load weight of each of the process's threads
-	// relative to the default (1.0 = nice 0): a weight-2 thread receives
-	// twice the core share of a weight-1 thread under contention. 0 means
-	// the default weight.
-	Weight float64
 }
 
 // Validate checks the spec.
@@ -262,22 +257,10 @@ func (s Spec) Validate() error {
 	if s.Threads <= 0 {
 		return fmt.Errorf("proc: spec %q has %d threads", s.Name, s.Threads)
 	}
-	if s.Weight < 0 {
-		return fmt.Errorf("proc: spec %q has negative weight %v", s.Name, s.Weight)
-	}
 	if err := s.Program.Validate(); err != nil {
 		return fmt.Errorf("proc: spec %q: %w", s.Name, err)
 	}
 	return nil
-}
-
-// EffectiveWeight returns the spec's scheduling weight with the default
-// applied.
-func (s Spec) EffectiveWeight() float64 {
-	if s.Weight <= 0 {
-		return 1
-	}
-	return s.Weight
 }
 
 // Workload is a named multiprogrammed mix: a list of process specs,

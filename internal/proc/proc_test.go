@@ -201,21 +201,6 @@ func TestOccupancyBytesCases(t *testing.T) {
 	}
 }
 
-func TestEffectiveWeight(t *testing.T) {
-	s := Spec{Name: "w", Threads: 1, Program: Program{validPhase()}}
-	if s.EffectiveWeight() != 1 {
-		t.Fatalf("default weight = %v", s.EffectiveWeight())
-	}
-	s.Weight = 2.5
-	if s.EffectiveWeight() != 2.5 {
-		t.Fatalf("weight = %v", s.EffectiveWeight())
-	}
-	s.Weight = -1
-	if err := s.Validate(); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-}
-
 func TestScaleInstr(t *testing.T) {
 	w := Workload{Name: "w", Procs: Replicate(Spec{Name: "p", Threads: 2, Program: Program{validPhase()}}, 3)}
 	s := ScaleInstr(w, 0.5)

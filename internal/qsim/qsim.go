@@ -4,9 +4,9 @@
 // continuously receives core share min(1, cores/ready), qsim actually
 // schedules: a CFS-style fair run queue (internal/sched) picks the
 // minimum-vruntime threads each quantum, runs them on discrete cores,
-// charges weighted runtime, and pays explicit cache-reload costs when a
-// thread returns to a core after its working set was evicted — the
-// literal Figure 1 effect.
+// charges the runtime they used, and pays explicit cache-reload costs
+// when a thread returns to a core after its working set was evicted —
+// the literal Figure 1 effect.
 //
 // qsim also carries its own strict-admission implementation of the RDA
 // predicate (Algorithm 1), independent of internal/core, so the paper's
@@ -26,20 +26,6 @@ import (
 	"rdasched/internal/proc"
 	"rdasched/internal/sched"
 	"rdasched/internal/sim"
-	"rdasched/internal/telemetry"
-)
-
-// Metric names exported to a Config.Metrics registry. The qsim names are
-// deliberately distinct from the internal/core "rda_" family so a merged
-// registry keeps the two scheduler substrates side by side.
-const (
-	MetricWaitSeconds   = "qsim_wait_seconds"           // park time per strict-admission denial
-	MetricOccupancy     = "qsim_llc_occupancy_bytes"    // admitted load after each decision
-	MetricWaitlistDepth = "qsim_waitlist_depth_threads" // parked threads after each decision
-	MetricCtxSwitches   = "qsim_context_switches_total" // quantum switch-ins
-	MetricReloadLines   = "qsim_reload_lines_total"     // DRAM lines moved by switch-in reloads
-	MetricParked        = "qsim_threads_parked_total"   // strict-admission denials
-	MetricWoken         = "qsim_threads_woken_total"    // FIFO wakes after capacity release
 )
 
 // Config parameterizes the discrete simulation. Machine supplies the
@@ -57,12 +43,6 @@ type Config struct {
 	// sum of admitted working sets fits the LLC; denied threads wait off
 	// the run queue until a period releases capacity.
 	StrictAdmission bool
-	// Metrics, when non-nil, receives wait/occupancy/waitlist histograms
-	// sampled on every admission decision plus context-switch and reload
-	// counters (the qsim_* names above). Purely observational: recording
-	// never changes a scheduling decision, and a nil registry costs
-	// nothing.
-	Metrics *telemetry.Registry
 }
 
 // DefaultConfig returns the Table 1 machine with a 3 ms quantum.
@@ -127,9 +107,6 @@ type qthread struct {
 	// exceeds the cache's spare capacity, the set is gone (LRU).
 	resident   bool
 	evictAccum pp.Bytes
-	// parkedAt is when strict admission last parked the thread, for the
-	// wait-time histogram.
-	parkedAt sim.Time
 }
 
 type tstate int
@@ -167,7 +144,6 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 				// accounting (neither model charges cold-start misses).
 				resident: true,
 			}
-			t.ent.Weight = int(spec.EffectiveWeight() * float64(sched.NiceZeroWeight))
 			threads = append(threads, t)
 			procThreads[pi] = append(procThreads[pi], t)
 		}
@@ -185,23 +161,6 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 	if cfg.StrictAdmission {
 		admitted = make(map[pkey]int)
 	}
-	// Metric observation hooks; no-ops when no registry is attached.
-	observeDecision := func() {}
-	observeWait := func(d sim.Duration) {}
-	if cfg.Metrics != nil {
-		occHist := cfg.Metrics.Histogram(MetricOccupancy)
-		depthHist := cfg.Metrics.Histogram(MetricWaitlistDepth)
-		waitHist := cfg.Metrics.Histogram(MetricWaitSeconds)
-		woken := cfg.Metrics.Counter(MetricWoken)
-		observeDecision = func() {
-			occHist.Observe(float64(admittedLoad))
-			depthHist.Observe(float64(waitq.Len()))
-		}
-		observeWait = func(d sim.Duration) {
-			waitHist.Observe(d.Seconds())
-			woken.Inc()
-		}
-	}
 	// tryAdmit applies the strict predicate to t's current phase; it
 	// returns false after parking t on the wait queue.
 	tryAdmit := func(t *qthread) bool {
@@ -209,7 +168,6 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 		if admitted == nil || !ph.Declared {
 			return true
 		}
-		defer observeDecision()
 		k := pkey{t.proc, t.at.Index}
 		if admitted[k] > 0 {
 			admitted[k]++
@@ -222,11 +180,7 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 			return true
 		}
 		t.state = waiting
-		t.parkedAt = now
 		waitq.Enqueue(t)
-		if cfg.Metrics != nil {
-			cfg.Metrics.Counter(MetricParked).Inc()
-		}
 		return false
 	}
 	// release ends t's participation in its period, freeing capacity and
@@ -242,8 +196,7 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 		}
 		delete(admitted, k)
 		admittedLoad -= t.program[phase.Slot].OccupancyBytes()
-		defer observeDecision()
-		woken := waitq.WakeAll(func(w *qthread) bool {
+		return waitq.WakeAll(func(w *qthread) bool {
 			wph := &w.program[w.at.Slot]
 			wk := pkey{w.proc, w.at.Index}
 			if admitted[wk] > 0 {
@@ -258,10 +211,6 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 			}
 			return false
 		})
-		for _, w := range woken {
-			observeWait(now.DurationSince(w.parkedAt))
-		}
-		return woken
 	}
 
 	for _, t := range threads {
@@ -453,9 +402,5 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 	res.Elapsed = now.DurationSince(0)
 	res.SystemJ = meter.SystemJoules()
 	res.DRAMJ = meter.DRAMJoules()
-	if cfg.Metrics != nil {
-		cfg.Metrics.Counter(MetricCtxSwitches).Add(res.ContextSwitch)
-		cfg.Metrics.Counter(MetricReloadLines).Add(uint64(res.ReloadAccesses))
-	}
 	return res, nil
 }

@@ -10,7 +10,6 @@ import (
 	"rdasched/internal/pp"
 	"rdasched/internal/proc"
 	"rdasched/internal/sim"
-	"rdasched/internal/telemetry"
 	"rdasched/internal/workloads"
 )
 
@@ -235,32 +234,6 @@ func BenchmarkQuantizedRun(b *testing.B) {
 	}
 }
 
-func TestWeightedThreadsInDiscreteScheduler(t *testing.T) {
-	// One core, two single-phase threads with weights 4:1 — the heavy
-	// thread accumulates runtime ~4x faster, so it finishes well before
-	// the light one despite equal work.
-	cfg := DefaultConfig()
-	cfg.Machine.Cores = 1
-	mk := func(name string, weight float64) proc.Spec {
-		return proc.Spec{
-			Name: name, Threads: 1, Weight: weight,
-			Program: proc.Program{{
-				Name: "k", Instr: 5e7, WSS: pp.KB(64), Reuse: pp.ReuseHigh,
-				AccessesPerInstr: 0.3, PrivateHitFrac: 0.8, FlopsPerInstr: 0.5,
-			}},
-		}
-	}
-	w := proc.Workload{Name: "wq", Procs: []proc.Spec{mk("heavy", 4), mk("light", 1)}}
-	res, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both complete; the run simply must terminate with full work done.
-	if math.Abs(res.Instructions-1e8) > 1 {
-		t.Fatalf("instructions = %v", res.Instructions)
-	}
-}
-
 // TestStrictAdmissionCrossValidation exercises qsim's independent
 // implementation of the RDA strict predicate against the fluid
 // machine+core stack: two separately written schedulers must agree on
@@ -338,59 +311,6 @@ func TestStrictAdmissionMultiThreadedBarriers(t *testing.T) {
 	want := 6.0 * 2 * 3e7
 	if math.Abs(res.Instructions-want) > 1 {
 		t.Fatalf("instructions = %v, want %v", res.Instructions, want)
-	}
-}
-
-// TestMetricsRegistry attaches a telemetry registry to an over-capacity
-// strict run and checks the sampled histograms and counters line up with
-// the run's own accounting.
-func TestMetricsRegistry(t *testing.T) {
-	w := mkWorkload(24, pp.MB(1.25), 5e7)
-	for i := range w.Procs {
-		for j := range w.Procs[i].Program {
-			w.Procs[i].Program[j].Declared = true
-		}
-	}
-	cfg := DefaultConfig()
-	cfg.StrictAdmission = true
-	cfg.Metrics = telemetry.NewRegistry()
-	res, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Metrics.Counter(MetricCtxSwitches).Value(); got != res.ContextSwitch {
-		t.Fatalf("ctx switch counter %d != result %d", got, res.ContextSwitch)
-	}
-	parked := cfg.Metrics.Counter(MetricParked).Value()
-	woken := cfg.Metrics.Counter(MetricWoken).Value()
-	if parked == 0 {
-		t.Fatal("24 × 1.25 MB on a 15 MB LLC parked nobody")
-	}
-	if woken != parked {
-		t.Fatalf("woken %d != parked %d on a run-to-completion workload", woken, parked)
-	}
-	waits := cfg.Metrics.Histogram(MetricWaitSeconds)
-	if waits.Count() != woken || waits.Max() <= 0 {
-		t.Fatalf("wait histogram count %d max %v (woken %d)", waits.Count(), waits.Max(), woken)
-	}
-	occ := cfg.Metrics.Histogram(MetricOccupancy)
-	if occ.Count() == 0 || occ.Max() > float64(cfg.Machine.LLCCapacity) {
-		t.Fatalf("occupancy histogram count %d max %v exceeds capacity", occ.Count(), occ.Max())
-	}
-	if cfg.Metrics.Histogram(MetricWaitlistDepth).Max() <= 0 {
-		t.Fatal("waitlist depth never positive despite parking")
-	}
-
-	// The registry is observational: the same run without one must
-	// produce identical numbers.
-	bare := cfg
-	bare.Metrics = nil
-	res2, err := Run(w, bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *res != *res2 {
-		t.Fatalf("metrics attachment changed the result:\n%+v\n%+v", res, res2)
 	}
 }
 

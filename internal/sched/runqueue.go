@@ -5,24 +5,19 @@ import (
 	"fmt"
 )
 
-// Entity is a schedulable entity in the fair run queue. Weight follows
-// the CFS convention: higher weight → slower vruntime growth → more CPU.
+// Entity is a schedulable entity in the fair run queue.
 type Entity struct {
-	// Vruntime is the entity's weighted virtual runtime in nanoseconds.
+	// Vruntime is the entity's virtual runtime in nanoseconds.
 	Vruntime float64
-	// Weight is the load weight (Linux nice-0 → 1024).
-	Weight int
-	index  int
-	seq    uint64
+	index    int
+	seq      uint64
 }
 
-// NiceZeroWeight is the CFS load weight of a nice-0 task.
-const NiceZeroWeight = 1024
-
 // RunQueue is a CFS-style fair run queue: entities are picked in order of
-// minimum vruntime, and charged weighted runtime as they execute. It is
-// the discrete counterpart of the fluid fair-sharing model in
-// internal/machine and drives the quantized validation scheduler.
+// minimum vruntime and charged the runtime they execute. It is the
+// discrete counterpart of the fluid model in internal/machine, where
+// every ready thread gets the same core share, and drives the quantized
+// validation scheduler.
 type RunQueue[T any] struct {
 	heap    rqHeap[T]
 	seq     uint64
@@ -71,9 +66,6 @@ func (q *RunQueue[T]) Len() int { return q.heap.Len() }
 // are placed at the queue's current minimum so they neither starve the
 // queue nor get an unbounded head start — CFS's min_vruntime placement.
 func (q *RunQueue[T]) Enqueue(v T, ent *Entity) {
-	if ent.Weight <= 0 {
-		ent.Weight = NiceZeroWeight
-	}
 	if ent.Vruntime < q.minVrun {
 		ent.Vruntime = q.minVrun
 	}
@@ -93,17 +85,13 @@ func (q *RunQueue[T]) PickNext() (T, *Entity, bool) {
 	return it.val, it.ent, true
 }
 
-// Charge adds ran nanoseconds of weighted runtime to ent (called after
-// the entity ran; re-enqueue it to keep it runnable).
+// Charge adds ran nanoseconds of runtime to ent (called after the entity
+// ran; re-enqueue it to keep it runnable).
 func (q *RunQueue[T]) Charge(ent *Entity, ranNanos float64) {
 	if ranNanos < 0 {
 		panic(fmt.Sprintf("sched: negative runtime charge %v", ranNanos))
 	}
-	w := ent.Weight
-	if w <= 0 {
-		w = NiceZeroWeight
-	}
-	ent.Vruntime += ranNanos * float64(NiceZeroWeight) / float64(w)
+	ent.Vruntime += ranNanos
 }
 
 // MinVruntime returns the queue's monotonically advancing minimum

@@ -214,9 +214,9 @@ func TestWaitQueueString(t *testing.T) {
 
 func TestRunQueuePickMinVruntime(t *testing.T) {
 	var q RunQueue[string]
-	a := &Entity{Vruntime: 30, Weight: NiceZeroWeight}
-	b := &Entity{Vruntime: 10, Weight: NiceZeroWeight}
-	c := &Entity{Vruntime: 20, Weight: NiceZeroWeight}
+	a := &Entity{Vruntime: 30}
+	b := &Entity{Vruntime: 10}
+	c := &Entity{Vruntime: 20}
 	q.Enqueue("a", a)
 	q.Enqueue("b", b)
 	q.Enqueue("c", c)
@@ -234,10 +234,10 @@ func TestRunQueuePickMinVruntime(t *testing.T) {
 }
 
 func TestRunQueueFairnessOverTime(t *testing.T) {
-	// Two equal-weight entities picked repeatedly for fixed slices end up
-	// with equal total runtime (alternation).
+	// Two entities picked repeatedly for fixed slices end up with equal
+	// total runtime (alternation).
 	var q RunQueue[int]
-	ents := []*Entity{{Weight: NiceZeroWeight}, {Weight: NiceZeroWeight}}
+	ents := []*Entity{{}, {}}
 	total := [2]float64{}
 	q.Enqueue(0, ents[0])
 	q.Enqueue(1, ents[1])
@@ -255,29 +255,9 @@ func TestRunQueueFairnessOverTime(t *testing.T) {
 	}
 }
 
-func TestRunQueueWeightedShares(t *testing.T) {
-	// Weight 2048 should receive ~2x the runtime of weight 1024.
-	var q RunQueue[int]
-	heavy := &Entity{Weight: 2 * NiceZeroWeight}
-	light := &Entity{Weight: NiceZeroWeight}
-	q.Enqueue(0, heavy)
-	q.Enqueue(1, light)
-	total := [2]float64{}
-	for i := 0; i < 3000; i++ {
-		v, e, _ := q.PickNext()
-		q.Charge(e, 1000)
-		total[v] += 1000
-		q.Enqueue(v, e)
-	}
-	ratio := total[0] / total[1]
-	if ratio < 1.9 || ratio > 2.1 {
-		t.Fatalf("heavy/light runtime ratio = %v, want ~2", ratio)
-	}
-}
-
 func TestRunQueueNewArrivalPlacement(t *testing.T) {
 	var q RunQueue[int]
-	old := &Entity{Weight: NiceZeroWeight}
+	old := &Entity{}
 	q.Enqueue(0, old)
 	for i := 0; i < 10; i++ {
 		_, e, _ := q.PickNext()
@@ -286,7 +266,7 @@ func TestRunQueueNewArrivalPlacement(t *testing.T) {
 	}
 	// A new arrival with zero vruntime must not monopolize: its vruntime
 	// is bumped to the queue minimum.
-	fresh := &Entity{Weight: NiceZeroWeight}
+	fresh := &Entity{}
 	q.Enqueue(1, fresh)
 	if fresh.Vruntime < q.MinVruntime() {
 		t.Fatalf("fresh vruntime %v below queue min %v", fresh.Vruntime, q.MinVruntime())
@@ -300,16 +280,13 @@ func TestRunQueueChargePanicsOnNegative(t *testing.T) {
 		}
 	}()
 	var q RunQueue[int]
-	q.Charge(&Entity{Weight: 1024}, -1)
+	q.Charge(&Entity{}, -1)
 }
 
-func TestRunQueueZeroWeightDefaults(t *testing.T) {
+func TestRunQueueChargeAddsRuntime(t *testing.T) {
 	var q RunQueue[int]
 	e := &Entity{}
 	q.Enqueue(0, e)
-	if e.Weight != NiceZeroWeight {
-		t.Fatalf("weight = %d, want default %d", e.Weight, NiceZeroWeight)
-	}
 	q.Charge(e, 1024)
 	if e.Vruntime != 1024 {
 		t.Fatalf("vruntime = %v", e.Vruntime)
