@@ -15,12 +15,6 @@ var (
 	// The scheduler refuses to track such periods and lets them run under
 	// the stock scheduler (counted in Stats.Rejected).
 	ErrInvalidDemand = errors.New("core: invalid demand")
-	// ErrOversizedDemand marks a demand that can never be admitted
-	// alongside any other load under the configured policy (working set
-	// above the policy limit). Such periods still run eventually — via
-	// the empty-load safeguard or fallback admission — but callers
-	// validating ahead of time get a definite answer.
-	ErrOversizedDemand = errors.New("core: demand exceeds policy capacity limit")
 	// ErrLoadUnderflow reports a Decrement below zero load. On the
 	// scheduler's internal paths this is converted back into a panic
 	// (accounting bug); external callers of ResourceMonitor get the

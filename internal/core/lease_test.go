@@ -164,8 +164,8 @@ func TestFallbackAdmissionOversized(t *testing.T) {
 			}
 			big := declaredProc("big", pp.MB(4), 1e6)
 			big.Program[0].DeclaredWSS = tc.declared
-			if err := s.CheckDemand(big.Program[0].Demand()); err == nil {
-				t.Fatalf("CheckDemand admitted an unsatisfiable %v demand", tc.declared)
+			if capacity := s.Resources().Capacity(pp.ResourceLLC); tc.policy.Allows(capacity-tc.declared, capacity) {
+				t.Fatalf("%s admits a %v demand on an empty %v LLC", tc.policy.Name(), tc.declared, capacity)
 			}
 			if _, err := m.AddProcess(big); err != nil {
 				t.Fatal(err)
@@ -306,26 +306,15 @@ func TestInvalidDemandRunsUntracked(t *testing.T) {
 	}
 }
 
+// TestCheckDemandSentinels pins the open path's demand check: a valid
+// demand passes and an empty one is ErrInvalidDemand. Size is the
+// policy's business (TestStrictPolicy, TestCompromisePolicy).
 func TestCheckDemandSentinels(t *testing.T) {
-	s := New(StrictPolicy{}, pp.MB(15))
-	if err := s.CheckDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(1), Reuse: pp.ReuseLow}); err != nil {
+	if err := checkDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(1), Reuse: pp.ReuseLow}); err != nil {
 		t.Fatalf("valid demand refused: %v", err)
 	}
-	err := s.CheckDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: 0, Reuse: pp.ReuseLow})
+	err := checkDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: 0, Reuse: pp.ReuseLow})
 	if !errors.Is(err, ErrInvalidDemand) {
 		t.Fatalf("zero working set: %v, want ErrInvalidDemand", err)
-	}
-	err = s.CheckDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(16), Reuse: pp.ReuseLow})
-	if !errors.Is(err, ErrOversizedDemand) {
-		t.Fatalf("16 MB on 15 MB strict: %v, want ErrOversizedDemand", err)
-	}
-	// Compromise tolerates up to 2x.
-	c := New(NewCompromise(), pp.MB(15))
-	if err := c.CheckDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(16), Reuse: pp.ReuseLow}); err != nil {
-		t.Fatalf("compromise refused a 16 MB demand: %v", err)
-	}
-	err = c.CheckDemand(pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(31), Reuse: pp.ReuseLow})
-	if !errors.Is(err, ErrOversizedDemand) {
-		t.Fatalf("31 MB on 15 MB compromise: %v, want ErrOversizedDemand", err)
 	}
 }

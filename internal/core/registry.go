@@ -109,7 +109,9 @@ func (r *registry) remove(per *period) {
 // Timer callbacks compare the admission ID they captured, which a
 // recycled period no longer carries, so a stray one stays harmless.
 func (r *registry) recycle(per *period) {
-	*per = period{demands: per.demands[:0], waiters: per.waiters[:0], next: r.free}
+	ds, ws := per.demands[:0], per.waiters[:0]
+	*per = period{} // zeroed in place: a composite literal would be built and copied
+	per.demands, per.waiters, per.next = ds, ws, r.free
 	r.free = per
 }
 

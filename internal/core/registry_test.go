@@ -114,25 +114,35 @@ func (g *countingGate) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase
 	g.Gate.ExitPhase(t, phaseIdx, ph)
 }
 
-// BenchmarkCoreBeginEnd times admission decisions in steady state: 16
-// processes whose one declared phase repeats indefinitely, 24 MB of
-// demand against the 15 MB LLC, so strict waitlists about a third of
-// them and every end wakes a waiter. Past a warm-up, each engine event
+// BenchmarkCoreBeginEnd times admission decisions in steady state. In
+// the strict and compromise cases 16 processes whose one declared phase
+// repeats indefinitely demand 24 MB against the 15 MB LLC, so strict
+// waitlists about a third of them and every end wakes a waiter; in
+// one-thread, Fig 11's shape, one process with one thread opens and
+// closes its period at every event. Past a warm-up, each engine event
 // retires one phase — its end and the next repetition's begin — and
 // the benchmark reports host ns and heap allocations per decision. The
 // ns include the machine's work for the event that carries each
 // decision; allocs/decision is the registry's steady state.
 func BenchmarkCoreBeginEnd(b *testing.B) {
-	for _, pol := range []Policy{StrictPolicy{}, NewCompromise()} {
-		b.Run(pol.Name(), func(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		pol   Policy
+		procs int
+	}{
+		{"strict", StrictPolicy{}, 16},
+		{"compromise", NewCompromise(), 16},
+		{"one-thread", StrictPolicy{}, 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			cfg := machine.DefaultConfig()
-			s := New(pol, cfg.LLCCapacity)
+			s := New(tc.pol, cfg.LLCCapacity)
 			g := &countingGate{Gate: s}
 			m := machine.New(cfg, g)
 			s.SetWaker(m)
 			s.SetClock(m.Now)
 			s.SetTimer(m.Engine())
-			for i := 0; i < 16; i++ {
+			for i := 0; i < tc.procs; i++ {
 				// Distinct lengths stagger the completions one per event.
 				spec := declaredProc("p", pp.MB(1.5), 1e6+float64(i)*997)
 				spec.Program[0].Repeat = math.MaxInt32

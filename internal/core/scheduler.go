@@ -204,29 +204,6 @@ func (s *Scheduler) ActivePeriods() int {
 	return n
 }
 
-// CheckDemand validates one demand for the public admission path. It
-// returns ErrInvalidDemand for malformed or empty demands and
-// ErrOversizedDemand for demands the configured policy could never admit
-// alongside any other load (such a period still runs eventually, through
-// the empty-load safeguard or fallback admission, but a caller validating
-// ahead of pp_begin gets a definite answer).
-func (s *Scheduler) CheckDemand(d pp.Demand) error {
-	if err := d.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidDemand, err)
-	}
-	if d.WorkingSet == 0 {
-		return fmt.Errorf("%w: zero working set", ErrInvalidDemand)
-	}
-	capacity := s.rm.Capacity(d.Resource)
-	if d.Resource == pp.ResourceLLC {
-		capacity -= s.reserve
-	}
-	if capacity > 0 && !s.policy.Allows(capacity-d.WorkingSet, capacity) {
-		return fmt.Errorf("%w: %v against %v", ErrOversizedDemand, d.WorkingSet, capacity)
-	}
-	return nil
-}
-
 // TrySchedule is Algorithm 1: given the demand of a period about to
 // start, compute the space that would remain and ask the policy (the
 // governor's effective policy when one is attached, the configured one
@@ -293,13 +270,13 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 	if per == nil {
 		per = s.reg.open(key)
 		per.demands = ph.AppendDemands(per.demands)
-		per.taskPool = t.Process().Spec().TaskPool
+		per.taskPool = t.Process().TaskPool()
 		per.id = s.allocID()
 		s.stats.Begins++
 		s.emit(EventBegin, per, key, per.demands[0])
 		s.rrec(RecBegin, per, nil)
 
-		if err := s.checkDemands(per.demands); errors.Is(err, ErrInvalidDemand) {
+		if checkDemands(per.demands) != nil {
 			// Refuse to track the period; the thread runs under the stock
 			// scheduler and its end releases nothing.
 			per.untracked = true
@@ -380,13 +357,24 @@ func (s *Scheduler) allocID() pp.ID {
 	return s.nextID
 }
 
+// checkDemand returns ErrInvalidDemand for a malformed or empty demand.
+// Size is not judged here: an oversized period goes through the normal
+// deny path, where the safeguard or fallback admission bounds its wait.
+func checkDemand(d pp.Demand) error {
+	if err := d.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidDemand, err)
+	}
+	if d.WorkingSet == 0 {
+		return fmt.Errorf("%w: zero working set", ErrInvalidDemand)
+	}
+	return nil
+}
+
 // checkDemands returns the first validation error among a period's
-// demands, ignoring oversize (oversized periods go through the normal
-// deny path, where the safeguard or fallback admission bounds their
-// wait).
-func (s *Scheduler) checkDemands(ds []pp.Demand) error {
+// demands.
+func checkDemands(ds []pp.Demand) error {
 	for _, d := range ds {
-		if err := s.CheckDemand(d); errors.Is(err, ErrInvalidDemand) {
+		if err := checkDemand(d); err != nil {
 			return err
 		}
 	}
@@ -494,7 +482,7 @@ func (s *Scheduler) wakeWaitlist() {
 // then the release of everything admitted this pass.
 func (s *Scheduler) scanWaitlist() {
 	woken, reserved := s.wakeAged(nil)
-	if !reserved {
+	if !reserved && s.waitlist.Len() > 0 {
 		woken = append(woken, s.waitlist.WakeAll(func(per *period) bool {
 			runnable, safeguard := s.tryScheduleAll(per.demands)
 			if !runnable {

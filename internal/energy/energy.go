@@ -50,17 +50,21 @@ func Default() Model {
 	}
 }
 
-// Validate rejects non-physical constants.
+// Validate rejects non-physical constants: a negative or NaN one. It
+// checks them in declaration order, so the error names the first.
 func (m Model) Validate() error {
-	for name, v := range map[string]float64{
-		"StaticPkgWatts":      m.StaticPkgWatts,
-		"ActiveCoreWatts":     m.ActiveCoreWatts,
-		"LLCAccessJoules":     m.LLCAccessJoules,
-		"DRAMAccessJoules":    m.DRAMAccessJoules,
-		"DRAMBackgroundWatts": m.DRAMBackgroundWatts,
+	for _, c := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"StaticPkgWatts", m.StaticPkgWatts},
+		{"ActiveCoreWatts", m.ActiveCoreWatts},
+		{"LLCAccessJoules", m.LLCAccessJoules},
+		{"DRAMAccessJoules", m.DRAMAccessJoules},
+		{"DRAMBackgroundWatts", m.DRAMBackgroundWatts},
 	} {
-		if v < 0 {
-			return fmt.Errorf("energy: negative %s (%v)", name, v)
+		if !(c.v >= 0) {
+			return fmt.Errorf("energy: %s is %v, want ≥ 0", c.name, c.v)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,28 @@ func TestValidateRejectsNegative(t *testing.T) {
 	m.DRAMAccessJoules = -1
 	if err := m.Validate(); err == nil {
 		t.Fatal("negative constant accepted")
+	}
+}
+
+func TestValidateRejectsNaN(t *testing.T) {
+	m := Default()
+	m.ActiveCoreWatts = math.NaN()
+	if err := m.Validate(); err == nil {
+		t.Fatal("NaN constant accepted")
+	}
+}
+
+// TestValidateNamesFirstInvalid pins the check order: with two invalid
+// constants, every call names the first one declared.
+func TestValidateNamesFirstInvalid(t *testing.T) {
+	m := Default()
+	m.DRAMBackgroundWatts = -1
+	m.StaticPkgWatts = -1
+	for i := 0; i < 50; i++ {
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), "StaticPkgWatts") {
+			t.Fatalf("call %d: %v, want StaticPkgWatts named", i, err)
+		}
 	}
 }
 

@@ -142,41 +142,46 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects unusable configurations.
+// Validate rejects unusable configurations. Every float bound is written
+// so that NaN fails it.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("machine: %d cores", c.Cores)
-	case c.FreqHz <= 0:
+	case !(c.FreqHz > 0):
 		return fmt.Errorf("machine: frequency %v", c.FreqHz)
 	case c.LLCCapacity <= 0:
 		return fmt.Errorf("machine: LLC capacity %v", c.LLCCapacity)
-	case c.MemBandwidth <= 0:
+	case !(c.MemBandwidth > 0):
 		return fmt.Errorf("machine: bandwidth %v", c.MemBandwidth)
 	case c.LineSize <= 0:
 		return fmt.Errorf("machine: line size %v", c.LineSize)
-	case c.BaseCPI <= 0:
+	case !(c.BaseCPI > 0):
 		return fmt.Errorf("machine: base CPI %v", c.BaseCPI)
-	case c.MLPOverlap < 0 || c.MLPOverlap >= 1:
+	case !(c.PrivateHitCycles >= 0), !(c.LLCHitCycles >= 0), !(c.DRAMCycles >= 0):
+		return fmt.Errorf("machine: access latencies %v/%v/%v cycles, want each ≥ 0",
+			c.PrivateHitCycles, c.LLCHitCycles, c.DRAMCycles)
+	case !(c.MLPOverlap >= 0 && c.MLPOverlap < 1):
 		return fmt.Errorf("machine: MLP overlap %v outside [0,1)", c.MLPOverlap)
 	case c.MaxSimTime <= 0:
 		return fmt.Errorf("machine: max sim time %v", c.MaxSimTime)
 	}
 	for i, h := range c.HMax {
-		if h < 0 || h > 1 {
+		if !(h >= 0 && h <= 1) {
 			return fmt.Errorf("machine: HMax[%d] = %v outside [0,1]", i, h)
 		}
 	}
-	if c.ResidencyExponent < 1 {
+	if !(c.ResidencyExponent >= 1) {
 		return fmt.Errorf("machine: residency exponent %v below 1", c.ResidencyExponent)
 	}
-	if c.OverheadKernelFrac < 0 || c.OverheadAPIInstr < 0 || c.OverheadKernelInstr < 0 {
-		return fmt.Errorf("machine: negative overhead constants")
+	if !(c.OverheadKernelFrac >= 0) || !(c.OverheadAPIInstr >= 0) || !(c.OverheadKernelInstr >= 0) {
+		return fmt.Errorf("machine: overhead constants %v/%v/%v, want each ≥ 0",
+			c.OverheadAPIInstr, c.OverheadKernelInstr, c.OverheadKernelFrac)
 	}
 	if c.WakeLatency < 0 {
 		return fmt.Errorf("machine: negative wake latency")
 	}
-	if c.WakeRefillFactor < 0 || c.WakeRefillFactor > 1 {
+	if !(c.WakeRefillFactor >= 0 && c.WakeRefillFactor <= 1) {
 		return fmt.Errorf("machine: wake refill factor %v outside [0,1]", c.WakeRefillFactor)
 	}
 	return c.Energy.Validate()
@@ -185,7 +190,8 @@ func (c Config) Validate() error {
 // boundaryOverhead returns the extra instructions charged to a declared
 // phase of the given length for its begin/end API calls plus kernel
 // arbitration (see DESIGN.md §5; reproduces the Figure 11 curve).
-func (c Config) boundaryOverhead(phaseInstr float64) float64 {
+// It takes a pointer so that the hot path does not copy the Config.
+func (c *Config) boundaryOverhead(phaseInstr float64) float64 {
 	kernel := c.OverheadKernelInstr
 	if cap := c.OverheadKernelFrac * phaseInstr; cap < kernel {
 		kernel = cap

@@ -1,11 +1,10 @@
 package machine
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"rdasched/internal/energy"
 	"rdasched/internal/pp"
@@ -59,7 +58,7 @@ type Thread struct {
 	id        int
 	proc      *Process
 	at        proc.Cursor // position in the program; at.Index is the phase index
-	ph        *proc.Phase // the current phase, nil once done
+	ph        *proc.Phase // the current phase, nil before the run starts it and once done
 	remaining float64     // instructions left in current phase (incl. overhead)
 	penalty   float64     // stall instruction-equivalents (wake refill); drains
 	// before remaining and yields no flops or memory traffic — the
@@ -69,11 +68,9 @@ type Thread struct {
 	// CrashFrac: when the truncated run completes, the thread dies instead
 	// of retiring the phase.
 	crashing bool
-
-	// Cached per-interval model outputs (valid between reschedules).
-	rate         float64 // instructions/second
-	llcPerInstr  float64
-	dramPerInstr float64
+	// wakeEv is the wake-latency timer, made at the thread's first wake
+	// and re-armed by every later one.
+	wakeEv *sim.Event
 }
 
 // ID returns the machine-wide thread id.
@@ -89,7 +86,8 @@ func (t *Thread) PhaseIndex() int { return t.at.Index }
 // State returns the scheduling state.
 func (t *Thread) State() State { return t.state }
 
-// CurrentPhase returns the phase the thread is in, or nil when done.
+// CurrentPhase returns the phase the thread is in, or nil before the run
+// starts it and once it is done.
 func (t *Thread) CurrentPhase() *proc.Phase { return t.ph }
 
 // Process is the runtime state of one simulated process.
@@ -119,8 +117,9 @@ func (p *Process) ID() int { return p.id }
 // Name returns the spec name.
 func (p *Process) Name() string { return p.spec.Name }
 
-// Spec returns the process description.
-func (p *Process) Spec() proc.Spec { return p.spec }
+// TaskPool reports whether the process uses the task-pool programming
+// model (proc.Spec.TaskPool), without copying the spec.
+func (p *Process) TaskPool() bool { return p.spec.TaskPool }
 
 // Gate is the hook through which a scheduling extension intercepts
 // declared phases (progress periods). EnterPhase returning false pauses
@@ -200,13 +199,30 @@ type Machine struct {
 	procs   []*Process
 	threads []*Thread
 
-	// ready holds the Ready threads in id order, and pressure sums the
-	// ledger of their (process, phase) groups. They change only where a
-	// thread's state or phase does: startPhase, finishPhase,
-	// completeBarrier and wake. Id order keeps every float sum over them
-	// in the order a scan of all threads would use.
-	ready    []*Thread
+	// ready is the set of Ready thread ids, one bit each, and nReady its
+	// size; pressure sums the ledger of their (process, phase) groups,
+	// and present lists the rate classes with Ready threads, in no
+	// particular order. They change only where a thread's state or phase
+	// does: startPhase, finishPhase, completeBarrier and wake. Walking the
+	// bits in id order keeps every float sum over the ready set in the
+	// order a scan of all threads would use.
+	ready    []uint64
+	nReady   int
 	pressure pp.Bytes
+	present  []*rateClass
+	classes  map[rateKey]*rateClass // every rate class seen, by key
+	// cls holds each thread's rate class by thread id (nil before the
+	// thread starts and once it is done): dense, so the per-thread sums
+	// in reschedule read no Thread.
+	cls []*rateClass
+
+	// Memos of reschedule's inputs that depend on one integer each:
+	// busyOver[n-Cores-1] is the busy-core sum with n > Cores Ready
+	// threads (0 until computed), and resid is residency^γ at ledger
+	// pressure residAt.
+	busyOver []float64
+	residAt  pp.Bytes
+	resid    float64
 
 	lastUpdate  sim.Time
 	completion  *sim.Event // next phase completion; queued while any thread is Ready
@@ -230,10 +246,12 @@ func New(cfg Config, gate Gate) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		cfg:   cfg,
-		eng:   sim.NewEngine(0),
-		meter: energy.NewMeter(cfg.Energy),
-		gate:  gate,
+		cfg:     cfg,
+		eng:     sim.NewEngine(0),
+		meter:   energy.NewMeter(cfg.Energy),
+		gate:    gate,
+		classes: make(map[rateKey]*rateClass),
+		residAt: -1, // no ledger pressure is negative: the first reschedule computes r^γ
 	}
 	m.completion = m.eng.NewTimer(m.onCompletion)
 	return m
@@ -268,7 +286,7 @@ func (m *Machine) AddProcess(spec proc.Spec) (*Process, error) {
 	}
 	p := &Process{id: len(m.procs), spec: spec}
 	for i := 0; i < spec.Threads; i++ {
-		t := &Thread{id: len(m.threads), proc: p, ph: &spec.Program[0]}
+		t := &Thread{id: len(m.threads), proc: p}
 		p.threads = append(p.threads, t)
 		m.threads = append(m.threads, t)
 	}
@@ -310,7 +328,9 @@ func (m *Machine) start() error {
 	if len(m.procs) == 0 {
 		return fmt.Errorf("machine: no processes")
 	}
-	m.ready = make([]*Thread, 0, len(m.threads))
+	m.ready = make([]uint64, (len(m.threads)+63)/64)
+	m.cls = make([]*rateClass, len(m.threads))
+	m.busyOver = make([]float64, max(0, len(m.threads)-m.cfg.Cores))
 	for _, t := range m.threads {
 		m.startPhase(t)
 	}
@@ -408,7 +428,10 @@ func (m *Machine) Unblock(t *Thread) {
 		return
 	}
 	t.state = Waking
-	m.eng.After(m.cfg.WakeLatency, func() { m.wake(t) })
+	if t.wakeEv == nil {
+		t.wakeEv = m.eng.NewTimer(func() { m.wake(t) })
+	}
+	m.eng.Rearm(t.wakeEv, m.cfg.WakeLatency)
 }
 
 // wake makes a released thread Ready with correct advance/reschedule
@@ -455,26 +478,34 @@ func (m *Machine) advance() {
 		return
 	}
 	secs := dt.Seconds()
+	// Locals carry the counters through the loop: the same additions in
+	// the same order, without a store and reload per thread.
 	var llc, dram float64
-	for _, t := range m.ready {
-		done := t.rate * secs
-		if done > t.remaining+t.penalty+1 {
-			done = t.remaining + t.penalty + 1 // clamp numerical overshoot
-		}
-		if t.penalty > 0 {
-			p := done
-			if p > t.penalty {
-				p = t.penalty
+	instr, flops := m.counters.Instructions, m.counters.Flops
+	for w, word := range m.ready {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			t, c := m.threads[id], m.cls[id]
+			done := c.rate * secs
+			if done > t.remaining+t.penalty+1 {
+				done = t.remaining + t.penalty + 1 // clamp numerical overshoot
 			}
-			t.penalty -= p
-			done -= p
+			if t.penalty > 0 {
+				p := done
+				if p > t.penalty {
+					p = t.penalty
+				}
+				t.penalty -= p
+				done -= p
+			}
+			t.remaining -= done
+			instr += done
+			flops += done * c.flopsPerInstr
+			llc += done * c.llcPerInstr
+			dram += done * c.dramPerInstr
 		}
-		t.remaining -= done
-		m.counters.Instructions += done
-		m.counters.Flops += done * t.ph.FlopsPerInstr
-		llc += done * t.llcPerInstr
-		dram += done * t.dramPerInstr
 	}
+	m.counters.Instructions, m.counters.Flops = instr, flops
 	m.accumulate(llc, dram)
 	m.meter.AdvanceTime(dt, m.busyCores)
 	m.lastUpdate = now
@@ -504,53 +535,67 @@ const completionEpsilon = 0.05
 // reschedule recomputes the core share, contention, rates, and the next
 // completion event.
 func (m *Machine) reschedule() {
-	m.eng.Cancel(m.completion)
-	if len(m.ready) == 0 {
+	n := m.nReady
+	if n == 0 {
+		m.eng.Cancel(m.completion)
 		return // threads are blocked/waking/done; timers or the gate move things along
 	}
 
 	// CFS in the fluid limit: every Ready thread gets the same share of
 	// the cores, and none more than one core.
-	cores := float64(m.cfg.Cores)
 	share := 1.0
-	if n := len(m.ready); n > m.cfg.Cores {
-		share = cores / float64(n)
+	if n > m.cfg.Cores {
+		share = float64(m.cfg.Cores) / float64(n)
 	}
-	m.busyCores = 0
-	for range m.ready {
-		m.busyCores += share
-	}
-	// n equal slices can sum an ulp past the core count.
-	m.busyCores = min(m.busyCores, cores)
+	m.busyCores = m.busy(n, share)
 	if m.sampleEvery > 0 && (len(m.timeline) == 0 || m.eng.Now() >= m.lastSample.Add(m.sampleEvery)) {
 		m.timeline = append(m.timeline, Sample{At: m.eng.Now(), BusyCores: m.busyCores})
 		m.lastSample = m.eng.Now()
 	}
 
-	// Unconstrained rates, then a shared-bandwidth roofline.
-	resid := math.Pow(m.residency(), m.cfg.ResidencyExponent)
+	// Unconstrained rates, once per rate class, then a shared-bandwidth
+	// roofline over every thread's traffic.
+	if m.residAt != m.pressure {
+		m.residAt, m.resid = m.pressure, math.Pow(m.residency(), m.cfg.ResidencyExponent)
+	}
+	for _, c := range m.present {
+		if c.share == share && c.resid == m.resid {
+			continue // the class's outputs are a function of these two alone
+		}
+		perf := m.phasePerf(c.ph, m.resid)
+		c.share, c.resid = share, m.resid
+		c.llcPerInstr = perf.llcPerInstr
+		c.dramPerInstr = perf.dramPerInstr
+		c.base = share * m.cfg.FreqHz / perf.cpi
+		c.traffic = c.base * c.dramPerInstr * float64(m.cfg.LineSize)
+	}
 	var traffic float64 // bytes/sec of DRAM transfers
-	for _, t := range m.ready {
-		perf := m.phasePerf(t.ph, resid)
-		t.llcPerInstr = perf.llcPerInstr
-		t.dramPerInstr = perf.dramPerInstr
-		t.rate = share * m.cfg.FreqHz / perf.cpi
-		traffic += t.rate * t.dramPerInstr * float64(m.cfg.LineSize)
+	for w, word := range m.ready {
+		for ; word != 0; word &= word - 1 {
+			traffic += m.cls[w<<6|bits.TrailingZeros64(word)].traffic
+		}
 	}
 	scale := 1.0
 	if traffic > m.cfg.MemBandwidth {
 		scale = m.cfg.MemBandwidth / traffic
 	}
+	for _, c := range m.present {
+		c.rate = c.base * scale
+	}
 
 	// Next completion.
 	next := math.Inf(1)
-	for _, t := range m.ready {
-		t.rate *= scale
-		if dt := (t.remaining + t.penalty) / t.rate; dt < next {
-			next = dt
+	for w, word := range m.ready {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			t := m.threads[id]
+			if dt := (t.remaining + t.penalty) / m.cls[id].rate; dt < next {
+				next = dt
+			}
 		}
 	}
 	if math.IsInf(next, 1) {
+		m.eng.Cancel(m.completion)
 		return
 	}
 	d := sim.Duration(math.Ceil(next * 1e12))
@@ -560,20 +605,38 @@ func (m *Machine) reschedule() {
 	m.eng.Rearm(m.completion, d)
 }
 
+// busy returns the busy-core count with n Ready threads of the given
+// share each: the share added once per thread, clamped to the core
+// count because n equal slices can sum an ulp past it. Up to Cores
+// threads the share is 1 and the sum is n exactly; past that it depends
+// on n alone, so it is computed once per n.
+func (m *Machine) busy(n int, share float64) float64 {
+	if n <= m.cfg.Cores {
+		return float64(n)
+	}
+	memo := &m.busyOver[n-m.cfg.Cores-1]
+	if *memo == 0 {
+		var b float64
+		for range n {
+			b += share
+		}
+		*memo = min(b, float64(m.cfg.Cores))
+	}
+	return *memo
+}
+
 // onCompletion advances time and retires every phase that has finished,
 // visiting Ready threads in id order.
 func (m *Machine) onCompletion() {
 	m.advance()
 	m.inEvent = true
-	for i := 0; i < len(m.ready); i++ {
-		t := m.ready[i]
-		if t.remaining+t.penalty > completionEpsilon {
-			continue
+	// Retiring a thread (and the gate calls inside) adds and removes
+	// Ready threads: each step resumes after the last id, as a scan of
+	// all threads would.
+	for id := m.nextReady(0); id >= 0; id = m.nextReady(id + 1) {
+		if t := m.threads[id]; t.remaining+t.penalty <= completionEpsilon {
+			m.finishPhase(t)
 		}
-		m.finishPhase(t)
-		// Retiring t (and the gate calls inside) added and removed ready
-		// threads: resume after t's id, as a scan of all threads would.
-		i = m.readyPos(t.id+1) - 1
 	}
 	m.inEvent = false
 	m.reschedule()
@@ -581,11 +644,13 @@ func (m *Machine) onCompletion() {
 
 // finishPhase retires t's current phase: gate exit, barrier rendezvous,
 // next phase entry. A crashing thread dies instead: no pp_end reaches the
-// gate, no barrier is joined, and the rest of its program never runs.
+// gate, no barrier is joined, and the rest of its program never runs. t
+// stays in the ready set throughout and leaves it only if it does not
+// run on: a thread whose next phase is admitted at once keeps its slot.
 func (m *Machine) finishPhase(t *Thread) {
-	m.unready(t)
-	ph, idx := t.ph, t.at.Index
+	ph, idx, cls := t.ph, t.at.Index, m.cls[t.id]
 	if t.crashing {
+		m.unready(t, idx, ph, cls)
 		m.crashThread(t)
 		return
 	}
@@ -604,13 +669,18 @@ func (m *Machine) finishPhase(t *Thread) {
 		p.barrierAt = idx
 		p.arrived++
 		if p.arrived < len(p.threads) {
+			m.unready(t, idx, ph, cls)
 			t.state = BarrierWait
 			return
 		}
 		m.completeBarrier(p)
 	}
 	t.at.Next(t.proc.spec.Program)
-	m.startPhase(t)
+	if m.enterPhase(t) {
+		m.moveReady(t, idx, ph, cls)
+	} else {
+		m.unready(t, idx, ph, cls)
+	}
 }
 
 // completeBarrier releases every sibling waiting at the pending barrier.
@@ -648,13 +718,22 @@ func (m *Machine) crashThread(t *Thread) {
 	}
 }
 
-// startPhase moves t, which is not Ready, into the phase at its cursor,
-// charging boundary overhead and asking the gate for admission when the
-// phase is declared.
+// startPhase moves t, which is not Ready, into the phase at its cursor
+// and makes it Ready if it runs.
 func (m *Machine) startPhase(t *Thread) {
+	if m.enterPhase(t) {
+		m.setReady(t)
+	}
+}
+
+// enterPhase moves t into the phase at its cursor, charging boundary
+// overhead and asking the gate for admission when the phase is declared.
+// It reports whether t runs; otherwise t is Done or Blocked. It leaves
+// the ready set and the ledger to its caller.
+func (m *Machine) enterPhase(t *Thread) bool {
 	prog := t.proc.spec.Program
 	if t.at.Slot >= len(prog) {
-		t.ph = nil
+		t.ph, m.cls[t.id] = nil, nil
 		t.state = Done
 		p := t.proc
 		p.done++
@@ -662,10 +741,13 @@ func (m *Machine) startPhase(t *Thread) {
 			p.finish = m.eng.Now()
 			m.doneProcs++
 		}
-		return
+		return false
 	}
 	ph := &prog[t.at.Slot]
-	t.ph = ph
+	if ph != t.ph {
+		// A repeated phase keeps its slot, its pointer and its class.
+		t.ph, m.cls[t.id] = ph, m.intern(ph)
+	}
 	t.remaining = ph.Instr
 	if ph.CrashFrac > 0 {
 		// Fault injection: the thread dies after this fraction of the
@@ -681,54 +763,121 @@ func (m *Machine) startPhase(t *Thread) {
 		if m.gate != nil && !m.gate.EnterPhase(t, t.at.Index, ph) {
 			t.state = Blocked
 			m.counters.PPBlocks++
-			return
+			return false
 		}
 	}
-	m.setReady(t)
+	return true
 }
 
-// readyPos returns the index in m.ready of the first thread whose id is
-// at least id.
-func (m *Machine) readyPos(id int) int {
-	i, _ := slices.BinarySearchFunc(m.ready, id, func(t *Thread, id int) int { return cmp.Compare(t.id, id) })
-	return i
+// nextReady returns the smallest Ready thread id at least id, or -1.
+func (m *Machine) nextReady(id int) int {
+	w := id >> 6
+	if w >= len(m.ready) {
+		return -1
+	}
+	for word := m.ready[w] &^ (1<<(id&63) - 1); ; word = m.ready[w] {
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+		if w++; w == len(m.ready) {
+			return -1
+		}
+	}
 }
 
-// setReady makes t Ready: it joins the ready set and its (process,
-// phase) group in the pressure ledger.
+// setReady makes t Ready: it joins the ready set, its rate class and its
+// (process, phase) group in the pressure ledger.
 func (m *Machine) setReady(t *Thread) {
 	t.state = Ready
-	m.ready = slices.Insert(m.ready, m.readyPos(t.id), t)
+	m.ready[t.id>>6] |= 1 << (t.id & 63)
+	m.nReady++
+	m.join(m.cls[t.id])
+	m.joinGroup(t.proc, t.at.Index, t.ph)
+}
+
+// unready takes t, Ready in phase idx (ph, class cls) until now, out of
+// the ready set, its class and the ledger; the caller gives it its next
+// state.
+func (m *Machine) unready(t *Thread, idx int, ph *proc.Phase, cls *rateClass) {
+	m.ready[t.id>>6] &^= 1 << (t.id & 63)
+	m.nReady--
+	m.leave(cls)
+	m.leaveGroup(t.proc, idx, ph)
+}
+
+// moveReady keeps t, Ready in phase idx (ph, class cls) until now, in the
+// ready set for the phase it has just entered. A thread alone in its
+// group while no sibling is in the new phase moves its ledger entry in
+// place; the ledger sums integers, so the pressure is the same in any
+// order.
+func (m *Machine) moveReady(t *Thread, idx int, ph *proc.Phase, cls *rateClass) {
+	if c := m.cls[t.id]; c != cls {
+		m.leave(cls)
+		m.join(c)
+	}
 	p := t.proc
 	for i := range p.groups {
 		if p.groups[i].phase == t.at.Index {
 			p.groups[i].n++
+			m.leaveGroup(p, idx, ph)
 			return
 		}
 	}
-	p.groups = append(p.groups, group{phase: t.at.Index, n: 1})
+	for i := range p.groups {
+		if g := &p.groups[i]; g.phase == idx && g.n == 1 {
+			g.phase = t.at.Index
+			m.pressure += t.ph.OccupancyBytes() - ph.OccupancyBytes()
+			return
+		}
+	}
+	m.leaveGroup(p, idx, ph)
+	m.joinGroup(p, t.at.Index, t.ph)
+}
+
+// joinGroup adds one Ready thread to p's group for phase idx (ph).
+func (m *Machine) joinGroup(p *Process, idx int, ph *proc.Phase) {
+	for i := range p.groups {
+		if p.groups[i].phase == idx {
+			p.groups[i].n++
+			return
+		}
+	}
+	p.groups = append(p.groups, group{phase: idx, n: 1})
 	// Partitioned phases press on the shared pool only up to their
 	// partition (§6 extension: a fenced streaming app cannot evict its
 	// neighbours beyond its allotment).
-	m.pressure += t.ph.OccupancyBytes()
+	m.pressure += ph.OccupancyBytes()
 }
 
-// unready takes Ready thread t out of the ready set and the ledger; the
-// caller gives it its next state or phase.
-func (m *Machine) unready(t *Thread) {
-	i := m.readyPos(t.id)
-	m.ready = slices.Delete(m.ready, i, i+1)
-	p := t.proc
+// leaveGroup removes one Ready thread from p's group for phase idx (ph).
+func (m *Machine) leaveGroup(p *Process, idx int, ph *proc.Phase) {
 	for i := range p.groups {
 		g := &p.groups[i]
-		if g.phase != t.at.Index {
+		if g.phase != idx {
 			continue
 		}
 		if g.n--; g.n == 0 {
 			p.groups[i] = p.groups[len(p.groups)-1]
 			p.groups = p.groups[:len(p.groups)-1]
-			m.pressure -= t.ph.OccupancyBytes()
+			m.pressure -= ph.OccupancyBytes()
 		}
 		return
+	}
+}
+
+// join counts one more Ready thread in class c.
+func (m *Machine) join(c *rateClass) {
+	if c.ready++; c.ready == 1 {
+		c.pos = len(m.present)
+		m.present = append(m.present, c)
+	}
+}
+
+// leave counts one Ready thread less in class c.
+func (m *Machine) leave(c *rateClass) {
+	if c.ready--; c.ready == 0 {
+		last := m.present[len(m.present)-1]
+		m.present[c.pos], last.pos = last, c.pos
+		m.present = m.present[:len(m.present)-1]
 	}
 }

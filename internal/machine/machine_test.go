@@ -51,25 +51,48 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	muts := []func(*Config){
-		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.FreqHz = -1 },
-		func(c *Config) { c.LLCCapacity = 0 },
-		func(c *Config) { c.MemBandwidth = 0 },
-		func(c *Config) { c.LineSize = 0 },
-		func(c *Config) { c.BaseCPI = 0 },
-		func(c *Config) { c.MLPOverlap = 1.0 },
-		func(c *Config) { c.HMax[1] = 1.5 },
-		func(c *Config) { c.OverheadKernelFrac = -1 },
-		func(c *Config) { c.WakeLatency = -1 },
-		func(c *Config) { c.MaxSimTime = 0 },
-		func(c *Config) { c.Energy.StaticPkgWatts = -1 },
+	nan := math.NaN()
+	muts := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"cores-zero", func(c *Config) { c.Cores = 0 }},
+		{"freq-negative", func(c *Config) { c.FreqHz = -1 }},
+		{"freq-nan", func(c *Config) { c.FreqHz = nan }},
+		{"llc-zero", func(c *Config) { c.LLCCapacity = 0 }},
+		{"bandwidth-zero", func(c *Config) { c.MemBandwidth = 0 }},
+		{"bandwidth-nan", func(c *Config) { c.MemBandwidth = nan }},
+		{"line-zero", func(c *Config) { c.LineSize = 0 }},
+		{"base-cpi-zero", func(c *Config) { c.BaseCPI = 0 }},
+		{"base-cpi-nan", func(c *Config) { c.BaseCPI = nan }},
+		{"private-hit-negative", func(c *Config) { c.PrivateHitCycles = -1 }},
+		{"private-hit-nan", func(c *Config) { c.PrivateHitCycles = nan }},
+		{"llc-hit-negative", func(c *Config) { c.LLCHitCycles = -1 }},
+		{"llc-hit-nan", func(c *Config) { c.LLCHitCycles = nan }},
+		{"dram-negative", func(c *Config) { c.DRAMCycles = -1000 }},
+		{"dram-nan", func(c *Config) { c.DRAMCycles = nan }},
+		{"mlp-one", func(c *Config) { c.MLPOverlap = 1.0 }},
+		{"mlp-nan", func(c *Config) { c.MLPOverlap = nan }},
+		{"hmax-above-one", func(c *Config) { c.HMax[1] = 1.5 }},
+		{"hmax-nan", func(c *Config) { c.HMax[2] = nan }},
+		{"residency-exponent-below-one", func(c *Config) { c.ResidencyExponent = 0.5 }},
+		{"residency-exponent-nan", func(c *Config) { c.ResidencyExponent = nan }},
+		{"kernel-frac-negative", func(c *Config) { c.OverheadKernelFrac = -1 }},
+		{"kernel-frac-nan", func(c *Config) { c.OverheadKernelFrac = nan }},
+		{"api-instr-nan", func(c *Config) { c.OverheadAPIInstr = nan }},
+		{"kernel-instr-nan", func(c *Config) { c.OverheadKernelInstr = nan }},
+		{"wake-latency-negative", func(c *Config) { c.WakeLatency = -1 }},
+		{"wake-refill-above-one", func(c *Config) { c.WakeRefillFactor = 1.5 }},
+		{"wake-refill-nan", func(c *Config) { c.WakeRefillFactor = nan }},
+		{"max-sim-time-zero", func(c *Config) { c.MaxSimTime = 0 }},
+		{"energy-negative", func(c *Config) { c.Energy.StaticPkgWatts = -1 }},
+		{"energy-nan", func(c *Config) { c.Energy.DRAMAccessJoules = nan }},
 	}
-	for i, mu := range muts {
+	for _, mu := range muts {
 		c := DefaultConfig()
-		mu(&c)
+		mu.mut(&c)
 		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+			t.Errorf("%s accepted", mu.name)
 		}
 	}
 }
@@ -592,44 +615,64 @@ func BenchmarkMachineRun96Procs(b *testing.B) {
 }
 
 // BenchmarkMachineReschedule times the machine's per-event work in
-// steady state with n Ready threads: each engine event retires one
-// thread's phase, starts its next repetition, and recomputes the core
-// share, rates and the next completion for all n. It reports host ns
-// and heap allocations per event.
+// steady state with n Ready threads: each engine event retires phases,
+// starts their next repetitions, and recomputes the core share, rates
+// and the next completion for all n. In the ready=n cases every thread
+// is a process of its own and all run one phase shape, one rate class;
+// in the classes=3 cases processes of four threads each run one of
+// three shapes, equal by value across processes but each in a program
+// of its own, as jitter leaves Table 2's. It reports host ns and heap
+// allocations per event.
 func BenchmarkMachineReschedule(b *testing.B) {
-	for _, n := range []int{12, 96, 768} {
-		b.Run(fmt.Sprintf("ready=%d", n), func(b *testing.B) {
-			m := New(testConfig(), nil)
-			for i := 0; i < n; i++ {
-				// Distinct lengths stagger the completions one per event.
-				ph := simplePhase(1e6+float64(i)*997, pp.MB(1), pp.ReuseHigh)
-				ph.Repeat = math.MaxInt32
-				if _, err := m.AddProcess(singleProc("p", ph)); err != nil {
+	low := simplePhase(0, pp.MB(2), pp.ReuseLow)
+	low.AccessesPerInstr, low.PrivateHitFrac, low.StreamFrac = 0.2, 0.9, 0.5
+	mid := simplePhase(0, pp.KiB*512, pp.ReuseMed)
+	mid.AccessesPerInstr, mid.PrivateHitFrac, mid.FlopsPerInstr = 0.4, 0.6, 1
+	for _, tc := range []struct {
+		name    string
+		threads int // per process
+		shapes  []proc.Phase
+	}{
+		{"ready=%d", 1, []proc.Phase{simplePhase(0, pp.MB(1), pp.ReuseHigh)}},
+		{"classes=3/ready=%d", 4, []proc.Phase{simplePhase(0, pp.MB(1), pp.ReuseHigh), low, mid}},
+	} {
+		for _, n := range []int{12, 96, 768} {
+			b.Run(fmt.Sprintf(tc.name, n), func(b *testing.B) {
+				m := New(testConfig(), nil)
+				for i := 0; i < n/tc.threads; i++ {
+					ph := tc.shapes[i%len(tc.shapes)]
+					// Distinct lengths stagger the completions one
+					// process per event.
+					ph.Instr = 1e6 + float64(i)*997
+					ph.Repeat = math.MaxInt32
+					spec := proc.Spec{Name: "p", Threads: tc.threads, Program: proc.Program{ph}}
+					if _, err := m.AddProcess(spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := m.start(); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if err := m.start(); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 4*n; i++ {
-				m.eng.Step()
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			fired := m.eng.Fired()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.eng.Step()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			if len(m.ready) != n {
-				b.Fatalf("%d ready threads, want %d", len(m.ready), n)
-			}
-			events := float64(m.eng.Fired() - fired)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
-		})
+				for i := 0; i < 4*n; i++ {
+					m.eng.Step()
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				fired := m.eng.Fired()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.eng.Step()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				if m.nReady != n {
+					b.Fatalf("%d ready threads, want %d", m.nReady, n)
+				}
+				events := float64(m.eng.Fired() - fired)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+			})
+		}
 	}
 }
 

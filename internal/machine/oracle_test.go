@@ -14,11 +14,14 @@ import (
 // fullScan is the machine's rate model recomputed the way reschedule
 // computed it before the ready set and the pressure ledger existed: a
 // scan of every thread, a fresh (process, phase) map for the LLC
-// pressure, the core share from the scan's own count, and residency^γ
-// per thread. It is the test oracle for the incremental state.
+// pressure, the core share and busy-core sum from the scan's own count,
+// residency^γ from the scan's own pressure, and phasePerf per thread. It
+// is the test oracle for the incremental state: the ready set, the
+// ledger, the rate classes and the memos.
 type fullScan struct {
 	ready    []*Thread
 	pressure pp.Bytes
+	resid    float64 // residency^γ
 	busy     float64
 	rates    []float64
 	llc      []float64
@@ -49,16 +52,14 @@ func scanAll(m *Machine) fullScan {
 	if s.pressure > m.cfg.LLCCapacity {
 		residency = float64(m.cfg.LLCCapacity) / float64(s.pressure)
 	}
+	s.resid = math.Pow(residency, m.cfg.ResidencyExponent)
 
 	share := math.Min(1, float64(m.cfg.Cores)/float64(len(s.ready)))
-	for range s.ready {
-		s.busy += share
-	}
-	s.busy = math.Min(s.busy, float64(m.cfg.Cores))
+	s.busy = scanBusy(m, len(s.ready))
 
 	var traffic float64
 	for _, t := range s.ready {
-		perf := m.phasePerf(t.CurrentPhase(), math.Pow(residency, m.cfg.ResidencyExponent))
+		perf := m.phasePerf(t.CurrentPhase(), s.resid)
 		rate := share * m.cfg.FreqHz / perf.cpi
 		traffic += rate * perf.dramPerInstr * float64(m.cfg.LineSize)
 		s.rates = append(s.rates, rate)
@@ -80,21 +81,40 @@ func scanAll(m *Machine) fullScan {
 	return s
 }
 
+// scanBusy is the busy-core sum with n Ready threads: the share added
+// once per thread, clamped to the core count.
+func scanBusy(m *Machine, n int) float64 {
+	share := math.Min(1, float64(m.cfg.Cores)/float64(n))
+	var busy float64
+	for range n {
+		busy += share
+	}
+	return math.Min(busy, float64(m.cfg.Cores))
+}
+
 // checkOracle compares the machine's incremental state with a full scan:
-// ready set, pressure, busy cores, rates and the next completion.
-// It holds between events, where the state reschedule cached is current.
+// ready set, pressure, rate classes, both memos, busy cores, every
+// thread's class-derived rates and the next completion. It holds between
+// events, where the state reschedule cached is current.
 func checkOracle(m *Machine) error {
 	s := scanAll(m)
-	if len(s.ready) != len(m.ready) {
-		return fmt.Errorf("ready set has %d threads, scan finds %d", len(m.ready), len(s.ready))
+	var ready []*Thread
+	for id := m.nextReady(0); id >= 0; id = m.nextReady(id + 1) {
+		ready = append(ready, m.threads[id])
+	}
+	if len(s.ready) != len(ready) || m.nReady != len(ready) {
+		return fmt.Errorf("ready set has %d threads (count %d), scan finds %d", len(ready), m.nReady, len(s.ready))
 	}
 	for i, t := range s.ready {
-		if m.ready[i] != t {
-			return fmt.Errorf("ready[%d] is thread %d, scan finds thread %d", i, m.ready[i].id, t.id)
+		if ready[i] != t {
+			return fmt.Errorf("ready[%d] is thread %d, scan finds thread %d", i, ready[i].id, t.id)
 		}
 	}
 	if s.pressure != m.pressure {
 		return fmt.Errorf("ledger pressure %v, scan %v", m.pressure, s.pressure)
+	}
+	if err := checkClasses(m, s.ready); err != nil {
+		return err
 	}
 	if len(s.ready) == 0 {
 		if !m.completion.Cancelled() {
@@ -105,10 +125,19 @@ func checkOracle(m *Machine) error {
 	if s.busy != m.busyCores {
 		return fmt.Errorf("busy cores %v, scan %v", m.busyCores, s.busy)
 	}
+	for i, b := range m.busyOver {
+		if n := m.cfg.Cores + 1 + i; b != 0 && b != scanBusy(m, n) {
+			return fmt.Errorf("busy-core memo %v at %d ready threads, scan %v", b, n, scanBusy(m, n))
+		}
+	}
+	if m.residAt != s.pressure || m.resid != s.resid {
+		return fmt.Errorf("r^γ memo %v at pressure %v, scan %v at %v", m.resid, m.residAt, s.resid, s.pressure)
+	}
 	for i, t := range s.ready {
-		if t.rate != s.rates[i] || t.llcPerInstr != s.llc[i] || t.dramPerInstr != s.dram[i] {
+		c := m.cls[t.id]
+		if c.rate != s.rates[i] || c.llcPerInstr != s.llc[i] || c.dramPerInstr != s.dram[i] {
 			return fmt.Errorf("thread %d rate/llc/dram %v/%v/%v, scan %v/%v/%v", t.id,
-				t.rate, t.llcPerInstr, t.dramPerInstr, s.rates[i], s.llc[i], s.dram[i])
+				c.rate, c.llcPerInstr, c.dramPerInstr, s.rates[i], s.llc[i], s.dram[i])
 		}
 	}
 	d := sim.Duration(math.Ceil(s.next * 1e12))
@@ -117,6 +146,51 @@ func checkOracle(m *Machine) error {
 	}
 	if want := m.lastUpdate.Add(d); m.completion.Cancelled() || m.completion.When() != want {
 		return fmt.Errorf("next completion at %v (cancelled %v), scan %v", m.completion.When(), m.completion.Cancelled(), want)
+	}
+	return nil
+}
+
+// sameRate reports whether a and b agree, bit for bit, on every field
+// phasePerf and advance read; it is written out field by field so that
+// it does not share rateKey's choice of fields.
+func sameRate(a, b *proc.Phase) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.CachePartition > 0 || b.CachePartition > 0 {
+		if a.CachePartition != b.CachePartition || a.WSS != b.WSS {
+			return false
+		}
+	}
+	return same(a.AccessesPerInstr, b.AccessesPerInstr) && same(a.PrivateHitFrac, b.PrivateHitFrac) &&
+		same(a.StreamFrac, b.StreamFrac) && same(a.FlopsPerInstr, b.FlopsPerInstr) && a.Reuse == b.Reuse
+}
+
+// checkClasses checks that every thread's class is its phase's, by value,
+// and that the present list holds exactly the classes of the Ready
+// threads, each with its count.
+func checkClasses(m *Machine, ready []*Thread) error {
+	for _, t := range m.threads {
+		c := m.cls[t.id]
+		if t.ph == nil {
+			if c != nil {
+				return fmt.Errorf("done thread %d keeps a rate class", t.id)
+			}
+			continue
+		}
+		if !sameRate(c.ph, t.ph) || c.flopsPerInstr != t.ph.FlopsPerInstr {
+			return fmt.Errorf("thread %d phase %d in the class of another phase", t.id, t.PhaseIndex())
+		}
+	}
+	count := make(map[*rateClass]int)
+	for _, t := range ready {
+		count[m.cls[t.id]]++
+	}
+	if len(count) != len(m.present) {
+		return fmt.Errorf("%d classes present, scan finds %d", len(m.present), len(count))
+	}
+	for i, c := range m.present {
+		if c.pos != i || c.ready != count[c] {
+			return fmt.Errorf("present[%d] has position %d and %d ready threads, scan finds %d", i, c.pos, c.ready, count[c])
+		}
 	}
 	return nil
 }
@@ -211,9 +285,39 @@ func (g *randGate) release(t *Thread) {
 // randWorkload draws a small mix exercising every path the incremental
 // state changes on: barriers, crashes, cache partitions, repeated
 // phases, and phases short enough to finish in the event that starts
-// them.
-func randWorkload(rng *sim.RNG, procs int) proc.Workload {
+// them. With shared set, every phase takes its rate fields from one of
+// three shapes, so phases of different processes, each in a program of
+// its own, fall into the same rate classes by value.
+func randWorkload(rng *sim.RNG, procs int, shared bool) proc.Workload {
 	w := proc.Workload{Name: "fuzz"}
+	// The second and third shapes differ from the first in one rate
+	// field each, so a class key that left a field out would merge them.
+	var shapes [3]proc.Phase
+	if shared {
+		shapes[0] = proc.Phase{
+			Reuse:            pp.Reuse(rng.Intn(3)),
+			AccessesPerInstr: 0.1 + 0.5*rng.Float64(),
+			PrivateHitFrac:   rng.Float64(),
+			StreamFrac:       rng.Float64(),
+			FlopsPerInstr:    rng.Float64(),
+		}
+		for i := 1; i < len(shapes); i++ {
+			sh := shapes[0]
+			switch rng.Intn(5) {
+			case 0:
+				sh.Reuse = (sh.Reuse + 1) % 3
+			case 1:
+				sh.AccessesPerInstr = 0.1 + 0.5*rng.Float64()
+			case 2:
+				sh.PrivateHitFrac = rng.Float64()
+			case 3:
+				sh.StreamFrac = rng.Float64()
+			case 4:
+				sh.FlopsPerInstr = rng.Float64()
+			}
+			shapes[i] = sh
+		}
+	}
 	for p := 0; p < procs; p++ {
 		s := proc.Spec{Name: fmt.Sprintf("p%d", p), Threads: 1 + rng.Intn(4)}
 		for n := 1 + rng.Intn(4); n > 0; n-- {
@@ -243,6 +347,11 @@ func randWorkload(rng *sim.RNG, procs int) proc.Workload {
 			}
 			if rng.Float64() < 0.3 {
 				ph.Repeat = 2 + rng.Intn(5)
+			}
+			if shared {
+				sh := &shapes[rng.Intn(len(shapes))]
+				ph.Reuse, ph.AccessesPerInstr, ph.PrivateHitFrac = sh.Reuse, sh.AccessesPerInstr, sh.PrivateHitFrac
+				ph.StreamFrac, ph.FlopsPerInstr = sh.StreamFrac, sh.FlopsPerInstr
 			}
 			s.Program = append(s.Program, ph)
 		}
@@ -312,13 +421,14 @@ func checkRuns(t *testing.T, cfg Config, w proc.Workload, seed uint64, deny floa
 }
 
 // FuzzMachineIncremental checks, at every engine event of a random run,
-// that the incremental ready set, pressure ledger, busy cores, rates and
-// next completion equal a full scan; that retiring phases from the
-// ready set matches a scan of every thread; and that a run with repeated
-// phases is identical to the same run with the repetitions listed out.
-// Its seed corpus is committed under testdata/fuzz.
+// that the incremental ready set, pressure ledger, rate classes, memos,
+// busy cores, rates and next completion equal a full scan; that retiring
+// phases from the ready set matches a scan of every thread; and that a
+// run with repeated phases is identical to the same run with the
+// repetitions listed out. With shared set, processes share rate classes
+// (see randWorkload). Its seed corpus is committed under testdata/fuzz.
 func FuzzMachineIncremental(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed uint64, procs, denyPct uint8, latency bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, procs, denyPct uint8, latency, shared bool) {
 		rng := sim.NewRNG(seed)
 		cfg := DefaultConfig()
 		cfg.Cores = 1 + rng.Intn(12)
@@ -330,20 +440,21 @@ func FuzzMachineIncremental(f *testing.F) {
 		if rng.Float64() < 0.3 {
 			cfg.MemBandwidth = 1e9 // the roofline binds
 		}
-		checkRuns(t, cfg, randWorkload(rng, 1+int(procs%8)), seed, float64(denyPct%80)/100)
+		checkRuns(t, cfg, randWorkload(rng, 1+int(procs%8), shared), seed, float64(denyPct%80)/100)
 	})
 }
 
 // TestIncrementalMatchesFullScan sweeps fixed seeds through the same
 // checks as FuzzMachineIncremental on the zero-overhead unit-test
-// machine, with and without wake latency.
+// machine, with and without wake latency, and with and without rate
+// classes shared across processes.
 func TestIncrementalMatchesFullScan(t *testing.T) {
-	for seed := uint64(0); seed < 40; seed++ {
+	for seed := uint64(0); seed < 60; seed++ {
 		rng := sim.NewRNG(seed)
 		cfg := testConfig()
 		if seed%2 == 1 {
 			cfg.WakeLatency = 30 * sim.Microsecond
 		}
-		checkRuns(t, cfg, randWorkload(rng, 1+int(seed%8)), seed, 0.3)
+		checkRuns(t, cfg, randWorkload(rng, 1+int(seed%8), seed >= 40), seed, 0.3)
 	}
 }

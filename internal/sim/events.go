@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a callback scheduled to fire at a virtual time. Events with the
 // same time fire in the order they were scheduled (FIFO tie-break), which
 // keeps runs deterministic regardless of heap internals.
@@ -19,33 +17,82 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // When returns the virtual time the event is scheduled for.
 func (e *Event) When() Time { return e.at }
 
-type eventHeap []*Event
+// eventQueue is a binary min-heap of pending events on (at, seq). The
+// order is total, because seq is unique, so events pop in the same order
+// whatever the heap's layout.
+type eventQueue []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (q eventQueue) less(i, j int) bool {
+	a, b := q[i], q[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (q eventQueue) swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+
+func (q eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down sifts the element at i0 down within q[:n] and reports whether it
+// moved.
+func (q eventQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (q *eventQueue) push(ev *Event) {
+	ev.index = len(*q)
+	*q = append(*q, ev)
+	q.up(ev.index)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// remove takes the event at index i out of the queue.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	ev := h[n]
+	h[n] = nil
+	ev.index = -1
+	*q = h[:n]
+	return ev
+}
+
+// fix restores the heap order after the event at index i changed key.
+func (q eventQueue) fix(i int) {
+	if !q.down(i, len(q)) {
+		q.up(i)
+	}
 }
 
 // Engine is a discrete-event simulation driver: a clock plus a pending
@@ -53,7 +100,7 @@ func (h *eventHeap) Pop() any {
 // single logical thread of control (determinism by construction).
 type Engine struct {
 	now    Time
-	queue  eventHeap
+	queue  eventQueue
 	seq    uint64
 	fired  uint64
 	halted bool
@@ -85,7 +132,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	}
 	ev := &Event{at: t, seq: e.seq, fire: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -110,15 +157,16 @@ func (e *Engine) NewTimer(fn func()) *Event {
 // number exactly as After does, so the firing order is the one Cancel
 // followed by After would give.
 func (e *Engine) Rearm(ev *Event, d Duration) {
-	if ev.index >= 0 {
-		heap.Remove(&e.queue, ev.index)
-	}
 	if d < 0 {
 		d = 0
 	}
 	ev.at, ev.seq, ev.cancel = e.now.Add(d), e.seq, false
 	e.seq++
-	heap.Push(&e.queue, ev)
+	if ev.index >= 0 {
+		e.queue.fix(ev.index)
+		return
+	}
+	e.queue.push(ev)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
@@ -131,7 +179,7 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancel = true
-	heap.Remove(&e.queue, ev.index)
+	e.queue.remove(ev.index)
 }
 
 // SetStepHook installs fn, invoked after every fired event with the
@@ -149,7 +197,7 @@ func (e *Engine) Step() bool {
 	if e.halted || len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.remove(0)
 	e.now = ev.at
 	e.fired++
 	ev.fire()

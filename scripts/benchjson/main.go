@@ -11,9 +11,11 @@
 //
 // -diff compares two artifacts benchmark by benchmark and exits
 // non-zero when any shared benchmark's median ns/op regressed by more
-// than the -threshold (default 10%). Benchmarks present in only one
-// artifact are reported but never fail the diff, so adding or
-// retiring a benchmark does not break the gate.
+// than the -threshold (default 10%) and by more than the interquartile
+// spread of either side (zero for an entry from a single run), so a
+// move inside the run-to-run noise is reported but does not fail.
+// Benchmarks present in only one artifact are reported but never fail
+// the diff, so adding or retiring a benchmark does not break the gate.
 //
 // The converter reads benchmark result lines of the standard form
 //
@@ -21,7 +23,9 @@
 //
 // and records every (value, unit) metric pair per benchmark. Repeated
 // lines of one benchmark (go test -count N) fold into one entry holding
-// each metric's median and the number of lines in "runs". Context
+// each metric's median, its interquartile spread in "spread" (by the
+// quartile method of perfbench/stats.go, Python's
+// statistics.quantiles), and the number of lines in "runs". Context
 // lines (goos/goarch/pkg/cpu) are carried along so the artifact is
 // self-describing.
 package main
@@ -32,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -48,8 +53,9 @@ type Doc struct {
 // Benchmark is one benchmark's result: the benchmark name (with the -N
 // procs suffix stripped), its iteration count, and every reported
 // metric. An entry folded from Runs > 1 result lines holds the median
-// of each metric and of the iteration counts; Runs is omitted for a
-// single line.
+// of each metric and of the iteration counts, and in Spread each
+// metric's interquartile distance q3 − q1 in the metric's unit; Runs
+// and Spread are omitted for a single line.
 type Benchmark struct {
 	Name       string             `json:"name"`
 	Package    string             `json:"package,omitempty"`
@@ -57,13 +63,14 @@ type Benchmark struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 	Runs       int                `json:"runs,omitempty"`
+	Spread     map[string]float64 `json:"spread,omitempty"`
 }
 
 func main() {
 	var (
 		out       = flag.String("o", "", "write the JSON artifact to this file (default stdout)")
 		check     = flag.String("check", "", "validate an existing artifact instead of converting")
-		diff      = flag.Bool("diff", false, "compare two artifacts (old new); exit non-zero on ns/op regressions past -threshold")
+		diff      = flag.Bool("diff", false, "compare two artifacts (old new); exit non-zero on ns/op regressions past -threshold and both sides' spreads")
 		threshold = flag.Float64("threshold", 0.10, "relative ns/op regression that fails -diff (0.10 = 10%)")
 	)
 	flag.Parse()
@@ -180,8 +187,10 @@ func parse(r io.Reader) (*Doc, error) {
 
 // fold merges the entries that share a key into one, in order of first
 // appearance: each metric becomes the median over the entries that
-// report it, Iterations the median iteration count, and Runs the total
-// number of result lines folded (an entry counts its own Runs, or 1).
+// report it, its Spread the interquartile distance of those values,
+// Iterations the median iteration count, and Runs the total number of
+// result lines folded (an entry counts its own Runs, or 1). A lone
+// entry keeps its own Spread.
 func fold(bs []Benchmark, key func(Benchmark) string) []Benchmark {
 	groups := map[string][]Benchmark{}
 	var order []string
@@ -201,6 +210,7 @@ func fold(bs []Benchmark, key func(Benchmark) string) []Benchmark {
 		}
 		b := g[0]
 		b.Metrics = map[string]float64{}
+		b.Spread = map[string]float64{}
 		b.Runs = 0
 		var iters []float64
 		values := map[string][]float64{}
@@ -213,7 +223,8 @@ func fold(bs []Benchmark, key func(Benchmark) string) []Benchmark {
 		}
 		b.Iterations = int64(median(iters))
 		for unit, vs := range values {
-			b.Metrics[unit] = median(vs)
+			q1, _, q3 := quartiles(vs)
+			b.Metrics[unit], b.Spread[unit] = median(vs), q3-q1
 		}
 		out = append(out, b)
 	}
@@ -229,6 +240,26 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// quartiles returns the three cut points of xs by the method of
+// perfbench/stats.go, which is Python's statistics.quantiles(xs, n=4)
+// (the "exclusive" method). A single value is its own quartiles. It
+// sorts xs.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	sort.Float64s(xs)
+	ld := len(xs)
+	if ld == 1 {
+		return xs[0], xs[0], xs[0]
+	}
+	m := ld + 1
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*m/4, 1), ld-1)
+		delta := i*m - j*4
+		q[i-1] = (xs[j-1]*float64(4-delta) + xs[j]*float64(delta)) / 4
+	}
+	return q[0], q[1], q[2]
 }
 
 // validate checks an artifact against the schema and returns its
@@ -263,6 +294,17 @@ func validate(path string) (int, error) {
 		if b.Runs < 0 {
 			return 0, fmt.Errorf("%s: negative run count %d", b.Name, b.Runs)
 		}
+		if len(b.Spread) > 0 && b.Runs < 2 {
+			return 0, fmt.Errorf("%s: a spread needs at least two runs, has %d", b.Name, b.Runs)
+		}
+		for unit, v := range b.Spread {
+			if _, ok := b.Metrics[unit]; !ok {
+				return 0, fmt.Errorf("%s: spread of %s, which it does not report", b.Name, unit)
+			}
+			if !(v >= 0) {
+				return 0, fmt.Errorf("%s: %s spread %v, want ≥ 0", b.Name, unit, v)
+			}
+		}
 	}
 	return len(doc.Benchmarks), nil
 }
@@ -289,10 +331,13 @@ func load(path string) (*Doc, error) {
 func key(b Benchmark) string { return b.Package + "." + b.Name }
 
 // diffArtifacts writes a per-benchmark comparison of old vs new median
-// ns/op to w and returns how many shared benchmarks regressed past the
-// threshold; each (package, name) counts once, however many result
-// lines either artifact holds for it. Benchmarks only present on one
-// side are listed as added/removed and never count as regressions.
+// ns/op to w and returns how many shared benchmarks regressed: their
+// medians moved apart by more than the threshold and by more than each
+// side's ns/op spread. A move past the threshold but inside a spread is
+// listed as "spread" and counts as neither a regression nor a gain.
+// Each (package, name) counts once, however many result lines either
+// artifact holds for it. Benchmarks only present on one side are listed
+// as added/removed and never count as regressions.
 func diffArtifacts(w io.Writer, oldPath, newPath string, threshold float64) (int, error) {
 	oldDoc, err := load(oldPath)
 	if err != nil {
@@ -321,15 +366,24 @@ func diffArtifacts(w io.Writer, oldPath, newPath string, threshold float64) (int
 			continue
 		}
 		delta := (newNs - oldNs) / oldNs
+		oldIQR, newIQR := ob.Spread["ns/op"], nb.Spread["ns/op"]
 		verdict := "ok"
-		if delta > threshold {
+		switch {
+		case math.Abs(delta) <= threshold:
+		case math.Abs(newNs-oldNs) <= max(oldIQR, newIQR):
+			verdict = "spread"
+		case delta > 0:
 			verdict = "REGRESSED"
 			regressions++
-		} else if delta < -threshold {
+		default:
 			verdict = "improved"
 		}
-		fmt.Fprintf(w, "%-8s %-50s %12.1f -> %12.1f ns/op  %+6.1f%%\n",
+		fmt.Fprintf(w, "%-8s %-50s %12.1f -> %12.1f ns/op  %+6.1f%%",
 			verdict, nb.Name, oldNs, newNs, delta*100)
+		if oldIQR > 0 || newIQR > 0 {
+			fmt.Fprintf(w, "  (IQR %.1f, %.1f)", oldIQR, newIQR)
+		}
+		fmt.Fprintln(w)
 	}
 	for _, ob := range oldDoc.Benchmarks {
 		if !seen[key(ob)] {

@@ -62,8 +62,10 @@ func TestParse(t *testing.T) {
 				"BenchmarkA   100   10 ns/op\nBenchmarkB-2   30   3 ns/op",
 			want: []Benchmark{
 				{Name: "BenchmarkA", Procs: 2, Iterations: 100, Runs: 3,
-					Metrics: map[string]float64{"ns/op": 70, "B/op": 4, "allocs/op": 9}},
-				{Name: "BenchmarkB", Procs: 2, Iterations: 20, Runs: 2, Metrics: map[string]float64{"ns/op": 2}},
+					Metrics: map[string]float64{"ns/op": 70, "B/op": 4, "allocs/op": 9},
+					Spread:  map[string]float64{"ns/op": 20, "B/op": 2, "allocs/op": 0}},
+				{Name: "BenchmarkB", Procs: 2, Iterations: 20, Runs: 2, Metrics: map[string]float64{"ns/op": 2},
+					Spread: map[string]float64{"ns/op": 3}},
 				{Name: "BenchmarkA", Iterations: 100, Metrics: map[string]float64{"ns/op": 10}},
 			},
 		},
@@ -125,6 +127,10 @@ func TestCheck(t *testing.T) {
 		{"no ns/op", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"B/op":1}}]}`, false},
 		{"folded runs", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":5}]}`, true},
 		{"negative runs", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":-1}]}`, false},
+		{"spread", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":5,"spread":{"ns/op":0.5}}]}`, true},
+		{"spread of one run", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"spread":{"ns/op":0.5}}]}`, false},
+		{"negative spread", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":5,"spread":{"ns/op":-1}}]}`, false},
+		{"spread of unreported metric", `{"version":1,"benchmarks":[{"name":"BenchmarkA","iterations":10,"metrics":{"ns/op":1},"runs":5,"spread":{"B/op":1}}]}`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -245,5 +251,68 @@ func TestDiffFoldsRepeatedRuns(t *testing.T) {
 	}
 	if _, err := validate(newPath); err != nil {
 		t.Fatalf("folded artifact fails -check: %v", err)
+	}
+}
+
+// TestQuartilesMatchPython pins the quartile method to Python's
+// statistics.quantiles(xs, n=4), the one perfbench/stats.go uses.
+func TestQuartilesMatchPython(t *testing.T) {
+	for _, tc := range []struct {
+		xs         []float64
+		q1, q2, q3 float64
+	}{
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{3, 1}, 0.5, 2, 3.5},
+		{[]float64{80, 60, 70}, 60, 70, 80},
+		{[]float64{1, 2, 3, 4, 5}, 1.5, 3, 4.5},
+		{[]float64{4, 1, 3, 2, 6, 5, 8, 7, 10, 9}, 2.75, 5.5, 8.25},
+	} {
+		q1, q2, q3 := quartiles(append([]float64(nil), tc.xs...))
+		if q1 != tc.q1 || q2 != tc.q2 || q3 != tc.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v, want %v, %v, %v", tc.xs, q1, q2, q3, tc.q1, tc.q2, tc.q3)
+		}
+	}
+}
+
+// TestDiffSpread compares folded entries: a median move past the
+// threshold regresses only when it also exceeds both sides' ns/op
+// spreads, and an entry from a single run contributes no spread.
+func TestDiffSpread(t *testing.T) {
+	entry := func(ns, iqr float64, runs int) string {
+		b := Benchmark{Name: "BenchmarkA", Package: "p", Iterations: 1, Metrics: map[string]float64{"ns/op": ns}, Runs: runs}
+		if runs > 1 {
+			b.Spread = map[string]float64{"ns/op": iqr}
+		}
+		data, err := json.Marshal(Doc{Version: 1, Benchmarks: []Benchmark{b}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return writeDoc(t, string(data))
+	}
+	cases := []struct {
+		name        string
+		old, new    string
+		regressions int
+		verdict     string
+	}{
+		{"inside the old spread", entry(100, 30, 5), entry(115, 10, 5), 0, "spread "},
+		{"inside the new spread", entry(100, 5, 5), entry(120, 50, 5), 0, "spread "},
+		{"beyond both spreads", entry(100, 30, 5), entry(140, 10, 5), 1, "REGRESSED"},
+		{"gain inside a spread", entry(100, 30, 5), entry(80, 10, 5), 0, "spread "},
+		{"gain beyond both spreads", entry(100, 5, 5), entry(80, 5, 5), 0, "improved"},
+		{"single old run", entry(100, 0, 1), entry(115, 10, 5), 1, "REGRESSED"},
+		{"within threshold", entry(100, 0, 5), entry(105, 0, 5), 0, "ok "},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			n, err := diffArtifacts(&out, tc.old, tc.new, 0.10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.regressions || !strings.HasPrefix(out.String(), tc.verdict) {
+				t.Fatalf("%d regressions, want %d with verdict %q:\n%s", n, tc.regressions, tc.verdict, out.String())
+			}
+		})
 	}
 }
