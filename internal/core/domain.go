@@ -139,10 +139,11 @@ type DomainSet struct {
 
 // NewDomainSet partitions an LLC budget into cfg.Domains equal shards
 // (remainder bytes go to the low-index domains) and builds one
-// Scheduler per domain under the shared policy. Bind the machine with
-// SetWaker/SetClock/SetTimer exactly as for a Scheduler. An invalid
-// configuration returns ErrInvalidDomainConfig instead of deferring the
-// failure to some later admission path.
+// Scheduler per domain under the shared policy; like New, it panics on
+// a nil policy. Bind the machine with SetWaker/SetClock/SetTimer exactly
+// as for a Scheduler. An invalid configuration returns
+// ErrInvalidDomainConfig instead of deferring the failure to some later
+// admission path.
 func NewDomainSet(policy Policy, llcCapacity pp.Bytes, cfg DomainConfig) (*DomainSet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -274,11 +275,14 @@ func (d *DomainSet) AddSink(sink EventSink) {
 }
 
 // EnterPhase implements machine.Gate: route to the period's domain,
-// placing it first if this is its opening pp_begin.
+// placing it first if this is its opening pp_begin. Like the
+// Scheduler's, it refuses a set that SetWaker, SetClock and SetTimer
+// have not bound; a single-domain set's shard makes that check.
 func (d *DomainSet) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) bool {
 	if d.single {
 		return d.shards[0].EnterPhase(t, phaseIdx, ph)
 	}
+	checkBound(d.shards[0].waker, d.clock, d.timer)
 	key := periodKey{t.Process().ID(), phaseIdx}
 	di, ok := d.domainOf[key]
 	if !ok {
@@ -328,44 +332,19 @@ func (d *DomainSet) lateDomain(key periodKey) int {
 	return 0
 }
 
-// place chooses the domain for a new period: among domains whose
-// predicate admits the demands right now, the best fit — the smallest
-// remaining outcome, so small periods pack into busy domains and large
-// holes stay open for large demands. When nowhere admits, the period
-// waitlists on the least-loaded domain (by LLC usage fraction), where
-// capacity frees soonest. Ties break toward the lower index; every
-// input is per-shard monitor state, so the choice is deterministic.
+// place chooses the domain for a new period: the best fit among the
+// domains whose predicate admits the demands right now (fitTarget, with
+// no source to skip and no owner breaker to consult: the shard's own
+// EnterPhase runs the quarantine). When nowhere admits, the period
+// waitlists on the least-loaded online domain, where capacity frees
+// soonest; with every shard offline it parks on shard 0 and waits out
+// the quarantine there. Every input is per-shard monitor state, so the
+// choice is deterministic.
 func (d *DomainSet) place(ds []pp.Demand) int {
-	best, bestOut := -1, pp.Bytes(0)
-	for i, s := range d.shards {
-		if run, _ := s.tryScheduleAll(ds); !run {
-			continue
-		}
-		out := s.remainingAfter(ds[0])
-		if best == -1 || out < bestOut {
-			best, bestOut = i, out
-		}
+	if di, ok := d.fitTarget(ds, -1, -1); ok {
+		return di
 	}
-	if best >= 0 {
-		return best
-	}
-	// Nowhere admits right now: waitlist on the least-loaded surviving
-	// domain. Quarantined shards are skipped — their zero capacity would
-	// otherwise make them read as empty; with every shard offline the
-	// period parks on shard 0 and waits out the quarantine there.
-	least := -1
-	for i := range d.shards {
-		if d.shards[i].offline {
-			continue
-		}
-		if least == -1 || d.loadFrac(i) < d.loadFrac(least) {
-			least = i
-		}
-	}
-	if least < 0 {
-		least = 0
-	}
-	return least
+	return max(d.leastLoadedOnline(-1), 0)
 }
 
 // remainingAfter is the outcome Algorithm 1 computes for demand dm on
@@ -387,10 +366,26 @@ func (d *DomainSet) loadFrac(i int) float64 {
 	return float64(s.rm.Usage(pp.ResourceLLC)) / float64(c)
 }
 
-// stealCandidate pairs an aged waiter with its source domain.
+// stealCandidate pairs a waiter the steal pass or the evacuation retry
+// may move with its source domain.
 type stealCandidate struct {
 	per *period
 	src int
+}
+
+// sortCandidates orders moves oldest enqueue first, then by source
+// domain, then by ticket.
+func sortCandidates(cands []stealCandidate) {
+	sort.SliceStable(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.per.enqueuedAt != b.per.enqueuedAt {
+			return a.per.enqueuedAt < b.per.enqueuedAt
+		}
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.per.ticket < b.per.ticket
+	})
 }
 
 // stealScan is the cross-domain steal pass, run (as each shard's
@@ -404,7 +399,7 @@ type stealCandidate struct {
 // waiter ages, and no further event would otherwise trigger a scan.
 func (d *DomainSet) stealScan() {
 	age := d.cfg.stealAge()
-	if d.single || d.stealing || d.clock == nil || age <= 0 {
+	if d.single || d.stealing || age <= 0 {
 		return
 	}
 	d.stealing = true
@@ -435,19 +430,10 @@ func (d *DomainSet) stealScan() {
 				}
 			})
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.per.enqueuedAt != b.per.enqueuedAt {
-				return a.per.enqueuedAt < b.per.enqueuedAt
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.per.ticket < b.per.ticket
-		})
+		sortCandidates(cands)
 		moved := false
 		for _, c := range cands {
-			if di, ok := d.fitTarget(c.per, c.src); ok {
+			if di, ok := d.fitTarget(c.per.demands, c.per.key.procID, c.src); ok {
 				d.migrate(c.per, c.src, di, EventSteal)
 				moved = true
 				break
@@ -463,21 +449,23 @@ func (d *DomainSet) stealScan() {
 	}
 }
 
-// fitTarget picks a migration destination for a period leaving shard
-// src: best fit by remaining outcome among the *other* online domains
-// that admit it right now and have not quarantined its owner process
-// (src's own wake scan already had its chance). Shared by the steal
-// pass and the evacuation path.
-func (d *DomainSet) fitTarget(per *period, src int) (int, bool) {
+// fitTarget picks a domain for demands of process proc leaving shard
+// src: the best fit — the smallest remaining outcome, so small periods
+// pack into busy domains and large holes stay open for large demands —
+// among the *other* online domains that admit the demands right now and
+// have not quarantined proc (src's own wake scan already had its
+// chance). Ties break toward the lower index. The placer passes -1 for
+// both, the steal pass and the evacuation path the moving period's.
+func (d *DomainSet) fitTarget(demands []pp.Demand, proc, src int) (int, bool) {
 	best, bestOut := -1, pp.Bytes(0)
 	for i, s := range d.shards {
-		if i == src || s.offline || s.breakerBlocked(per.key.procID) {
+		if i == src || s.offline || s.breakerBlocked(proc) {
 			continue
 		}
-		if run, _ := s.tryScheduleAll(per.demands); !run {
+		if run, _ := s.tryScheduleAll(demands); !run {
 			continue
 		}
-		out := s.remainingAfter(per.demands[0])
+		out := s.remainingAfter(demands[0])
 		if best == -1 || out < bestOut {
 			best, bestOut = i, out
 		}
@@ -492,13 +480,13 @@ func (s *Scheduler) breakerBlocked(procID int) bool {
 	if s.gov == nil {
 		return false
 	}
-	return s.BreakerState(procID, s.now()) == BreakerOpen
+	return s.BreakerState(procID, s.clock()) == BreakerOpen
 }
 
 // armStealTick schedules a re-scan for when the youngest waiter will
 // have aged; at most one tick is pending.
 func (d *DomainSet) armStealTick(in sim.Duration) {
-	if d.timer == nil || d.stealEv != nil {
+	if d.stealEv != nil {
 		return
 	}
 	if in < 1 {
@@ -527,15 +515,7 @@ func (d *DomainSet) stealTick() {
 // the period already waited. The pending admission deadline is
 // cancelled exactly as a wake would: the migration *is* the admission.
 func (d *DomainSet) migrate(per *period, si, di int, kind EventKind) {
-	src, dst := d.shards[si], d.shards[di]
-	if !src.waitlist.Remove(per.ticket) {
-		panic(fmt.Sprintf("core: migration of period %d not on domain %d waitlist", per.id, si))
-	}
-	src.reg.remove(per)
-	src.reg.unpark(per.key.procID)
-	src.cancelDeadline(per)
-	dst.reg.add(per)
-	d.domainOf[per.key] = di
+	dst := d.moveWaiter(per, si, di)
 	if kind == EventEvacuate {
 		d.rec.stats.Evacuations++
 	} else {
@@ -551,8 +531,7 @@ func (d *DomainSet) migrate(per *period, si, di int, kind EventKind) {
 	}
 	dst.admit(per)
 	dst.emit(EventWake, per, per.key, per.demands[0])
-	dst.noteWait(per)
-	dst.govWake(per)
+	dst.govObserve(EventWake, dst.noteWait(per))
 	ws := per.waiters
 	dst.release(per)
 	dst.rrec(RecSteal, per, func(r *ReplayRecord) {
@@ -567,6 +546,22 @@ func (d *DomainSet) migrate(per *period, si, di int, kind EventKind) {
 	})
 }
 
+// moveWaiter takes waiter per off domain si — its waitlist entry,
+// registration, parked pool and pending deadline — and registers it on
+// domain di, which the caller then admits it to or queues it on.
+func (d *DomainSet) moveWaiter(per *period, si, di int) *Scheduler {
+	src, dst := d.shards[si], d.shards[di]
+	if !src.waitlist.Remove(per.ticket) {
+		panic(fmt.Sprintf("core: moving period %d not on domain %d waitlist", per.id, si))
+	}
+	src.reg.remove(per)
+	src.reg.unpark(per.key.procID)
+	src.cancelDeadline(per)
+	dst.reg.add(per)
+	d.domainOf[per.key] = di
+	return dst
+}
+
 // emitDomain publishes a placement or steal decision to the set's
 // sinks. Load is the destination domain's LLC load at emission (before
 // the admission for both kinds); ID is 0 for placements — the period
@@ -575,13 +570,9 @@ func (d *DomainSet) emitDomain(kind EventKind, di int, key periodKey, dm pp.Dema
 	if len(d.sinks) == 0 {
 		return
 	}
-	var at sim.Time
-	if d.clock != nil {
-		at = d.clock()
-	}
 	s := d.shards[di]
 	e := Event{
-		At: at, Kind: kind, Proc: key.procID, Phase: key.phaseIdx,
+		At: d.clock(), Kind: kind, Proc: key.procID, Phase: key.phaseIdx,
 		Demand: dm, Load: s.rm.Usage(pp.ResourceLLC), Domain: di,
 	}
 	if per := s.reg.get(key); per != nil {
@@ -673,9 +664,6 @@ func (d *DomainSet) DomainStats() DomainStats {
 // into a domain whose reclamation already ran would leave load behind
 // the zero-residue check.
 func (d *DomainSet) Quiesce() int {
-	if d.single {
-		return d.shards[0].Quiesce()
-	}
 	d.stealing = true
 	defer func() { d.stealing = false }()
 	if d.rec != nil {

@@ -203,13 +203,6 @@ func (d *DomainSet) recTarget(i int) error {
 	return nil
 }
 
-func (d *DomainSet) now() sim.Time {
-	if d.clock == nil {
-		return 0
-	}
-	return d.clock()
-}
-
 // InjectCapacityLoss degrades domain i's LLC share by frac (0..1) of
 // its baseline split at time now; frac >= 1 is a full crash. The shard
 // stays online — admission continues against the reduced budget — and
@@ -247,7 +240,7 @@ func (d *DomainSet) InjectCrash(i int) error {
 	}
 	lost := s.rm.Capacity(pp.ResourceLLC)
 	s.offline = true
-	d.rec.failedAt[i] = d.now()
+	d.rec.failedAt[i] = d.clock()
 	d.rec.stats.Failures++
 	d.resplit()
 	d.emitRecovery(EventDomainFail, i, DomainFaultCrash, lost)
@@ -312,7 +305,7 @@ func (d *DomainSet) RecoverDomain(i int) error {
 	d.rec.stats.Reintegrations++
 	if wasOffline && d.reg != nil {
 		d.reg.Histogram(MetricRecoverySeconds).
-			Observe(d.now().DurationSince(d.rec.failedAt[i]).Seconds())
+			Observe(d.clock().DurationSince(d.rec.failedAt[i]).Seconds())
 	}
 	d.emitRecovery(EventRecover, i, fault, s.rm.Capacity(pp.ResourceLLC))
 	s.wakeWaitlist()
@@ -411,11 +404,10 @@ func (d *DomainSet) evacuateShard(si int) {
 	src.waitlist.Each(func(per *period, _ uint64) {
 		waiters = append(waiters, per)
 	})
-	sort.Slice(waiters, func(i, j int) bool { return waiters[i].ticket < waiters[j].ticket })
 	stranded := false
 	for _, per := range waiters {
 		if !src.breakerBlocked(per.key.procID) {
-			if di, ok := d.fitTarget(per, si); ok {
+			if di, ok := d.fitTarget(per.demands, per.key.procID, si); ok {
 				d.migrate(per, si, di, EventEvacuate)
 				continue
 			}
@@ -441,22 +433,12 @@ func (d *DomainSet) transferWaiter(per *period, si int) {
 	if di < 0 {
 		return
 	}
-	src, dst := d.shards[si], d.shards[di]
-	if !src.waitlist.Remove(per.ticket) {
-		panic(fmt.Sprintf("core: evacuation of period %d not on domain %d waitlist", per.id, si))
-	}
-	src.reg.remove(per)
-	src.reg.unpark(per.key.procID)
-	src.cancelDeadline(per)
-	dst.reg.add(per)
-	d.domainOf[per.key] = di
+	dst := d.moveWaiter(per, si, di)
 	per.ticket = dst.waitlist.Enqueue(per)
 	if per.taskPool {
 		dst.reg.park(per.key.procID)
 	}
-	if dst.deadline > 0 {
-		dst.scheduleDeadlineIn(per, dst.deadline-d.now().DurationSince(per.enqueuedAt))
-	}
+	dst.armDeadline(per, dst.deadline-d.clock().DurationSince(per.enqueuedAt))
 	per.evacuated = true
 	d.rec.stats.Evacuations++
 	d.emitDomain(EventEvacuate, di, per.key, per.demands[0])
@@ -471,7 +453,7 @@ func (d *DomainSet) transferWaiter(per *period, si int) {
 // original schedule.
 func (d *DomainSet) moveActive(per *period, si int) {
 	src := d.shards[si]
-	di, ok := d.fitTarget(per, si)
+	di, ok := d.fitTarget(per.demands, per.key.procID, si)
 	forced := false
 	if !ok {
 		di = d.leastLoadedOnline(si)
@@ -496,11 +478,11 @@ func (d *DomainSet) moveActive(per *period, si int) {
 		}
 	}
 	if lease := dst.govLease(); lease > 0 {
-		rem := lease - d.now().DurationSince(per.admittedAt)
+		rem := lease - d.clock().DurationSince(per.admittedAt)
 		if rem < 1 {
 			rem = 1
 		}
-		dst.scheduleLeaseFor(per, rem)
+		dst.armLease(per, rem)
 	}
 	if forced {
 		d.rec.stats.ForcedMoves++
@@ -519,7 +501,6 @@ func (d *DomainSet) dropShard(si int) {
 	src.waitlist.Each(func(per *period, _ uint64) {
 		waiters = append(waiters, per)
 	})
-	sort.Slice(waiters, func(i, j int) bool { return waiters[i].ticket < waiters[j].ticket })
 	for _, per := range waiters {
 		src.cancelDeadline(per)
 		src.fallbackAdmit(per)
@@ -544,7 +525,7 @@ func (d *DomainSet) dropShard(si int) {
 // armEvacRetry schedules the next backoff tick (RetryBase doubling per
 // attempt); at most one is pending.
 func (d *DomainSet) armEvacRetry() {
-	if d.timer == nil || d.rec.retryEv != nil {
+	if d.rec.retryEv != nil {
 		return
 	}
 	shift := d.rec.retryAttempt
@@ -578,23 +559,14 @@ func (d *DomainSet) evacRetryTick() {
 			}
 		})
 	}
-	sort.SliceStable(pend, func(i, j int) bool {
-		a, b := pend[i], pend[j]
-		if a.per.enqueuedAt != b.per.enqueuedAt {
-			return a.per.enqueuedAt < b.per.enqueuedAt
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.per.ticket < b.per.ticket
-	})
+	sortCandidates(pend)
 	remaining := false
 	for _, c := range pend {
 		if c.per.admitted {
 			c.per.evacuated = false // admitted by a wake since the snapshot
 			continue
 		}
-		if di, ok := d.fitTarget(c.per, c.src); ok {
+		if di, ok := d.fitTarget(c.per.demands, c.per.key.procID, c.src); ok {
 			c.per.evacuated = false
 			d.migrate(c.per, c.src, di, EventEvacuate)
 			continue
@@ -687,7 +659,7 @@ func (d *DomainSet) emitRecovery(kind EventKind, di, fault int, magnitude pp.Byt
 	}
 	s := d.shards[di]
 	e := Event{
-		At: d.now(), Kind: kind, Proc: -1, Phase: fault,
+		At: d.clock(), Kind: kind, Proc: -1, Phase: fault,
 		Demand: pp.Demand{Resource: pp.ResourceLLC, WorkingSet: magnitude},
 		Load:   s.rm.Usage(pp.ResourceLLC), Domain: di,
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 // buildDomains wires a DomainSet and machine together like build does
-// for the unsharded scheduler, with the full clock/timer binding the
-// steal pass needs.
+// for the unsharded scheduler.
 func buildDomains(t *testing.T, policy Policy, dcfg DomainConfig) (*DomainSet, *machine.Machine) {
 	t.Helper()
 	cfg := machine.DefaultConfig()
@@ -20,18 +19,20 @@ func buildDomains(t *testing.T, policy Policy, dcfg DomainConfig) (*DomainSet, *
 	cfg.OverheadKernelInstr = 0
 	d := mustDomainSet(t, policy, cfg.LLCCapacity, dcfg)
 	m := machine.New(cfg, d)
-	d.SetWaker(m)
-	d.SetClock(m.Now)
-	d.SetTimer(m.Engine())
+	bind(d, m)
 	return d, m
 }
 
+// mustDomainSet builds a set bound to an idle machine of its own, for
+// tests that drive the set by hand; buildDomains rebinds it to the
+// machine it runs.
 func mustDomainSet(t *testing.T, policy Policy, llc pp.Bytes, dcfg DomainConfig) *DomainSet {
 	t.Helper()
 	d, err := NewDomainSet(policy, llc, dcfg)
 	if err != nil {
 		t.Fatalf("NewDomainSet: %v", err)
 	}
+	bind(d, machine.New(machine.DefaultConfig(), d))
 	return d
 }
 
@@ -86,8 +87,6 @@ func TestSplitShare(t *testing.T) {
 // MaxWait), zero placements and steals, and matching end-state gauges.
 func TestDomainSingleMatchesUnsharded(t *testing.T) {
 	s, ms := build(t, StrictPolicy{})
-	s.SetClock(ms.Now) // buildDomains binds a clock; match it so MaxWait compares
-	s.SetTimer(ms.Engine())
 	d, md := buildDomains(t, StrictPolicy{}, DomainConfig{Domains: 1})
 	for i := 0; i < 10; i++ {
 		if _, err := ms.AddProcess(declaredProc("p", pp.MB(4), 1e7)); err != nil {

@@ -73,7 +73,7 @@ func checkSchedulerInvariants(seed uint64, polIdx uint8) error {
 	cfg.MaxSimTime = 600 * sim.Second
 	s := New(pol, cfg.LLCCapacity)
 	m := machine.New(cfg, s)
-	s.SetWaker(m)
+	bind(s, m)
 	if err := m.AddWorkload(w); err != nil {
 		return fmt.Errorf("seed %d: invalid workload: %v", seed, err)
 	}
@@ -117,7 +117,7 @@ func checkDeterminism(seed uint64) error {
 		cfg.MaxSimTime = 600 * sim.Second
 		s := New(StrictPolicy{}, cfg.LLCCapacity)
 		m := machine.New(cfg, s)
-		s.SetWaker(m)
+		bind(s, m)
 		if err := m.AddWorkload(w); err != nil {
 			return machine.Counters{}, err
 		}

@@ -304,11 +304,10 @@ type governor struct {
 }
 
 // EnableGovernor attaches an adaptive admission governor configured by
-// cfg, and panics on a config Validate refuses. The governor needs the
-// clock (SetClock) for its hysteresis and aging windows — without one
-// every duration reads zero and transitions are immediate — and uses the
-// timer (SetTimer), when bound, to re-run the wake scan after a
-// degradation step frees admission headroom.
+// cfg, and panics on a config Validate refuses. The governor measures
+// its hysteresis and aging windows on the clock (SetClock) and uses the
+// timer (SetTimer) for its self-evaluation tick and to re-run the wake
+// scan after a degradation step frees admission headroom.
 func (s *Scheduler) EnableGovernor(cfg GovernorConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -373,15 +372,6 @@ func (s *Scheduler) effectivePolicy() Policy {
 	}
 }
 
-// now reads the bound clock (zero without one; the governor then
-// degenerates to instant transitions, still deterministically).
-func (s *Scheduler) now() sim.Time {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock()
-}
-
 // govObserve feeds one decision into the governor's windowed signals and
 // re-evaluates the degradation level. Called on the deny, wake, end,
 // fallback, and reclaim paths; it allocates nothing.
@@ -390,7 +380,7 @@ func (s *Scheduler) govObserve(kind EventKind, wait sim.Duration) {
 	if g == nil {
 		return
 	}
-	now := s.now()
+	now := s.clock()
 	if now.DurationSince(g.windowStart) >= g.cfg.Window {
 		g.winFallbacks, g.winReclaims = 0, 0
 		g.waits.reset()
@@ -416,7 +406,7 @@ func (s *Scheduler) govObserve(kind EventKind, wait sim.Duration) {
 // while still needed, so a silent stall cannot outlast the hysteresis.
 func (s *Scheduler) govScheduleTick() {
 	g := s.gov
-	if g == nil || s.timer == nil || g.tickEv != nil {
+	if g == nil || g.tickEv != nil {
 		return
 	}
 	if s.waitlist.Len() == 0 && g.level == GovNormal {
@@ -442,7 +432,7 @@ func (s *Scheduler) govScheduleTick() {
 func (s *Scheduler) govTick() {
 	g := s.gov
 	g.tickEv = nil
-	s.govEvaluate(s.now())
+	s.govEvaluate(s.clock())
 	s.govScheduleTick()
 	s.rrec(RecGovTick, nil, nil)
 }
@@ -538,7 +528,7 @@ func (s *Scheduler) govLease() sim.Duration {
 // registration for the rest of the original lease.
 func (s *Scheduler) govTightenLeases(now sim.Time) {
 	g := s.gov
-	if g.cfg.LeaseTighten <= 1 || s.timer == nil || s.lease <= 0 {
+	if g.cfg.LeaseTighten <= 1 || s.lease <= 0 {
 		return
 	}
 	tight := sim.Duration(float64(s.lease) / g.cfg.LeaseTighten)
@@ -553,18 +543,13 @@ func (s *Scheduler) govTightenLeases(now sim.Time) {
 	})
 	sort.Slice(pers, func(i, j int) bool { return pers[i].id < pers[j].id })
 	for _, per := range pers {
-		d := tight
-		if s.clock != nil {
-			if rem := tight - now.DurationSince(per.admittedAt); rem < d {
-				d = rem
-			}
-		}
+		d := tight - now.DurationSince(per.admittedAt)
 		if d < 1 {
 			d = 1 // next engine step, never this instant
 		}
 		s.timer.Cancel(per.leaseEv)
 		per.leaseEv = nil
-		s.scheduleLeaseFor(per, d)
+		s.armLease(per, d)
 		if s.rsink != nil {
 			// Journal the re-arm; the patches ride the next record cut on
 			// this shard (tightening always runs inside a decision or tick
@@ -585,16 +570,13 @@ func (s *Scheduler) emitGovernor(kind EventKind) {
 // requestRescan re-runs the wake scan as soon as it is safe: immediately
 // flagged when a scan is already in progress, otherwise deferred one
 // virtual picosecond through the timer so a thread currently being
-// denied inside EnterPhase is parked before it can be woken. Without a
-// timer the next release re-scans anyway.
+// denied inside EnterPhase is parked before it can be woken.
 func (s *Scheduler) requestRescan() {
 	if s.inWake {
 		s.rescan = true
 		return
 	}
-	if s.timer != nil {
-		s.timer.After(1, s.wakeWaitlist)
-	}
+	s.timer.After(1, s.wakeWaitlist)
 }
 
 // govAdmission classifies a period entry against the process's breaker.
@@ -613,7 +595,7 @@ func (s *Scheduler) govAdmit(procID int, ph *proc.Phase) govAdmission {
 	if g == nil {
 		return govAdmitNormal
 	}
-	now := s.now()
+	now := s.clock()
 	g.breakers = growSlots(g.breakers, procID)
 	b := g.breakers[procID]
 	if b == nil {
@@ -694,7 +676,7 @@ func (s *Scheduler) agePriority(per *period, now sim.Time) float64 {
 // blocking every younger admission in this cascade.
 func (s *Scheduler) wakeAged(woken []*period) (_ []*period, reserved bool) {
 	g := s.gov
-	if g == nil || g.cfg.AgeThreshold <= 0 || s.clock == nil {
+	if g == nil || g.cfg.AgeThreshold <= 0 {
 		return woken, false
 	}
 	now := s.clock()

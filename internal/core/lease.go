@@ -39,8 +39,8 @@ type Timer interface {
 	Cancel(*sim.Event)
 }
 
-// SetTimer binds the event engine used for leases and admission
-// deadlines. Without a timer both mechanisms are disabled.
+// SetTimer binds the event engine used for leases, admission deadlines
+// and the governor's tick.
 func (s *Scheduler) SetTimer(t Timer) { s.timer = t }
 
 // SetLease configures the period lease: an admitted period that has not
@@ -49,38 +49,21 @@ func (s *Scheduler) SetTimer(t Timer) { s.timer = t }
 // configured longer than any legitimate period; a too-short lease
 // reclaims live periods, which is safe (their late pp_end is dropped)
 // but degrades admission accuracy.
-func (s *Scheduler) SetLease(d sim.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.lease = d
-}
+func (s *Scheduler) SetLease(d sim.Duration) { s.lease = d }
 
 // SetAdmissionDeadline bounds how long a denied period may wait before it
 // is degraded to stock-scheduler admission. d <= 0 disables fallback
 // admission (the paper's behavior: unbounded waiting).
-func (s *Scheduler) SetAdmissionDeadline(d sim.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.deadline = d
-}
+func (s *Scheduler) SetAdmissionDeadline(d sim.Duration) { s.deadline = d }
 
-func (s *Scheduler) scheduleLease(per *period) {
-	s.scheduleLeaseFor(per, s.govLease())
-}
-
-func (s *Scheduler) scheduleLeaseFor(per *period, d sim.Duration) {
-	if d <= 0 || s.timer == nil {
+// armLease arms per's lease watchdog d from now; d <= 0 (the watchdog
+// is off) arms nothing. The callback compares the admission ID captured
+// here: the period may have closed and been recycled under a new one
+// (registry.go) by the time it fires.
+func (s *Scheduler) armLease(per *period, d sim.Duration) {
+	if d <= 0 {
 		return
 	}
-	s.armLease(per, d)
-}
-
-// armLease arms per's lease watchdog d from now. The callback compares
-// the admission ID captured here: the period may have closed and been
-// recycled under a new one (registry.go) by the time it fires.
-func (s *Scheduler) armLease(per *period, d sim.Duration) {
 	id := per.id
 	per.leaseEv = s.timer.After(d, func() {
 		if per.id != id {
@@ -91,16 +74,19 @@ func (s *Scheduler) armLease(per *period, d sim.Duration) {
 	})
 }
 
-func (s *Scheduler) scheduleDeadline(per *period) {
-	if s.deadline <= 0 || s.timer == nil {
+// armDeadline arms per's fallback-admission deadline d from now, at
+// the earliest on the next engine step, with the same recycled-period
+// guard as armLease. A denial passes the full deadline; a waiter moved
+// between shards passes what its original deadline had left, so its
+// wait clock keeps running rather than restart. With fallback admission
+// off it arms nothing.
+func (s *Scheduler) armDeadline(per *period, d sim.Duration) {
+	if s.deadline <= 0 {
 		return
 	}
-	s.armDeadline(per, s.deadline)
-}
-
-// armDeadline arms per's fallback-admission deadline d from now, with
-// the same recycled-period guard as armLease.
-func (s *Scheduler) armDeadline(per *period, d sim.Duration) {
+	if d < 1 {
+		d = 1
+	}
 	id := per.id
 	per.deadlineEv = s.timer.After(d, func() {
 		if per.id != id {
@@ -111,36 +97,21 @@ func (s *Scheduler) armDeadline(per *period, d sim.Duration) {
 	})
 }
 
-// scheduleDeadlineIn arms the fallback-admission deadline with an
-// explicit remaining budget — used when a waiter is transferred between
-// shards during evacuation, where the clock on its original deadline
-// must keep running rather than restart.
-func (s *Scheduler) scheduleDeadlineIn(per *period, d sim.Duration) {
-	if s.deadline <= 0 || s.timer == nil {
-		return
-	}
-	if d < 1 {
-		d = 1
-	}
-	s.armDeadline(per, d)
-}
-
 func (s *Scheduler) cancelDeadline(per *period) {
-	if per.deadlineEv != nil && s.timer != nil {
+	if per.deadlineEv != nil {
 		s.timer.Cancel(per.deadlineEv)
 		per.deadlineEv = nil
 	}
 }
 
-// noteWait records how long a period sat on the waitlist (needs a bound
-// Clock; see SetClock).
-func (s *Scheduler) noteWait(per *period) {
-	if s.clock == nil {
-		return
-	}
-	if w := s.clock().DurationSince(per.enqueuedAt); w > s.stats.MaxWait {
+// noteWait returns how long a period sat on the waitlist and records it
+// in MaxWait.
+func (s *Scheduler) noteWait(per *period) sim.Duration {
+	w := s.clock().DurationSince(per.enqueuedAt)
+	if w > s.stats.MaxWait {
 		s.stats.MaxWait = w
 	}
+	return w
 }
 
 // reclaim is the lease watchdog: it evicts a still-registered period,
@@ -182,19 +153,13 @@ func (s *Scheduler) fallbackAdmit(per *period) {
 	s.waitlist.Remove(per.ticket)
 	per.admitted = true
 	per.untracked = true
-	if s.clock != nil {
-		per.admittedAt = s.clock()
-	}
+	per.admittedAt = s.clock()
 	s.reg.unpark(per.key.procID)
 	s.stats.Fallbacks++
-	s.noteWait(per)
+	wait := s.noteWait(per)
 	s.emit(EventFallback, per, per.key, per.demands[0])
-	if s.clock != nil {
-		s.govObserve(EventFallback, s.clock().DurationSince(per.enqueuedAt))
-	} else {
-		s.govObserve(EventFallback, 0)
-	}
-	s.scheduleLease(per)
+	s.govObserve(EventFallback, wait)
+	s.armLease(per, s.govLease())
 	ws := per.waiters
 	s.release(per)
 	s.rrec(RecFallback, per, func(r *ReplayRecord) {

@@ -153,7 +153,7 @@ type Event struct {
 	Load pp.Bytes
 	// Wait is how long the period sat on the waitlist before this
 	// decision; nonzero only on EventWake, EventFallback, and
-	// EventGovernorReserve (and only with a bound Clock).
+	// EventGovernorReserve.
 	Wait sim.Duration
 	// Domain is the index of the LLC domain the decision happened on;
 	// always 0 outside a multi-domain DomainSet.
@@ -172,8 +172,8 @@ type EventSink interface {
 	Record(Event)
 }
 
-// Clock supplies timestamps for the decision log; machine.Machine's Now
-// method satisfies it. Without a clock, events are stamped zero.
+// Clock supplies the virtual time every decision is stamped and every
+// wait measured with; machine.Machine's Now method satisfies it.
 type Clock func() sim.Time
 
 // SetClock binds the timestamp source (typically machine.Now).
@@ -241,19 +241,15 @@ func (s *Scheduler) emit(kind EventKind, per *period, key periodKey, d pp.Demand
 	if len(s.sinks) == 0 && s.met == nil {
 		return
 	}
-	var at sim.Time
-	if s.clock != nil {
-		at = s.clock()
-	}
 	e := Event{
-		At: at, Kind: kind, Proc: key.procID, Phase: key.phaseIdx,
+		At: s.clock(), Kind: kind, Proc: key.procID, Phase: key.phaseIdx,
 		Demand: d, Load: s.rm.Usage(pp.ResourceLLC),
 		Domain: s.domainIdx,
 	}
 	if per != nil {
 		e.ID = per.id
-		if (kind == EventWake || kind == EventFallback || kind == EventGovernorReserve) && s.clock != nil {
-			e.Wait = at.DurationSince(per.enqueuedAt)
+		if kind == EventWake || kind == EventFallback || kind == EventGovernorReserve {
+			e.Wait = e.At.DurationSince(per.enqueuedAt)
 		}
 	}
 	for _, sink := range s.sinks {

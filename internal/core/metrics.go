@@ -100,9 +100,7 @@ type schedMetrics struct {
 }
 
 // SetMetrics binds a registry sampled on every scheduling decision;
-// nil detaches it. Wait and period-length histograms need a bound
-// Clock (SetClock) to be meaningful — without one every duration reads
-// zero.
+// nil detaches it.
 func (s *Scheduler) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		s.met = nil
@@ -126,7 +124,7 @@ func (s *Scheduler) observeMetrics(per *period, e Event) {
 	case EventAdmit, EventWake, EventFallback:
 		m.waitSeconds.Observe(e.Wait.Seconds())
 	case EventEnd, EventReclaim:
-		if per != nil && s.clock != nil {
+		if per != nil {
 			m.periodSeconds.Observe(e.At.DurationSince(per.admittedAt).Seconds())
 		}
 	}

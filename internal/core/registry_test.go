@@ -13,45 +13,71 @@ import (
 )
 
 // TestBeginEndAllocatesNothing pins the registry's steady state: with no
-// sinks, metrics or journal attached, a begin/end pair of a repeated
-// phase allocates nothing once the first period has been recycled —
-// on a scheduler, and on a two-domain set, whose placement refills a
-// scratch buffer.
+// sinks, metrics or journal attached, a begin/end pass over a repeated
+// phase allocates nothing once the first periods have been recycled —
+// on a scheduler, on a two-domain set, whose placement refills a
+// scratch buffer, and on a strict scheduler where a second process's
+// period is denied and then woken by the first one's end, which refills
+// the wake scan's scratch slice.
 func TestBeginEndAllocatesNothing(t *testing.T) {
-	spec := declaredProc("p", pp.MB(1), 1e6)
-	ph := &spec.Program[0]
 	cfg := machine.DefaultConfig()
+	newScheduler := func() gate { return New(StrictPolicy{}, cfg.LLCCapacity) }
 	for _, tc := range []struct {
-		name string
-		gate func() machine.Gate
+		name  string
+		gate  func() gate
+		procs int      // every pass, each enters in turn, then each ends
+		wss   pp.Bytes // per process: two 10 MB periods do not fit 15 MB
 	}{
-		{"scheduler", func() machine.Gate { return New(StrictPolicy{}, cfg.LLCCapacity) }},
-		{"two-domains", func() machine.Gate {
+		{"scheduler", newScheduler, 1, pp.MB(1)},
+		{"two-domains", func() gate {
 			return mustDomainSet(t, StrictPolicy{}, cfg.LLCCapacity, DomainConfig{Domains: 2})
-		}},
+		}, 1, pp.MB(1)},
+		{"strict-deny-wake", newScheduler, 2, pp.MB(10)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			spec := declaredProc("p", tc.wss, 1e6)
+			ph := &spec.Program[0]
 			g := tc.gate()
 			m := machine.New(cfg, g)
-			if _, err := m.AddProcess(spec); err != nil {
-				t.Fatal(err)
-			}
-			th := m.ThreadByID(0)
-			idx := 0
-			pair := func() {
-				if !g.EnterPhase(th, idx, ph) {
-					t.Fatal("period denied on an idle gate")
+			bind(g, m)
+			// The gate is driven by hand, so no thread blocks in the machine
+			// and a woken one has nothing to resume.
+			g.SetWaker(handWaker{})
+			var ths []*machine.Thread
+			for i := 0; i < tc.procs; i++ {
+				if _, err := m.AddProcess(spec); err != nil {
+					t.Fatal(err)
 				}
-				g.ExitPhase(th, idx, ph)
+				ths = append(ths, m.ThreadByID(i))
+			}
+			idx := 0
+			pass := func() {
+				for i, th := range ths {
+					if admitted := g.EnterPhase(th, idx, ph); admitted != (i == 0) {
+						t.Fatalf("pass %d: process %d admitted = %v", idx, i, admitted)
+					}
+				}
+				for _, th := range ths {
+					g.ExitPhase(th, idx, ph)
+				}
 				idx++
 			}
-			pair() // opens the period every later pair recycles
-			if n := testing.AllocsPerRun(1000, pair); n != 0 {
-				t.Fatalf("a begin/end pair allocates %v times, want 0", n)
+			pass() // opens the periods every later pass recycles
+			if n := testing.AllocsPerRun(1000, pass); n != 0 {
+				t.Fatalf("a begin/end pass allocates %v times, want 0", n)
+			}
+			if st, waits := g.Stats(), uint64(idx*(tc.procs-1)); st.Denied != waits || st.Woken != waits {
+				t.Fatalf("%d passes denied %d and woke %d periods, want %d each", idx, st.Denied, st.Woken, waits)
 			}
 		})
 	}
 }
+
+// handWaker resumes nothing, for tests that call a gate's EnterPhase and
+// ExitPhase themselves instead of running the machine.
+type handWaker struct{}
+
+func (handWaker) Unblock(*machine.Thread) {}
 
 // leakyTimer is a Timer whose Cancel does nothing, so every callback
 // armed on it can still fire — as a stray timer racing a close would.

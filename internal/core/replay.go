@@ -139,7 +139,7 @@ func (s *Scheduler) rrec(kind RecKind, per *period, mut func(*ReplayRecord)) {
 		return
 	}
 	r := ReplayRecord{
-		At:      s.now(),
+		At:      s.clock(),
 		Kind:    kind,
 		Domain:  s.domainIdx,
 		Usage:   append([]pp.Bytes(nil), s.rm.usage[:]...),
@@ -182,11 +182,7 @@ func (d *DomainSet) rrecSet(kind RecKind, mut func(*ReplayRecord)) {
 	if d.rsink == nil {
 		return
 	}
-	var at sim.Time
-	if d.clock != nil {
-		at = d.clock()
-	}
-	r := ReplayRecord{At: at, Kind: kind, Domain: -1, Src: -1}
+	r := ReplayRecord{At: d.clock(), Kind: kind, Domain: -1, Src: -1}
 	d.stampSet(&r)
 	if mut != nil {
 		mut(&r)

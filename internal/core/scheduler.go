@@ -34,7 +34,7 @@ type Stats struct {
 	LateEnds       uint64   // pp_ends after reclamation, or with no matching begin
 
 	// MaxWait is the longest any period sat on the waitlist before being
-	// admitted (by release or fallback). Zero unless a Clock is bound.
+	// admitted (by release or fallback).
 	MaxWait sim.Duration
 }
 
@@ -109,6 +109,7 @@ type Scheduler struct {
 	gov    *governor
 	inWake bool
 	rescan bool
+	woken  []*period // the wake scan's scratch; cascades never nest
 
 	// Decision stream (log.go) and metrics sampling (metrics.go).
 	clock Clock
@@ -152,12 +153,13 @@ type Scheduler struct {
 	tolerateDrift bool
 }
 
-// New builds a scheduler over the given policy and LLC capacity. The
-// waker is bound later (SetWaker) because the machine is constructed with
-// the gate as an argument.
+// New builds a scheduler over the given policy and LLC capacity; it
+// panics on a nil policy. The waker, clock and timer are bound later
+// (SetWaker, SetClock, SetTimer) because the machine is constructed with
+// the gate as an argument; EnterPhase refuses a gate missing any of them.
 func New(policy Policy, llcCapacity pp.Bytes) *Scheduler {
 	if policy == nil {
-		policy = AlwaysPolicy{}
+		panic("core: nil policy")
 	}
 	return &Scheduler{
 		policy:    policy,
@@ -259,6 +261,7 @@ func (s *Scheduler) tryScheduleAll(ds []pp.Demand) (runnable, safeguard bool) {
 // declaring an invalid demand runs untracked under the stock scheduler
 // (Stats.Rejected) rather than corrupting the load table.
 func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) bool {
+	checkBound(s.waker, s.clock, s.timer)
 	key := periodKey{t.Process().ID(), phaseIdx}
 	per := s.reg.get(key)
 	if in, ok := s.reg.inside(t.ID()); ok && in == key {
@@ -281,9 +284,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 			// scheduler and its end releases nothing.
 			per.untracked = true
 			per.admitted = true
-			if s.clock != nil {
-				per.admittedAt = s.clock()
-			}
+			per.admittedAt = s.clock()
 			per.refs = 1
 			s.reg.enter(t.ID(), key)
 			s.stats.Rejected++
@@ -300,13 +301,11 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 			// lease still applies so the registry stays bounded.
 			per.untracked = true
 			per.admitted = true
-			if s.clock != nil {
-				per.admittedAt = s.clock()
-			}
+			per.admittedAt = s.clock()
 			per.refs = 1
 			s.reg.enter(t.ID(), key)
 			s.emit(EventGovernorQuarantine, per, key, per.demands[0])
-			s.scheduleLease(per)
+			s.armLease(per, s.govLease())
 			s.rrec(RecQuarantine, per, func(r *ReplayRecord) {
 				r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
 			})
@@ -345,6 +344,15 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 	per.waiters = append(per.waiters, t)
 	s.rrec(RecWaitJoin, per, nil)
 	return false
+}
+
+// checkBound refuses a gate that SetWaker, SetClock and SetTimer have
+// not all bound: every wake, timestamp, wait, lease, deadline and tick
+// reads them.
+func checkBound(w Waker, c Clock, t Timer) {
+	if w == nil || c == nil || t == nil {
+		panic("core: gate not bound: call SetWaker, SetClock and SetTimer before the first EnterPhase")
+	}
 }
 
 // allocID issues the next admission ID: from the set-wide counter when
@@ -435,7 +443,7 @@ func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 // lease timer.
 func (s *Scheduler) unregister(per *period) {
 	s.reg.remove(per)
-	if per.leaseEv != nil && s.timer != nil {
+	if per.leaseEv != nil {
 		s.timer.Cancel(per.leaseEv)
 		per.leaseEv = nil
 	}
@@ -481,9 +489,10 @@ func (s *Scheduler) wakeWaitlist() {
 // (unless an aged waiter took a reservation) the FIFO admission scan,
 // then the release of everything admitted this pass.
 func (s *Scheduler) scanWaitlist() {
-	woken, reserved := s.wakeAged(nil)
+	var reserved bool
+	s.woken, reserved = s.wakeAged(s.woken[:0])
 	if !reserved && s.waitlist.Len() > 0 {
-		woken = append(woken, s.waitlist.WakeAll(func(per *period) bool {
+		s.woken = s.waitlist.WakeAll(s.woken, func(per *period) bool {
 			runnable, safeguard := s.tryScheduleAll(per.demands)
 			if !runnable {
 				return false
@@ -494,14 +503,12 @@ func (s *Scheduler) scanWaitlist() {
 			s.admit(per)
 			s.emit(EventWake, per, per.key, per.demands[0])
 			return true
-		})...)
+		})
 	}
-	for _, per := range woken {
-		per := per
+	for _, per := range s.woken {
 		s.reg.unpark(per.key.procID)
 		s.cancelDeadline(per)
-		s.noteWait(per)
-		s.govWake(per)
+		s.govObserve(EventWake, s.noteWait(per))
 		ws := per.waiters
 		s.release(per)
 		s.rrec(RecWake, per, func(r *ReplayRecord) {
@@ -511,15 +518,6 @@ func (s *Scheduler) scanWaitlist() {
 			r.ParkedDel = []int{per.key.procID}
 		})
 	}
-}
-
-// govWake feeds one admission's wait time into the governor's pressure
-// window (no-op without a governor or clock).
-func (s *Scheduler) govWake(per *period) {
-	if s.gov == nil || s.clock == nil {
-		return
-	}
-	s.govObserve(EventWake, s.clock().DurationSince(per.enqueuedAt))
 }
 
 // release hands an admitted period's blocked threads back to the default
@@ -540,11 +538,9 @@ func (s *Scheduler) admit(per *period) {
 		s.mustIncrement(d)
 	}
 	per.admitted = true
-	if s.clock != nil {
-		per.admittedAt = s.clock()
-	}
+	per.admittedAt = s.clock()
 	s.stats.Admitted++
-	s.scheduleLease(per)
+	s.armLease(per, s.govLease())
 }
 
 func (s *Scheduler) deny(per *period, t *machine.Thread) {
@@ -558,10 +554,8 @@ func (s *Scheduler) deny(per *period, t *machine.Thread) {
 		s.waitlist.EnqueueAs(per, per.ticket)
 	} else {
 		per.ticket = s.waitlist.Enqueue(per)
-		if s.clock != nil {
-			per.enqueuedAt = s.clock()
-		}
-		s.scheduleDeadline(per)
+		per.enqueuedAt = s.clock()
+		s.armDeadline(per, s.deadline)
 	}
 	s.stats.Denied++
 	s.emit(EventDeny, per, per.key, per.demands[0])

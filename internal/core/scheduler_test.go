@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rdasched/internal/machine"
@@ -18,8 +19,26 @@ func build(t *testing.T, policy Policy) (*Scheduler, *machine.Machine) {
 	cfg.OverheadKernelInstr = 0
 	s := New(policy, cfg.LLCCapacity)
 	m := machine.New(cfg, s)
-	s.SetWaker(m)
+	bind(s, m)
 	return s, m
+}
+
+// gate is the surface of both gate types that the tests drive.
+type gate interface {
+	machine.Gate
+	SetWaker(Waker)
+	SetClock(Clock)
+	SetTimer(Timer)
+	AddSink(EventSink)
+	Stats() Stats
+}
+
+// bind wires g to m as perf.NewMachine does: m resumes g's threads,
+// stamps its decisions and runs its timers.
+func bind(g gate, m *machine.Machine) {
+	g.SetWaker(m)
+	g.SetClock(m.Now)
+	g.SetTimer(m.Engine())
 }
 
 func declaredProc(name string, wss pp.Bytes, instr float64) proc.Spec {
@@ -283,11 +302,76 @@ func TestRegistryEmptyAfterRun(t *testing.T) {
 	}
 }
 
-func TestNilPolicyDefaults(t *testing.T) {
-	s := New(nil, pp.MB(15))
-	if s.policy.Name() != "default" {
-		t.Fatalf("nil policy resolved to %q", s.policy.Name())
+// TestUnboundGateRefused pins the one gate configuration: a scheduler
+// or domain set missing its waker, clock or timer panics on its first
+// EnterPhase before it places or opens a period (its sink hears
+// nothing), and a nil policy panics at construction. A fully bound gate
+// admits.
+func TestUnboundGateRefused(t *testing.T) {
+	spec := declaredProc("p", pp.MB(1), 1e6)
+	ph := &spec.Program[0]
+	cfg := machine.DefaultConfig()
+	gates := []struct {
+		name string
+		new  func() gate
+	}{
+		{"scheduler", func() gate { return New(StrictPolicy{}, cfg.LLCCapacity) }},
+		{"one-domain", func() gate {
+			d, _ := NewDomainSet(StrictPolicy{}, cfg.LLCCapacity, DomainConfig{Domains: 1})
+			return d
+		}},
+		{"two-domains", func() gate {
+			d, _ := NewDomainSet(StrictPolicy{}, cfg.LLCCapacity, DomainConfig{Domains: 2})
+			return d
+		}},
 	}
+	for _, gc := range gates {
+		for _, missing := range []string{"bound", "SetWaker", "SetClock", "SetTimer"} {
+			t.Run(gc.name+"/"+missing, func(t *testing.T) {
+				g := gc.new()
+				m := machine.New(cfg, g)
+				if missing != "SetWaker" {
+					g.SetWaker(m)
+				}
+				if missing != "SetClock" {
+					g.SetClock(m.Now)
+				}
+				if missing != "SetTimer" {
+					g.SetTimer(m.Engine())
+				}
+				if _, err := m.AddProcess(spec); err != nil {
+					t.Fatal(err)
+				}
+				ring := NewEventRing(8)
+				g.AddSink(ring)
+				enter := func() (admitted bool, msg any) {
+					defer func() { msg = recover() }()
+					return g.EnterPhase(m.ThreadByID(0), 0, ph), nil
+				}
+				admitted, msg := enter()
+				if missing == "bound" {
+					if msg != nil || !admitted {
+						t.Fatalf("bound gate: admitted %v, panic %v", admitted, msg)
+					}
+					return
+				}
+				if s, _ := msg.(string); !strings.Contains(s, "SetWaker, SetClock and SetTimer") {
+					t.Fatalf("EnterPhase without %s: panic %v, want one naming the three setters", missing, msg)
+				}
+				if evs := ring.Events(); len(evs) != 0 {
+					t.Fatalf("refused gate decided %v", evs)
+				}
+			})
+		}
+	}
+	t.Run("nil-policy", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("New(nil, ...) built a scheduler")
+			}
+		}()
+		New(nil, cfg.LLCCapacity)
+	})
 }
 
 func TestSchedulerEndToEndEnergyOrdering(t *testing.T) {

@@ -221,17 +221,13 @@ func sortProcPhases(ks []ProcPhase) {
 // ExportState captures the scheduler's state at the current virtual
 // time (single unsharded domain).
 func (s *Scheduler) ExportState() State {
-	return State{At: s.now(), Domains: []DomainState{s.exportDomain()}}
+	return State{At: s.clock(), Domains: []DomainState{s.exportDomain()}}
 }
 
 // ExportState captures the full set state: every shard plus the
 // placement map, cross-domain counters, and the pending steal tick.
 func (d *DomainSet) ExportState() State {
-	var at sim.Time
-	if d.clock != nil {
-		at = d.clock()
-	}
-	st := State{At: at, Set: &SetState{
+	st := State{At: d.clock(), Set: &SetState{
 		NextID:     d.nextID,
 		Placements: d.placements,
 		Steals:     d.steals,

@@ -147,7 +147,7 @@ func TestStateHandoffMidProbationBreaker(t *testing.T) {
 	}
 
 	s := handOff(t, mk, tripAt+cfg.Probation/2, func(live *Scheduler, cp State) {
-		if bs := live.BreakerState(0, live.now()); bs != BreakerOpen {
+		if bs := live.BreakerState(0, live.clock()); bs != BreakerOpen {
 			t.Fatalf("breaker %v at the kill, want open mid-probation", bs)
 		}
 		if gs := live.GovernorStats(); gs.Probes != 0 {
@@ -164,7 +164,7 @@ func TestStateHandoffMidProbationBreaker(t *testing.T) {
 	if st := s.Stats(); st != wantStats {
 		t.Errorf("stats after handoff = %+v, want %+v", st, wantStats)
 	}
-	if bs := s.BreakerState(0, s.now()); bs != BreakerClosed {
+	if bs := s.BreakerState(0, s.clock()); bs != BreakerClosed {
 		t.Errorf("breaker %v after the probe, want closed", bs)
 	}
 }

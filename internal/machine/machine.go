@@ -411,9 +411,12 @@ func (m *Machine) stallError() error {
 			waiting++
 		}
 	}
-	return fmt.Errorf("machine: stalled at %v with %d/%d processes done (%d blocked, %d at barriers): "+
-		"a progress period was never released — check the gate's policy for starvation",
-		m.eng.Now(), m.doneProcs, len(m.procs), blocked, waiting)
+	cause := "a progress period was never released — check the gate's policy for starvation"
+	if m.gate == nil {
+		cause = "no gate is attached, so no thread waits on one — check the workload's phases"
+	}
+	return fmt.Errorf("machine: stalled at %v with %d/%d processes done (%d blocked, %d at barriers): %s",
+		m.eng.Now(), m.doneProcs, len(m.procs), blocked, waiting, cause)
 }
 
 // Unblock releases a thread the gate paused. It may be called

@@ -405,8 +405,13 @@ func TestStallDetection(t *testing.T) {
 	if err == nil {
 		t.Fatal("stalled run returned no error")
 	}
-	if !strings.Contains(err.Error(), "stalled") {
+	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), "gate's policy") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	// Without a gate no thread can wait on one, and the error says so.
+	ungated := New(testConfig(), nil)
+	if err := ungated.stallError(); !strings.Contains(err.Error(), "no gate is attached") {
+		t.Fatalf("ungated stall: %v", err)
 	}
 }
 

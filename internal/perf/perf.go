@@ -831,34 +831,13 @@ func armDomainFaults(dset *core.DomainSet, eng *sim.Engine, dfs []faults.DomainF
 // Undeclare strips every Declared flag: the workload as it runs on the
 // stock scheduler, without progress-period instrumentation.
 func Undeclare(w proc.Workload) proc.Workload {
-	out := proc.Workload{Name: w.Name, Procs: make([]proc.Spec, len(w.Procs))}
-	for i, s := range w.Procs {
-		cs := s
-		cs.Program = make(proc.Program, len(s.Program))
-		copy(cs.Program, s.Program)
-		for j := range cs.Program {
-			cs.Program[j].Declared = false
-		}
-		out.Procs[i] = cs
-	}
-	return out
+	return w.MapPhases(func(ph *proc.Phase) { ph.Declared = false })
 }
 
 // jitter returns a copy of w with each phase's instruction count
 // perturbed by a uniform factor in [1-frac, 1+frac].
 func jitter(w proc.Workload, frac float64, rng *sim.RNG) proc.Workload {
-	out := proc.Workload{Name: w.Name, Procs: make([]proc.Spec, len(w.Procs))}
-	for i, s := range w.Procs {
-		cs := s
-		cs.Program = make(proc.Program, len(s.Program))
-		copy(cs.Program, s.Program)
-		for j := range cs.Program {
-			f := 1 + frac*(2*rng.Float64()-1)
-			cs.Program[j].Instr *= f
-		}
-		out.Procs[i] = cs
-	}
-	return out
+	return w.MapPhases(func(ph *proc.Phase) { ph.Instr *= 1 + frac*(2*rng.Float64()-1) })
 }
 
 // Aggregate computes the element-wise mean and standard deviation of a

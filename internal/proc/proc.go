@@ -138,36 +138,40 @@ func (ph *Phase) AppendDemands(ds []pp.Demand) []pp.Demand {
 	return ds
 }
 
-// Validate checks a phase is physically sensible.
+// Validate checks a phase is physically sensible. Every float bound is
+// written so that NaN fails it.
 func (ph *Phase) Validate() error {
 	switch {
-	case ph.Instr <= 0:
+	case !(ph.Instr > 0):
 		return fmt.Errorf("proc: phase %q has non-positive length %v", ph.Name, ph.Instr)
 	case ph.WSS < 0:
 		return fmt.Errorf("proc: phase %q has negative working set", ph.Name)
-	case ph.AccessesPerInstr < 0 || ph.AccessesPerInstr > 1:
+	case !unit(ph.AccessesPerInstr):
 		return fmt.Errorf("proc: phase %q accesses/instr %v outside [0,1]", ph.Name, ph.AccessesPerInstr)
-	case ph.PrivateHitFrac < 0 || ph.PrivateHitFrac > 1:
+	case !unit(ph.PrivateHitFrac):
 		return fmt.Errorf("proc: phase %q private hit fraction %v outside [0,1]", ph.Name, ph.PrivateHitFrac)
-	case ph.StreamFrac < 0 || ph.StreamFrac > 1:
+	case !unit(ph.StreamFrac):
 		return fmt.Errorf("proc: phase %q stream fraction %v outside [0,1]", ph.Name, ph.StreamFrac)
-	case ph.FlopsPerInstr < 0:
-		return fmt.Errorf("proc: phase %q negative flops/instr", ph.Name)
+	case !(ph.FlopsPerInstr >= 0):
+		return fmt.Errorf("proc: phase %q flops/instr %v not >= 0", ph.Name, ph.FlopsPerInstr)
 	case !ph.Reuse.Valid():
 		return fmt.Errorf("proc: phase %q invalid reuse", ph.Name)
 	case ph.CachePartition < 0:
 		return fmt.Errorf("proc: phase %q negative cache partition", ph.Name)
-	case ph.BWDemand < 0:
-		return fmt.Errorf("proc: phase %q negative bandwidth demand", ph.Name)
+	case !(ph.BWDemand >= 0):
+		return fmt.Errorf("proc: phase %q bandwidth demand %v not >= 0", ph.Name, ph.BWDemand)
 	case ph.DeclaredWSS < 0:
 		return fmt.Errorf("proc: phase %q negative declared working set", ph.Name)
-	case ph.CrashFrac < 0 || ph.CrashFrac > 1:
+	case !unit(ph.CrashFrac):
 		return fmt.Errorf("proc: phase %q crash fraction %v outside [0,1]", ph.Name, ph.CrashFrac)
 	case ph.Repeat < 0:
 		return fmt.Errorf("proc: phase %q negative repeat count %d", ph.Name, ph.Repeat)
 	}
 	return nil
 }
+
+// unit reports whether x lies in [0, 1]; NaN does not.
+func unit(x float64) bool { return x >= 0 && x <= 1 }
 
 // Program is the phase sequence one thread executes.
 type Program []Phase
@@ -305,17 +309,25 @@ func Replicate(spec Spec, n int) []Spec {
 	return out
 }
 
+// MapPhases returns a deep copy of w with fn applied to every phase of
+// the copy, visiting the specs in order and each spec's phases in
+// order, so a transform that draws random numbers draws them in that
+// order.
+func (w Workload) MapPhases(fn func(*Phase)) Workload {
+	out := Workload{Name: w.Name, Procs: make([]Spec, len(w.Procs))}
+	for i, s := range w.Procs {
+		c := s.Clone()
+		for j := range c.Program {
+			fn(&c.Program[j])
+		}
+		out.Procs[i] = c
+	}
+	return out
+}
+
 // ScaleInstr returns a copy of the workload with every phase's
 // instruction count multiplied by f — shorter runs with identical
 // contention structure (process counts, threads, working sets).
 func ScaleInstr(w Workload, f float64) Workload {
-	out := Workload{Name: w.Name, Procs: make([]Spec, 0, len(w.Procs))}
-	for _, s := range w.Procs {
-		c := s.Clone()
-		for j := range c.Program {
-			c.Program[j].Instr *= f
-		}
-		out.Procs = append(out.Procs, c)
-	}
-	return out
+	return w.MapPhases(func(ph *Phase) { ph.Instr *= f })
 }

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -35,6 +36,14 @@ func TestPhaseValidate(t *testing.T) {
 		func(p *Phase) { p.FlopsPerInstr = -1 },
 		func(p *Phase) { p.Reuse = pp.Reuse(9) },
 		func(p *Phase) { p.Repeat = -1 },
+		// NaN fails every float bound.
+		func(p *Phase) { p.Instr = math.NaN() },
+		func(p *Phase) { p.AccessesPerInstr = math.NaN() },
+		func(p *Phase) { p.PrivateHitFrac = math.NaN() },
+		func(p *Phase) { p.StreamFrac = math.NaN() },
+		func(p *Phase) { p.FlopsPerInstr = math.NaN() },
+		func(p *Phase) { p.BWDemand = math.NaN() },
+		func(p *Phase) { p.CrashFrac = math.NaN() },
 	}
 	for i, m := range mut {
 		p := validPhase()

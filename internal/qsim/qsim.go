@@ -196,7 +196,7 @@ func Run(w proc.Workload, cfg Config) (*Result, error) {
 		}
 		delete(admitted, k)
 		admittedLoad -= t.program[phase.Slot].OccupancyBytes()
-		return waitq.WakeAll(func(w *qthread) bool {
+		return waitq.WakeAll(nil, func(w *qthread) bool {
 			wph := &w.program[w.at.Slot]
 			wk := pkey{w.proc, w.at.Index}
 			if admitted[wk] > 0 {

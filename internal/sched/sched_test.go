@@ -18,10 +18,10 @@ func TestWaitQueueFIFO(t *testing.T) {
 	if q.Len() != 5 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	if got := q.WakeAll(all[int]); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+	if got := q.WakeAll(nil, all[int]); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("woke %v, want [0 1 2 3 4]", got)
 	}
-	if got := q.WakeAll(all[int]); len(got) != 0 {
+	if got := q.WakeAll(nil, all[int]); len(got) != 0 {
 		t.Fatalf("empty queue woke %v", got)
 	}
 }
@@ -52,8 +52,9 @@ func TestWaitQueueRemove(t *testing.T) {
 	if q.Remove(t2) {
 		t.Fatal("double remove succeeded")
 	}
-	if got := q.WakeAll(all[int]); !slices.Equal(got, []int{1, 3}) {
-		t.Fatalf("woke %v, want [1 3]", got)
+	// WakeAll appends to the slice it is given.
+	if got := q.WakeAll([]int{7}, all[int]); !slices.Equal(got, []int{7, 1, 3}) {
+		t.Fatalf("woke %v onto [7], want [7 1 3]", got)
 	}
 	_ = t1
 	_ = t3
@@ -65,7 +66,7 @@ func TestWakeAllCapacityShrinks(t *testing.T) {
 		q.Enqueue(v)
 	}
 	budget := 10
-	woken := q.WakeAll(func(x int) bool {
+	woken := q.WakeAll(nil, func(x int) bool {
 		if x <= budget {
 			budget -= x
 			return true
@@ -133,7 +134,7 @@ func TestAgedAcrossEmptyTransition(t *testing.T) {
 	if v, _, ok := q.AgedFirst(2, prio); !ok || v != 8 {
 		t.Fatalf("aged first = %v after refill", v)
 	}
-	q.WakeAll(all[int])
+	q.WakeAll(nil, all[int])
 	if _, _, ok := q.AgedFirst(0, prio); ok {
 		t.Fatal("aged waiter survived a drain")
 	}
@@ -168,7 +169,7 @@ func TestEnqueueAsRestoresPosition(t *testing.T) {
 		t.Fatal("remove failed")
 	}
 	q.EnqueueAs(2, t2)
-	if got := q.WakeAll(all[int]); !slices.Equal(got, []int{1, 2, 3}) {
+	if got := q.WakeAll(nil, all[int]); !slices.Equal(got, []int{1, 2, 3}) {
 		t.Fatalf("woke %v, want [1 2 3]", got)
 	}
 }
@@ -197,7 +198,7 @@ func TestWaitQueueFIFOProperty(t *testing.T) {
 		for _, v := range vals {
 			q.Enqueue(v)
 		}
-		return slices.Equal(q.WakeAll(all[int]), vals) && q.Len() == 0
+		return slices.Equal(q.WakeAll(nil, all[int]), vals) && q.Len() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

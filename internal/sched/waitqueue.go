@@ -126,19 +126,20 @@ func (q *WaitQueue[T]) Remove(ticket uint64) bool {
 
 // WakeAll dequeues every waiter accepted by fits, in FIFO order,
 // re-evaluating fits after each wake (capacity shrinks as waiters are
-// admitted). It returns the woken values.
-func (q *WaitQueue[T]) WakeAll(fits func(T) bool) []T {
-	var woken []T
+// admitted). It appends the woken values to dst and returns the result,
+// so a caller that passes its previous result back, truncated, wakes
+// without allocating.
+func (q *WaitQueue[T]) WakeAll(dst []T, fits func(T) bool) []T {
 	i := 0
 	for i < len(q.items) {
 		if fits(q.items[i].v) {
-			woken = append(woken, q.items[i].v)
+			dst = append(dst, q.items[i].v)
 			q.items = append(q.items[:i], q.items[i+1:]...)
 		} else {
 			i++
 		}
 	}
-	return woken
+	return dst
 }
 
 func (q *WaitQueue[T]) String() string {

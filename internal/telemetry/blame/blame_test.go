@@ -195,6 +195,7 @@ func runCollector(t *testing.T, w proc.Workload) *Report {
 	m := machine.New(cfg, s)
 	s.SetWaker(m)
 	s.SetClock(m.Now)
+	s.SetTimer(m.Engine())
 	c := NewCollector()
 	s.AddSink(c)
 	if err := m.AddWorkload(w); err != nil {
@@ -298,6 +299,7 @@ func checkBlameInvariants(seed uint64, polIdx uint8) error {
 		m := machine.New(cfg, s)
 		s.SetWaker(m)
 		s.SetClock(m.Now)
+		s.SetTimer(m.Engine())
 		c := NewCollector()
 		s.AddSink(c)
 		if err := m.AddWorkload(w); err != nil {

@@ -39,6 +39,7 @@ func recordE5Stream(b *testing.B) ([]recordedCall, sim.Time) {
 	m := machine.New(cfg, s)
 	s.SetWaker(m)
 	s.SetClock(m.Now)
+	s.SetTimer(m.Engine())
 	rec := &callRecorder{}
 	s.AddSink(rec)
 	if err := m.AddWorkload(workloads.BLAS3()); err != nil {

@@ -25,6 +25,7 @@ func recordE5Stream(b *testing.B) ([]core.Event, sim.Time) {
 	m := machine.New(cfg, s)
 	s.SetWaker(m)
 	s.SetClock(m.Now)
+	s.SetTimer(m.Engine())
 	rec := &eventRecorder{}
 	s.AddSink(rec)
 	if err := m.AddWorkload(workloads.BLAS3()); err != nil {
