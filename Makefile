@@ -85,8 +85,9 @@ observe:
 	$(GO) run ./cmd/experiments -experiment e8 -scale 0.2 -obs-dir /tmp/rda-obs
 	$(GO) run ./scripts/jsoncheck /tmp/rda-obs/*.html
 
-# E9: crash-restart revival — kill, restore from journal+snapshot,
-# resume byte-identical to the unkilled run.
+# E9: crash-restart revival — kill, re-execute against the decision
+# journal and the newest snapshot, resume byte-identical to the unkilled
+# run.
 revive:
 	$(GO) run ./cmd/experiments -experiment e9 -scale 0.2
 

@@ -291,9 +291,7 @@ func (d *DomainSet) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 		d.domainOf[key] = di
 		d.placements++
 		d.emitDomain(EventPlace, di, key, ph.Demand())
-		d.rrecSet(RecPlace, func(r *ReplayRecord) {
-			r.Set.MapAdd = []PlacementEntry{{Proc: key.procID, Phase: key.phaseIdx, Domain: di}}
-		})
+		d.rrecSet(RecPlace, key)
 	}
 	return d.shards[di].EnterPhase(t, phaseIdx, ph)
 }
@@ -317,9 +315,7 @@ func (d *DomainSet) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 	s.ExitPhase(t, phaseIdx, ph)
 	if ok && s.reg.get(key) == nil {
 		delete(d.domainOf, key)
-		d.rrecSet(RecUnmap, func(r *ReplayRecord) {
-			r.Set.MapDel = []ProcPhase{{Proc: key.procID, Phase: key.phaseIdx}}
-		})
+		d.rrecSet(RecUnmap, key)
 	}
 }
 
@@ -493,16 +489,16 @@ func (d *DomainSet) armStealTick(in sim.Duration) {
 		in = 1 // next engine step, never this instant
 	}
 	d.stealEv = d.timer.After(in, d.stealTick)
-	d.rrecSet(RecStealTick, nil)
+	d.rrecSet(RecStealTick, noKey)
 }
 
 // stealTick is the armed re-scan callback. Both the arm and the fire
-// are journaled so a restore reconstructs the pending tick exactly: the
-// fire record clears the persisted StealTickAt (the event is gone), and
-// any re-arm inside stealScan journals the new one.
+// are journal records: each is a decision the revival checks, and a
+// snapshot may be cut at either, so the snapshot's StealTickAt is
+// compared with the re-executed gate's at the same point.
 func (d *DomainSet) stealTick() {
 	d.stealEv = nil
-	d.rrecSet(RecStealTick, nil)
+	d.rrecSet(RecStealTick, noKey)
 	d.stealScan()
 }
 
@@ -532,18 +528,8 @@ func (d *DomainSet) migrate(per *period, si, di int, kind EventKind) {
 	dst.admit(per)
 	dst.emit(EventWake, per, per.key, per.demands[0])
 	dst.govObserve(EventWake, dst.noteWait(per))
-	ws := per.waiters
 	dst.release(per)
-	dst.rrec(RecSteal, per, func(r *ReplayRecord) {
-		r.Src = si
-		r.SrcParkedDel = []int{per.key.procID}
-		for _, t := range ws {
-			r.InsideAdd = append(r.InsideAdd, insideEntry(t.ID(), per.key))
-		}
-		if r.Set != nil {
-			r.Set.MapAdd = append(r.Set.MapAdd, PlacementEntry{Proc: per.key.procID, Phase: per.key.phaseIdx, Domain: di})
-		}
-	})
+	dst.rrec(RecSteal, per.id, per.key)
 }
 
 // moveWaiter takes waiter per off domain si — its waitlist entry,

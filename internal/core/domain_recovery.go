@@ -192,8 +192,10 @@ func (d *DomainSet) RecoveryStats() RecoveryStats {
 	return d.rec.stats
 }
 
-// recTarget validates a fault-injection target.
+// recTarget validates a fault-injection target; like EnterPhase, it
+// refuses a set that SetWaker, SetClock and SetTimer have not bound.
 func (d *DomainSet) recTarget(i int) error {
+	checkBound(d.shards[0].waker, d.clock, d.timer)
 	if d.rec == nil {
 		return fmt.Errorf("%w: recovery not enabled", ErrInvalidDomain)
 	}

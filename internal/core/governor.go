@@ -425,16 +425,16 @@ func (s *Scheduler) govScheduleTick() {
 	g.tickEv = s.timer.After(d, s.govTick)
 }
 
-// govTick is the armed self-evaluation callback. It journals itself
-// (RecGovTick) so a restored state carries the post-tick ladder state
-// and the re-armed tick time — a restore never has to normalize an
-// expired-but-unfired tick, because every firing is a record.
+// govTick is the armed self-evaluation callback. Each firing is a
+// journal record (RecGovTick): a decision the revival checks, after
+// which a snapshot may be cut holding the post-tick ladder and the
+// re-armed tick time.
 func (s *Scheduler) govTick() {
 	g := s.gov
 	g.tickEv = nil
 	s.govEvaluate(s.clock())
 	s.govScheduleTick()
-	s.rrec(RecGovTick, nil, nil)
+	s.rrec(RecGovTick, 0, noKey)
 }
 
 // govEvaluate applies the hysteresis state machine: the level steps one
@@ -550,12 +550,6 @@ func (s *Scheduler) govTightenLeases(now sim.Time) {
 		s.timer.Cancel(per.leaseEv)
 		per.leaseEv = nil
 		s.armLease(per, d)
-		if s.rsink != nil {
-			// Journal the re-arm; the patches ride the next record cut on
-			// this shard (tightening always runs inside a decision or tick
-			// that emits one).
-			s.pendingLease = append(s.pendingLease, LeasePatch{ID: per.id, LeaseAt: per.leaseEv.When()})
-		}
 		g.stats.Tightened++
 	}
 }
@@ -695,7 +689,7 @@ func (s *Scheduler) wakeAged(woken []*period) (_ []*period, reserved bool) {
 			s.waitlist.EnqueueAs(per, ticket)
 			g.stats.Reservations++
 			s.emit(EventGovernorReserve, per, per.key, per.demands[0])
-			s.rrec(RecReserve, per, nil)
+			s.rrec(RecReserve, per.id, per.key)
 			return woken, true
 		}
 		if safeguard {

@@ -135,10 +135,7 @@ func (s *Scheduler) reclaim(per *period) {
 	s.stats.Reclaimed++
 	s.emit(EventReclaim, per, per.key, per.demands[0])
 	s.govObserve(EventReclaim, 0)
-	s.rrec(RecReclaim, nil, func(r *ReplayRecord) {
-		r.RemoveID = per.id
-		r.ReclaimedAdd = []ProcPhase{{Proc: per.key.procID, Phase: per.key.phaseIdx}}
-	})
+	s.rrec(RecReclaim, per.id, per.key)
 	s.wakeWaitlist()
 }
 
@@ -160,14 +157,8 @@ func (s *Scheduler) fallbackAdmit(per *period) {
 	s.emit(EventFallback, per, per.key, per.demands[0])
 	s.govObserve(EventFallback, wait)
 	s.armLease(per, s.govLease())
-	ws := per.waiters
 	s.release(per)
-	s.rrec(RecFallback, per, func(r *ReplayRecord) {
-		for _, t := range ws {
-			r.InsideAdd = append(r.InsideAdd, insideEntry(t.ID(), per.key))
-		}
-		r.ParkedDel = []int{per.key.procID}
-	})
+	s.rrec(RecFallback, per.id, per.key)
 }
 
 // Quiesce force-reclaims every period still registered, in admission-ID

@@ -134,13 +134,8 @@ type Scheduler struct {
 	domainIdx int
 	postWake  func()
 
-	// Checkpoint hooks (replay.go / state.go). rsink receives the
-	// admission journal stream; setStamp, set by a sharded DomainSet,
-	// stamps set-level post-state onto every shard record; pendingLease
-	// accumulates governor lease re-arms between records.
-	rsink        ReplaySink
-	setStamp     func(*ReplayRecord)
-	pendingLease []LeasePatch
+	// Checkpoint hook (replay.go): rsink receives the decision journal.
+	rsink ReplaySink
 
 	// Recovery hooks (domain_recovery.go). offline quarantines the shard:
 	// the predicate denies everything, including the empty-load safeguard,
@@ -267,7 +262,11 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 	if in, ok := s.reg.inside(t.ID()); ok && in == key {
 		s.stats.Rejected++
 		s.emit(EventReject, per, key, ph.Demand())
-		s.rrec(RecReject, per, nil)
+		var id pp.ID
+		if per != nil {
+			id = per.id
+		}
+		s.rrec(RecReject, id, key)
 		return true
 	}
 	if per == nil {
@@ -277,7 +276,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 		per.id = s.allocID()
 		s.stats.Begins++
 		s.emit(EventBegin, per, key, per.demands[0])
-		s.rrec(RecBegin, per, nil)
+		s.rrec(RecBegin, per.id, key)
 
 		if checkDemands(per.demands) != nil {
 			// Refuse to track the period; the thread runs under the stock
@@ -289,9 +288,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 			s.reg.enter(t.ID(), key)
 			s.stats.Rejected++
 			s.emit(EventReject, per, key, per.demands[0])
-			s.rrec(RecReject, per, func(r *ReplayRecord) {
-				r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
-			})
+			s.rrec(RecReject, per.id, key)
 			return true
 		}
 		if s.govAdmit(key.procID, ph) == govAdmitQuarantined {
@@ -306,9 +303,7 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 			s.reg.enter(t.ID(), key)
 			s.emit(EventGovernorQuarantine, per, key, per.demands[0])
 			s.armLease(per, s.govLease())
-			s.rrec(RecQuarantine, per, func(r *ReplayRecord) {
-				r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
-			})
+			s.rrec(RecQuarantine, per.id, key)
 			return true
 		}
 		if s.reg.parked(key.procID) {
@@ -328,30 +323,27 @@ func (s *Scheduler) EnterPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) 
 		s.emit(EventAdmit, per, key, per.demands[0])
 		per.refs = 1
 		s.reg.enter(t.ID(), key)
-		s.rrec(RecAdmit, per, func(r *ReplayRecord) {
-			r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
-		})
+		s.rrec(RecAdmit, per.id, key)
 		return true
 	}
 	if per.admitted {
 		per.refs++
 		s.reg.enter(t.ID(), key)
-		s.rrec(RecJoin, per, func(r *ReplayRecord) {
-			r.InsideAdd = []InsideEntry{insideEntry(t.ID(), key)}
-		})
+		s.rrec(RecJoin, per.id, key)
 		return true
 	}
 	per.waiters = append(per.waiters, t)
-	s.rrec(RecWaitJoin, per, nil)
+	s.rrec(RecWaitJoin, per.id, key)
 	return false
 }
 
 // checkBound refuses a gate that SetWaker, SetClock and SetTimer have
 // not all bound: every wake, timestamp, wait, lease, deadline and tick
-// reads them.
+// reads them. EnterPhase, the fault and recovery entry points and
+// ExportState call it.
 func checkBound(w Waker, c Clock, t Timer) {
 	if w == nil || c == nil || t == nil {
-		panic("core: gate not bound: call SetWaker, SetClock and SetTimer before the first EnterPhase")
+		panic("core: gate not bound: call SetWaker, SetClock and SetTimer before driving or exporting it")
 	}
 }
 
@@ -399,15 +391,12 @@ func checkDemands(ds []pp.Demand) error {
 // load it would release was either reclaimed already or never charged.
 func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 	key := periodKey{t.Process().ID(), phaseIdx}
-	var insideDel []int
-	if s.reg.leave(t.ID(), key) && s.rsink != nil {
-		insideDel = []int{t.ID()}
-	}
+	s.reg.leave(t.ID(), key)
 	per := s.reg.get(key)
 	if per == nil {
 		s.stats.LateEnds++
 		s.emit(EventLateEnd, nil, key, ph.Demand())
-		s.rrec(RecLateEnd, nil, func(r *ReplayRecord) { r.InsideDel = insideDel })
+		s.rrec(RecLateEnd, 0, key)
 		return
 	}
 	if !per.admitted {
@@ -417,7 +406,7 @@ func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 	}
 	per.refs--
 	if per.refs > 0 {
-		s.rrec(RecLeave, per, func(r *ReplayRecord) { r.InsideDel = insideDel })
+		s.rrec(RecLeave, per.id, key)
 		return
 	}
 	s.unregister(per)
@@ -429,10 +418,7 @@ func (s *Scheduler) ExitPhase(t *machine.Thread, phaseIdx int, ph *proc.Phase) {
 	s.stats.Ends++
 	s.emit(EventEnd, per, key, per.demands[0])
 	s.govObserve(EventEnd, 0)
-	s.rrec(RecEnd, nil, func(r *ReplayRecord) {
-		r.RemoveID = per.id
-		r.InsideDel = insideDel
-	})
+	s.rrec(RecEnd, per.id, key)
 	if per.leaseEv == nil && per.deadlineEv == nil {
 		s.reg.recycle(per)
 	}
@@ -509,14 +495,8 @@ func (s *Scheduler) scanWaitlist() {
 		s.reg.unpark(per.key.procID)
 		s.cancelDeadline(per)
 		s.govObserve(EventWake, s.noteWait(per))
-		ws := per.waiters
 		s.release(per)
-		s.rrec(RecWake, per, func(r *ReplayRecord) {
-			for _, t := range ws {
-				r.InsideAdd = append(r.InsideAdd, insideEntry(t.ID(), per.key))
-			}
-			r.ParkedDel = []int{per.key.procID}
-		})
+		s.rrec(RecWake, per.id, per.key)
 	}
 }
 
@@ -563,11 +543,7 @@ func (s *Scheduler) deny(per *period, t *machine.Thread) {
 	if per.taskPool {
 		s.reg.park(per.key.procID)
 	}
-	s.rrec(RecDeny, per, func(r *ReplayRecord) {
-		if per.taskPool {
-			r.ParkedAdd = []int{per.key.procID}
-		}
-	})
+	s.rrec(RecDeny, per.id, per.key)
 }
 
 // mustIncrement and mustDecrement are the scheduler's internal load-table

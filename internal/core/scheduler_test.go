@@ -305,8 +305,8 @@ func TestRegistryEmptyAfterRun(t *testing.T) {
 // TestUnboundGateRefused pins the one gate configuration: a scheduler
 // or domain set missing its waker, clock or timer panics on its first
 // EnterPhase before it places or opens a period (its sink hears
-// nothing), and a nil policy panics at construction. A fully bound gate
-// admits.
+// nothing), and on a fault, a recovery or a state export; a nil policy
+// panics at construction. A fully bound gate admits.
 func TestUnboundGateRefused(t *testing.T) {
 	spec := declaredProc("p", pp.MB(1), 1e6)
 	ph := &spec.Program[0]
@@ -363,6 +363,41 @@ func TestUnboundGateRefused(t *testing.T) {
 				}
 			})
 		}
+	}
+	// The fault and recovery entry points and both state exports refuse
+	// an unbound gate the same way, instead of dereferencing its nil
+	// clock or timer: a two-domain set with recovery enabled and nothing
+	// bound.
+	unbound := func(t *testing.T) *DomainSet {
+		d, err := NewDomainSet(StrictPolicy{}, cfg.LLCCapacity, DomainConfig{Domains: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EnableRecovery(DefaultRecoveryConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, ep := range []struct {
+		name string
+		call func(d *DomainSet)
+	}{
+		{"InjectCrash", func(d *DomainSet) { d.InjectCrash(0) }},
+		{"InjectCapacityLoss", func(d *DomainSet) { d.InjectCapacityLoss(0, 1) }},
+		{"InjectLedgerCorruption", func(d *DomainSet) { d.InjectLedgerCorruption(0, pp.MB(1)) }},
+		{"RecoverDomain", func(d *DomainSet) { d.RecoverDomain(0) }},
+		{"DomainSet.ExportState", func(d *DomainSet) { d.ExportState() }},
+		{"Scheduler.ExportState", func(*DomainSet) { New(StrictPolicy{}, cfg.LLCCapacity).ExportState() }},
+	} {
+		t.Run("unbound/"+ep.name, func(t *testing.T) {
+			d := unbound(t)
+			defer func() {
+				if s, _ := recover().(string); !strings.Contains(s, "SetWaker, SetClock and SetTimer") {
+					t.Fatalf("%s on an unbound gate: panic %q, want one naming the three setters", ep.name, s)
+				}
+			}()
+			ep.call(d)
+		})
 	}
 	t.Run("nil-policy", func(t *testing.T) {
 		defer func() {

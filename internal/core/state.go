@@ -14,8 +14,9 @@ import (
 // expiries, governor ladder/breaker/probation state, per-domain shards —
 // as a pure-data State value. Nothing loads a State back into a
 // scheduler: a revival re-executes the killed run on a fresh gate,
-// checks that gate's state at the kill against the one read from disk,
-// and resumes on the same gate. Everything is plain exported structs
+// checks that gate's decisions against the journal and its state at the
+// newest snapshot's record against the snapshot read from disk, and
+// resumes on the same gate. Everything is plain exported structs
 // with deterministically ordered slices (no maps) and nil rather than
 // empty lists, so the JSON encoding is canonical: two States describing
 // the same gate marshal to identical bytes, which is what the restore
@@ -129,8 +130,8 @@ type State struct {
 }
 
 // Canonical returns the canonical JSON encoding of the state. Slices
-// are kept deterministically ordered by the export/apply paths and the
-// structs contain no maps, so equal states produce identical bytes.
+// are kept deterministically ordered by the export path and the structs
+// contain no maps, so equal states produce identical bytes.
 func (st *State) Canonical() ([]byte, error) { return json.Marshal(st) }
 
 func exportPeriod(per *period) PeriodState {
@@ -219,14 +220,19 @@ func sortProcPhases(ks []ProcPhase) {
 }
 
 // ExportState captures the scheduler's state at the current virtual
-// time (single unsharded domain).
+// time (single unsharded domain). Like EnterPhase, it refuses a gate
+// SetWaker, SetClock and SetTimer have not bound.
 func (s *Scheduler) ExportState() State {
+	checkBound(s.waker, s.clock, s.timer)
 	return State{At: s.clock(), Domains: []DomainState{s.exportDomain()}}
 }
 
 // ExportState captures the full set state: every shard plus the
-// placement map, cross-domain counters, and the pending steal tick.
+// placement map, cross-domain counters, and the pending steal tick. Like
+// EnterPhase, it refuses a set SetWaker, SetClock and SetTimer have not
+// bound.
 func (d *DomainSet) ExportState() State {
+	checkBound(d.shards[0].waker, d.clock, d.timer)
 	st := State{At: d.clock(), Set: &SetState{
 		NextID:     d.nextID,
 		Placements: d.placements,

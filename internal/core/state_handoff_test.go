@@ -12,27 +12,13 @@ import (
 
 // These tests pin the revival protocol at the core layer, without the
 // persist/perf machinery on top: a governed run killed mid-schedule
-// leaves as its checkpoint the state its admission journal folds to; a
-// fresh run of the same scenario re-executes to the kill, must export
-// exactly that state, and then resumes on the same gate; the outcome
-// must equal a run that was never interrupted. The two scenarios are
-// the ones with the most derived runtime state at the kill: a breaker
-// mid-probation (open window, pending probe) and a waitlist whose order
-// rests on tickets preserved across re-denials (EnqueueAs).
-
-// journalFold is the core-layer miniature of the persist journal: a
-// ReplaySink that folds every record into the state the gate exported
-// when the sink was attached.
-type journalFold struct {
-	st  State
-	err error
-}
-
-func (f *journalFold) Replay(r ReplayRecord) {
-	if f.err == nil {
-		f.err = f.st.Apply(r)
-	}
-}
+// leaves as its checkpoint the state it exports at the kill; a fresh
+// run of the same scenario re-executes to the kill, must export exactly
+// that state, and then resumes on the same gate; the outcome must equal
+// a run that was never interrupted. The two scenarios are the ones with
+// the most derived runtime state at the kill: a breaker mid-probation
+// (open window, pending probe) and a waitlist whose order rests on
+// tickets preserved across re-denials (EnqueueAs).
 
 // haltAt runs m until the virtual clock reaches killAt and leaves it
 // halted there.
@@ -55,33 +41,23 @@ func canonicalBytes(t *testing.T, st State) []byte {
 }
 
 // handOff kills one instance of the scenario built by mk at killAt and
-// takes its journal fold as the checkpoint. It then re-executes a second
-// instance to the kill, runs atKill on it (to prove the kill landed
-// mid-scenario), requires its exported state to equal the checkpoint
-// byte-for-byte, detaches its journal, clears the halt and resumes the
-// same gate to completion. It returns the resumed scheduler.
+// takes its exported state as the checkpoint. It then re-executes a
+// second instance to the kill, runs atKill on it (to prove the kill
+// landed mid-scenario), requires its exported state to equal the
+// checkpoint byte-for-byte, clears the halt and resumes the same gate to
+// completion. It returns the resumed scheduler.
 func handOff(t *testing.T, mk func() (*Scheduler, *machine.Machine), killAt sim.Duration, atKill func(live *Scheduler, checkpoint State)) *Scheduler {
 	t.Helper()
 	ks, km := mk()
-	kill := &journalFold{st: ks.ExportState()}
-	ks.SetReplaySink(kill)
 	haltAt(t, km, killAt)
-	if kill.err != nil {
-		t.Fatalf("folding the killed run's journal: %v", kill.err)
-	}
-	checkpoint := kill.st
+	checkpoint := ks.ExportState()
 
 	s, m := mk()
-	s.SetReplaySink(&journalFold{st: s.ExportState()})
 	haltAt(t, m, killAt)
 	atKill(s, checkpoint)
-	live := s.ExportState()
-	// The fold's clock reads the last record, which can trail the kill.
-	checkpoint.At = live.At
-	if lb, cb := canonicalBytes(t, live), canonicalBytes(t, checkpoint); !bytes.Equal(lb, cb) {
+	if lb, cb := canonicalBytes(t, s.ExportState()), canonicalBytes(t, checkpoint); !bytes.Equal(lb, cb) {
 		t.Fatalf("re-executed state at the kill differs from the checkpoint:\nlive       %s\ncheckpoint %s", lb, cb)
 	}
-	s.SetReplaySink(nil)
 	m.Engine().Resume()
 	if _, err := m.Resume(); err != nil {
 		t.Fatalf("resumed run: %v", err)

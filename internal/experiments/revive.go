@@ -19,7 +19,7 @@ import (
 	"rdasched/internal/telemetry"
 )
 
-// E9 — crash-restart revival. The persist layer (admission journal +
+// E9 — crash-restart revival. The persist layer (decision journal +
 // state snapshots, internal/persist) claims that a run killed
 // mid-schedule can be restored and resumed such that the remainder of
 // the schedule is byte-identical to a run that was never killed. This
@@ -33,12 +33,13 @@ import (
 // three times: the uninterrupted baseline; the killed run, which halts
 // at the armed process death (machine.ErrHalted) leaving only the
 // checkpoint directory behind; and the revival run, which loads the
-// last valid snapshot, replays the journal suffix, re-executes the
-// prefix deterministically, checks the gate's state at the kill
-// byte-for-byte against the restored one, and resumes on that same
-// gate. The "identical" column is the experiment's verdict; the
-// journal/snapshot/replay columns are the provenance the rda_persist_*
-// telemetry family reports.
+// newest valid snapshot and the journal, re-executes the prefix
+// deterministically, checks each decision against the journal's record
+// of it and the gate's state at the snapshot's record byte-for-byte
+// against the snapshot, and resumes on that same gate. The "identical"
+// column is the experiment's verdict; the records/snapshot/replayed
+// columns are the provenance the rda_persist_* telemetry family
+// reports: "replayed" counts the records past the snapshot.
 
 // ReviveKillFracs sweeps when the process dies, as a fraction of the
 // cell's measured baseline makespan: early (the admission pile-up is
@@ -99,7 +100,7 @@ type ReviveRow struct {
 	Records     uint64 // journal records the killed run wrote
 	Snapshots   int    // snapshot files in the checkpoint directory
 	SnapshotSeq uint64 // journal anchor of the snapshot restore chose
-	Replayed    int    // journal records applied on top of it
+	Replayed    int    // journal records past it
 	Truncated   bool   // journal ended torn (never, for a clean kill)
 
 	Baseline perf.Metrics
@@ -240,9 +241,9 @@ func runRevival(c reviveCell, w proc.Workload, opt Options, lease, deadline sim.
 
 // Table renders the E9 revival table. Per-resource load ledgers,
 // waitlists, and lease expiries all feed the "identical" verdict
-// through the metrics encoding; the provenance columns show how much of
-// the checked state came from the snapshot and how much from the
-// journal.
+// through the metrics encoding; the provenance columns show how many
+// decisions the journal holds, where the checked snapshot sits among
+// them and how many follow it.
 func (r *ReviveResult) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E9: crash-restart revival — journal+snapshot restore vs unkilled run (%s)", r.Workload),

@@ -74,7 +74,8 @@ func TestReviveDeterministicResume(t *testing.T) {
 		}
 	}
 	// The persist telemetry family must flow through the merged registry:
-	// every cell replayed a journal suffix and restored a sequence.
+	// every cell journaled records past its snapshot and restored a
+	// sequence.
 	if v := res.Telemetry.Counter("rda_persist_replayed_total").Value(); v == 0 {
 		t.Error("merged telemetry has no replayed records")
 	}

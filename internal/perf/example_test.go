@@ -153,7 +153,7 @@ func ExampleRun_checkpoint() {
 		log.Fatal(err)
 	}
 
-	res, err := persist.Restore(dir) // snapshot + journal suffix, torn tail truncated
+	res, err := persist.Restore(dir) // newest snapshot + journal, torn tail truncated
 	if err != nil {
 		log.Fatal(err)
 	}

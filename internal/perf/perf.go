@@ -7,7 +7,6 @@ package perf
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -182,8 +181,9 @@ type RunConfig struct {
 	Checkpoint *persist.Config
 	// Restore, when non-nil, resumes a killed run from a loaded
 	// checkpoint: the pre-kill prefix is re-executed (the simulation is
-	// deterministic), the gate's state at the kill is checked
-	// byte-for-byte against the restored one, and the same gate then
+	// deterministic), each decision the gate makes is checked against
+	// the journal's record of it and the gate's state at the snapshot's
+	// record byte-for-byte against the snapshot, and the same gate then
 	// runs the remainder.
 	Restore *persist.Restored
 	// Jobs fans repetitions out across a worker pool (internal/runner);
@@ -496,50 +496,82 @@ func (sk *runSinks) bind(schd *core.DomainSet, rc RunConfig) error {
 	return nil
 }
 
-// stateTracker is the replay sink a revival run attaches to the gate
-// that re-executes the pre-kill prefix. It skips the first skip records,
-// which the checkpoint already holds, and folds the rest into the
-// restored state with the same State.Apply the journal replay used. For
-// a journal that survived intact there is no rest. For a journal torn
-// mid-frame the rest is the lost suffix: the records past the
-// truncation point are an exact function of the deterministic
-// re-execution. Either way the records the checkpoint holds reach the
-// check only as the state read from disk, so a checkpoint that
-// misrepresents any of them is refused.
-type stateTracker struct {
-	st   core.State
-	skip uint64
-	err  error
+// reviveCheck is the replay sink a revival run attaches to the gate
+// that re-executes the killed run. It numbers the decisions the gate
+// journals: decision k must equal the checkpoint's record k wherever the
+// journal holds one, and at k = SnapshotSeq (at attach, when that is 0)
+// the gate's canonical state must equal the snapshot's. A journal torn
+// mid-frame ends early, and the decisions past it need no record: the
+// re-execution makes them itself. Every record and the snapshot the
+// checkpoint holds is read, so a checkpoint that misstates any of them
+// is refused.
+type reviveCheck struct {
+	gate *core.DomainSet
+	res  *persist.Restored
+	snap []byte // the snapshot's canonical encoding
+	n    uint64 // decisions seen
+	err  error  // the first refusal; sticky
 }
 
-// newStateTracker deep-copies the restored state (through its canonical
-// encoding) so folding records never mutates the caller's Restored
-// value.
-func newStateTracker(res *persist.Restored) (*stateTracker, error) {
+func newReviveCheck(gate *core.DomainSet, res *persist.Restored) (*reviveCheck, error) {
 	b, err := res.State.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	tr := &stateTracker{skip: res.Seq}
-	if err := json.Unmarshal(b, &tr.st); err != nil {
-		return nil, err
+	c := &reviveCheck{gate: gate, res: res, snap: b}
+	if res.SnapshotSeq == 0 {
+		c.checkState()
 	}
-	return tr, nil
+	return c, nil
 }
 
-// Replay implements core.ReplaySink. Apply errors are sticky and
-// surface when the revival protocol runs.
-func (t *stateTracker) Replay(r core.ReplayRecord) {
-	if t.skip > 0 {
-		t.skip--
+// Replay implements core.ReplaySink.
+func (c *reviveCheck) Replay(r core.ReplayRecord) {
+	if c.err != nil {
 		return
 	}
-	if t.err != nil {
+	c.n++
+	if c.n <= uint64(len(c.res.Records)) && r != c.res.Records[c.n-1] {
+		c.err = fmt.Errorf("perf: restored record %d is %s, the re-executed run decided %s",
+			c.n, formatRecord(c.res.Records[c.n-1]), formatRecord(r))
 		return
 	}
-	if err := t.st.Apply(r); err != nil {
-		t.err = err
+	if c.n == c.res.SnapshotSeq {
+		c.checkState()
 	}
+}
+
+// checkState compares the live gate with the snapshot.
+func (c *reviveCheck) checkState() {
+	live := c.gate.ExportState()
+	b, err := live.Canonical()
+	if err != nil {
+		c.err = err
+		return
+	}
+	if !bytes.Equal(b, c.snap) {
+		c.err = fmt.Errorf("perf: restored snapshot at record %d diverges from the re-executed run at %dps (%d vs %d canonical bytes)",
+			c.res.SnapshotSeq, int64(live.At), len(c.snap), len(b))
+	}
+}
+
+// done is the check's verdict at the kill: no refusal, and every record
+// and the snapshot reached.
+func (c *reviveCheck) done() error {
+	if c.err != nil {
+		return c.err
+	}
+	if want := max(c.res.SnapshotSeq, uint64(len(c.res.Records))); c.n < want {
+		return fmt.Errorf("perf: restored checkpoint reaches record %d, the re-executed run decided %d by the kill", want, c.n)
+	}
+	return nil
+}
+
+// formatRecord prints a record with its time in picoseconds, the unit
+// the journal stores.
+func formatRecord(r core.ReplayRecord) string {
+	return fmt.Sprintf("{At:%dps Kind:%s Domain:%d ID:%d Proc:%d Phase:%d}",
+		int64(r.At), r.Kind, r.Domain, r.ID, r.Proc, r.Phase)
 }
 
 // checkpointDir is repetition rep's directory under base: rep 0 owns
@@ -606,13 +638,13 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 		}
 		schd.SetReplaySink(cp)
 	}
-	var tr *stateTracker
+	var chk *reviveCheck
 	if rc.Restore != nil {
-		tr, err = newStateTracker(rc.Restore)
+		chk, err = newReviveCheck(schd, rc.Restore)
 		if err != nil {
 			return Metrics{}, err
 		}
-		schd.SetReplaySink(tr)
+		schd.SetReplaySink(chk)
 	}
 	if err := m.AddWorkload(w); err != nil {
 		return Metrics{}, err
@@ -652,7 +684,7 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 			}
 			return Metrics{}, fmt.Errorf("perf: process killed at %v: %w", m.Now(), err)
 		}
-		res, err = resumeRestored(m, schd, tr)
+		res, err = resumeRestored(m, schd, chk)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -760,39 +792,23 @@ func runOnce(w proc.Workload, rc RunConfig, rep uint64) (Metrics, error) {
 }
 
 // resumeRestored is the revival protocol, entered when the re-executed
-// pre-kill prefix halts at the checkpointed kill time:
+// run halts at the checkpointed kill time:
 //
-//  1. Check: the live gate's exported state must equal the restored
-//     state, with any regenerated journal suffix folded in, byte-for-byte
-//     under canonical JSON. (The tracked state's clock reads the last
-//     record, which can trail the kill by a stretch with no admission
-//     activity, so the timestamps are aligned before comparing.) A
-//     mismatch means the checkpoint and the deterministic re-execution
-//     disagree — corruption beyond what the checksums caught, or
-//     nondeterminism; either way, refuse.
-//  2. Detach the tracker, clear the halt and drive the same gate to
+//  1. Check: every decision the re-execution journaled matched the
+//     checkpoint's record of the same sequence number, the gate's state
+//     at the snapshot's record matched the snapshot byte-for-byte under
+//     canonical JSON, and the run reached both. A mismatch means the
+//     checkpoint and the deterministic re-execution disagree —
+//     corruption beyond what the checksums caught, or nondeterminism;
+//     either way, refuse.
+//  2. Detach the check, clear the halt and drive the same gate to
 //     completion: the revived run is the killed run's own continuation.
 //
-// Every field the snapshot or journal misrepresents fails the check, so
+// Every record and the snapshot the checkpoint holds feed the check, so
 // the persistence layer is load-bearing without a second gate.
-func resumeRestored(m *machine.Machine, schd *core.DomainSet, tr *stateTracker) (*machine.Result, error) {
-	if tr.err != nil {
-		return nil, fmt.Errorf("perf: folding the regenerated journal suffix into the restored state: %w", tr.err)
-	}
-	live := schd.ExportState()
-	want := tr.st
-	want.At = live.At
-	lb, err := live.Canonical()
-	if err != nil {
+func resumeRestored(m *machine.Machine, schd *core.DomainSet, chk *reviveCheck) (*machine.Result, error) {
+	if err := chk.done(); err != nil {
 		return nil, err
-	}
-	wb, err := want.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(lb, wb) {
-		return nil, fmt.Errorf("perf: restored state diverges from re-executed run at %v (%d vs %d canonical bytes)",
-			m.Now(), len(wb), len(lb))
 	}
 	schd.SetReplaySink(nil)
 	m.Engine().Resume()

@@ -56,7 +56,7 @@ type Stats struct {
 }
 
 // Checkpointer is a core.ReplaySink that journals every admission
-// record and cuts periodic state snapshots. It is single-goroutine,
+// decision and cuts periodic state snapshots. It is single-goroutine,
 // like the scheduler feeding it. I/O errors are sticky: the first one
 // stops all further writes and surfaces from Close, so a run never
 // trusts a checkpoint directory a failed write left behind.
@@ -137,10 +137,11 @@ func (cp *Checkpointer) Replay(r core.ReplayRecord) {
 	}
 }
 
-// snapshotFile wraps a snapshot with its journal anchor: the state
-// reflects every record with sequence <= Seq (and possibly parts of an
-// in-progress cascade beyond it — record application is idempotent, so
-// replaying from Seq+1 converges regardless).
+// snapshotFile wraps a snapshot with its journal anchor: the gate's
+// state the moment record Seq was journaled (the attach-time snapshot
+// has Seq 0). A cut can land mid-cascade; the revival compares it with
+// the re-executed gate at that same record, so it need not be a quiet
+// point.
 type snapshotFile struct {
 	Seq   uint64
 	State core.State

@@ -1,20 +1,21 @@
 // Package persist makes the scheduler stack crash-safe on the virtual
-// clock: an append-only admission journal (every admission-relevant
-// decision as a length-prefixed, CRC-32C-checksummed record), periodic
-// full-state snapshots, and a restore path that loads the last valid
-// snapshot, replays the journal suffix, and reconstructs the exact gate
-// state a killed run had at its last completed engine event, which the
-// revival checks its re-executed gate against.
+// clock: an append-only decision journal (every admission decision as a
+// length-prefixed, CRC-32C-checksummed record), periodic full-state
+// snapshots, and a restore path that loads the newest valid snapshot
+// and the journal. A revival (internal/perf) re-executes the killed run
+// from t=0, checks every decision it makes against the journal's record
+// of the same sequence number, and checks the gate's full state against
+// the snapshot at the record the snapshot was cut after.
 //
 // Durability model: the journal is appended one frame per record, so a
 // process death tears at most the final frame; the reader truncates at
-// the first frame that is short, oversized, fails its checksum, or
-// regresses the sequence number. Snapshots are written to a temp file
-// and renamed into place, so a snapshot either exists wholly or not at
-// all. Everything downstream of the truncation point is re-derived by
+// the first frame that is short, oversized, fails its checksum, or does
+// not carry the next sequence number. Snapshots are written to a temp
+// file and renamed into place, so a snapshot either exists wholly or not
+// at all. Everything past the truncation point is re-derived by
 // re-executing the run up to the kill point (the simulation is
-// deterministic), so restore needs no fsync-per-record guarantees —
-// a valid prefix is sufficient, and CRC-32C decides validity.
+// deterministic), so restore needs no fsync-per-record guarantees — a
+// valid prefix is sufficient, and CRC-32C decides validity.
 package persist
 
 import (
@@ -31,8 +32,10 @@ import (
 )
 
 // FormatVersion identifies the on-disk layout (meta.json, journal
-// framing, snapshot encoding). Restore refuses other versions.
-const FormatVersion = 1
+// framing and record encoding, snapshot encoding). Restore refuses
+// other versions, among them version 1, whose records carried state
+// patches.
+const FormatVersion = 2
 
 // maxFrame bounds a single journal payload; a length prefix beyond it
 // is treated as corruption (truncate), not as an allocation request.
@@ -43,7 +46,7 @@ const maxFrame = 16 << 20
 //	uint32 LE payload length | uint64 LE sequence | payload (JSON) |
 //	uint32 LE CRC-32C over (sequence bytes || payload)
 //
-// Sequence numbers start at 1 and are strictly increasing; the CRC
+// Sequence numbers start at 1 and rise by exactly 1 per frame; the CRC
 // covers the sequence so a frame spliced from another position (or
 // another journal) fails closed.
 
@@ -99,8 +102,8 @@ func (fr *frameReader) next() (seq uint64, payload []byte, ok bool) {
 		fr.trunc(fmt.Sprintf("frame length %d exceeds limit", n))
 		return 0, nil, false
 	}
-	if seq <= fr.lastSeq {
-		fr.trunc(fmt.Sprintf("sequence %d not above %d", seq, fr.lastSeq))
+	if seq != fr.lastSeq+1 {
+		fr.trunc(fmt.Sprintf("sequence %d after %d", seq, fr.lastSeq))
 		return 0, nil, false
 	}
 	payload = make([]byte, n)
@@ -129,22 +132,22 @@ func (fr *frameReader) trunc(reason string) {
 }
 
 // DecodeJournal reads every valid frame from data and returns the
-// decoded records with their sequence numbers, plus the truncation
-// report. Frames whose payload is valid framing but not a decodable
-// record count as corruption at that point (truncate there). It never
-// panics on arbitrary input — the FuzzJournalDecode target pins that.
-func DecodeJournal(data []byte) (seqs []uint64, recs []core.ReplayRecord, truncated bool, reason string) {
+// decoded records, record i carrying sequence number i+1, plus the
+// truncation report. Frames whose payload is valid framing but not a
+// decodable record count as corruption at that point (truncate there).
+// It never panics on arbitrary input — the FuzzJournalDecode target
+// pins that.
+func DecodeJournal(data []byte) (recs []core.ReplayRecord, truncated bool, reason string) {
 	fr := newFrameReader(bytes.NewReader(data))
 	for {
 		seq, payload, ok := fr.next()
 		if !ok {
-			return seqs, recs, fr.Truncated, fr.Reason
+			return recs, fr.Truncated, fr.Reason
 		}
 		var rec core.ReplayRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return seqs, recs, true, fmt.Sprintf("undecodable record %d: %v", seq, err)
+			return recs, true, fmt.Sprintf("undecodable record %d: %v", seq, err)
 		}
-		seqs = append(seqs, seq)
 		recs = append(recs, rec)
 	}
 }

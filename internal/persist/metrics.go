@@ -9,7 +9,7 @@ const (
 	MetricJournalBytes  = "rda_persist_journal_bytes_total"  // framed journal bytes
 	MetricSnapshots     = "rda_persist_snapshots_total"      // snapshots cut
 	MetricSnapshotBytes = "rda_persist_snapshot_bytes_total" // snapshot bytes written
-	MetricReplayed      = "rda_persist_replayed_total"       // records replayed on restore
+	MetricReplayed      = "rda_persist_replayed_total"       // journal records past the restored snapshot
 	MetricTruncations   = "rda_persist_truncations_total"    // journals truncated at a torn frame
 	MetricRestoreSeq    = "rda_persist_restore_seq"          // last record sequence restored
 )

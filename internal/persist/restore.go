@@ -12,25 +12,26 @@ import (
 	"rdasched/internal/sim"
 )
 
-// Restored is the result of loading a checkpoint directory: the exact
-// gate state at the last journaled record, plus the provenance the
-// harness reports (rda_persist_* metrics, the E9 report).
+// Restored is the result of loading a checkpoint directory: the newest
+// decodable snapshot, which is the gate's state at record SnapshotSeq,
+// and the journal's valid prefix, plus the provenance the harness
+// reports (rda_persist_* metrics, the E9 report).
 type Restored struct {
-	State       core.State
-	KillAt      sim.Duration // process-death time the killed run had armed
-	Seq         uint64       // sequence of the last record applied (snapshot seq if none)
-	SnapshotSeq uint64       // journal anchor of the snapshot used
-	Replayed    int          // journal records applied on top of the snapshot
-	Truncated   bool         // journal ended at a torn or corrupt frame
-	TruncReason string       // why, when Truncated
-	Snapshots   int          // committed snapshot files in dir, undecodable ones included
+	State       core.State          // the gate right after record SnapshotSeq
+	Records     []core.ReplayRecord // the journal; Records[i] has sequence i+1
+	KillAt      sim.Duration        // process-death time the killed run had armed
+	Seq         uint64              // sequence of the last record read (snapshot seq if none past it)
+	SnapshotSeq uint64              // journal anchor of the snapshot used
+	Replayed    int                 // journal records past the snapshot
+	Truncated   bool                // journal ended at a torn or corrupt frame
+	TruncReason string              // why, when Truncated
+	Snapshots   int                 // committed snapshot files in dir, undecodable ones included
 }
 
-// Restore loads the last valid snapshot under dir and replays the
-// journal suffix onto it. The journal is truncated — silently, but
-// reported — at the first torn or corrupt frame; a record that passes
-// its checksum but cannot be applied is a hard error (the journal is
-// internally inconsistent, not merely torn).
+// Restore loads the newest valid snapshot under dir and the journal.
+// The journal is truncated — silently, but reported — at the first torn
+// or corrupt frame. Nothing here judges the records: the revival checks
+// them, and the snapshot, against the run it re-executes.
 func Restore(dir string) (*Restored, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
@@ -48,30 +49,23 @@ func Restore(dir string) (*Restored, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	out := &Restored{
-		State:       snap.State,
-		KillAt:      m.KillAt,
-		Seq:         snap.Seq,
-		SnapshotSeq: snap.Seq,
-		Snapshots:   snaps,
-	}
 	data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
 	if err != nil {
 		return nil, fmt.Errorf("persist: read journal: %w", err)
 	}
-	seqs, recs, truncated, reason := DecodeJournal(data)
-	out.Truncated = truncated
-	out.TruncReason = reason
-	for i, rec := range recs {
-		if seqs[i] <= snap.Seq {
-			continue // already reflected in the snapshot
-		}
-		if err := out.State.Apply(rec); err != nil {
-			return nil, fmt.Errorf("persist: apply record %d: %w", seqs[i], err)
-		}
-		out.Seq = seqs[i]
-		out.Replayed++
+	recs, truncated, reason := DecodeJournal(data)
+	out := &Restored{
+		State:       snap.State,
+		Records:     recs,
+		KillAt:      m.KillAt,
+		Seq:         max(snap.Seq, uint64(len(recs))),
+		SnapshotSeq: snap.Seq,
+		Truncated:   truncated,
+		TruncReason: reason,
+		Snapshots:   snaps,
+	}
+	if n := uint64(len(recs)); n > snap.Seq {
+		out.Replayed = int(n - snap.Seq)
 	}
 	return out, nil
 }

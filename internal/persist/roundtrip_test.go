@@ -185,8 +185,7 @@ func TestKillRestoreRoundTrip(t *testing.T) {
 // TestKillRestoreEarlyAndLate moves the kill point: early (during the
 // admission pile-up) and late (most periods already drained), unsharded
 // and sharded. Late kills on a sharded gate find domains whose registry,
-// waiters or placements the journal has emptied; the restored lists must
-// encode like the live gate's.
+// waiters or placements have emptied since the snapshot.
 func TestKillRestoreEarlyAndLate(t *testing.T) {
 	for _, domains := range []int{0, 2, 4} {
 		for _, frac := range []float64{0.1, 0.75, 0.8, 0.85, 0.9, 0.95} {
@@ -264,20 +263,22 @@ func TestRestoreSkipsCorruptSnapshot(t *testing.T) {
 
 // TestRestoreRefusesCorruptCheckpoint alters what persist.Restore
 // returns, as a checkpoint that passed its checksums but misrepresents
-// the killed run would: fields the journal's records patch, fields no
-// record touches, whole registries, process, phase and thread IDs the
-// machine could not have issued, and a kill time past the run's end.
-// The revival must refuse every one with an error, not panic and not
+// the killed run would: the snapshot's counters, ledgers and timers,
+// whole registries, process, phase and thread IDs the machine could not
+// have issued, a journal record before the snapshot and one after it, a
+// record the run never reaches, and a kill time past the run's end. The
+// revival must refuse every one with an error, not panic and not
 // resume, on one domain and on four.
 func TestRestoreRefusesCorruptCheckpoint(t *testing.T) {
 	huge := 1 << 40
 	llc := pp.Demand{Resource: pp.ResourceLLC, WorkingSet: pp.MB(1), Reuse: pp.ReuseHigh}
-	// Each row alters d, a domain holding an admitted period with a
-	// thread inside it, or the state around it.
-	rows := []struct {
+	// Each row alters d, a domain of the snapshot holding an admitted
+	// period with a thread inside it, or the checkpoint around it.
+	type row struct {
 		name string
 		mut  func(res *persist.Restored, d *core.DomainState)
-	}{
+	}
+	rows := []row{
 		{"period-refs", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].Refs++ }},
 		{"period-admitted-at", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].AdmittedAt++ }},
 		{"period-enqueued-at", func(_ *persist.Restored, d *core.DomainState) { d.Periods[0].EnqueuedAt++ }},
@@ -331,22 +332,56 @@ func TestRestoreRefusesCorruptCheckpoint(t *testing.T) {
 			d.Gov.Breakers = append(d.Gov.Breakers, core.BreakerSnap{Proc: huge, State: core.BreakerOpen, Strikes: 1})
 		}},
 		{"kill-after-end", func(res *persist.Restored, _ *core.DomainState) { res.KillAt = 1000 * sim.Second }},
+		{"record-past-kill", func(res *persist.Restored, _ *core.DomainState) {
+			res.Records = append(res.Records, res.Records[len(res.Records)-1])
+		}},
+	}
+	// A record is checked wherever it sits: before the snapshot, where
+	// the snapshot already holds its effect, and after it.
+	for _, alter := range []struct {
+		name string
+		mut  func(r *core.ReplayRecord)
+	}{
+		{"at", func(r *core.ReplayRecord) { r.At++ }},
+		{"kind", func(r *core.ReplayRecord) {
+			if r.Kind == core.RecEnd {
+				r.Kind = core.RecLeave
+			} else {
+				r.Kind = core.RecEnd
+			}
+		}},
+		{"id", func(r *core.ReplayRecord) { r.ID++ }},
+		{"domain", func(r *core.ReplayRecord) { r.Domain++ }},
+	} {
+		rows = append(rows,
+			row{"record-before-snapshot-" + alter.name, func(res *persist.Restored, _ *core.DomainState) {
+				alter.mut(&res.Records[res.SnapshotSeq/2])
+			}},
+			row{"record-after-snapshot-" + alter.name, func(res *persist.Restored, _ *core.DomainState) {
+				alter.mut(&res.Records[len(res.Records)-1])
+			}})
 	}
 	for _, domains := range []int{1, 4} {
 		rc := governedConfig(domains)
 		base, dir, _ := killRun(t, rc, 0.4)
+		// restore loads the checkpoint and picks the snapshot's domain
+		// the rows alter; the checkpoint must hold journal records on
+		// both sides of its snapshot.
 		restore := func(t *testing.T) (*persist.Restored, *core.DomainState) {
 			t.Helper()
 			res, err := persist.Restore(dir)
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
+			if res.SnapshotSeq == 0 || len(res.Records) <= int(res.SnapshotSeq) {
+				t.Fatalf("snapshot at record %d of %d, want records on both sides", res.SnapshotSeq, len(res.Records))
+			}
 			for i := range res.State.Domains {
 				if d := &res.State.Domains[i]; len(d.Periods) > 0 && len(d.Inside) > 0 {
 					return res, d
 				}
 			}
-			t.Fatal("no domain holds an admitted period at the kill")
+			t.Fatal("no domain holds an admitted period at the snapshot")
 			return nil, nil
 		}
 		t.Run("intact"+domSuffix(domains), func(t *testing.T) {
@@ -400,13 +435,70 @@ func TestRestoreErrors(t *testing.T) {
 	})
 	t.Run("no-snapshot", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(`{"Version":1,"KillAt":1}`), 0o644); err != nil {
+		meta := fmt.Sprintf(`{"Version":%d,"KillAt":1}`, persist.FormatVersion)
+		if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(meta), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := persist.Restore(dir); err == nil {
-			t.Fatal("restore without any snapshot succeeded")
+		if _, err := persist.Restore(dir); err == nil || !strings.Contains(err.Error(), "no snapshots") {
+			t.Fatalf("restore without any snapshot returned %v", err)
 		}
 	})
+	// A checkpoint written when journal records carried state patches
+	// is refused by its version, before any record is read.
+	t.Run("patch-format", func(t *testing.T) {
+		_, dir, killAt := killRun(t, reviveConfig(core.StrictPolicy{}, 0), 0.4)
+		meta := fmt.Sprintf(`{"Version":1,"KillAt":%d}`, killAt)
+		if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := persist.Restore(dir); err == nil || !strings.Contains(err.Error(), "format version 1") {
+			t.Fatalf("restore of a version 1 checkpoint returned %v", err)
+		}
+	})
+}
+
+// TestRestoreRefusesReframedRecord rewrites one journal record before
+// the snapshot on disk, one picosecond later, and frames it again with
+// a valid checksum. The reader cannot tell it from an honest record; the
+// revival must refuse it.
+func TestRestoreRefusesReframedRecord(t *testing.T) {
+	rc := reviveConfig(core.StrictPolicy{}, 4)
+	_, dir, _ := killRun(t, rc, 0.4)
+	res, err := persist.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SnapshotSeq < 2 {
+		t.Fatalf("snapshot at record %d, want one past record 1", res.SnapshotSeq)
+	}
+	k := res.SnapshotSeq / 2
+	var journal []byte
+	for i, r := range res.Records {
+		if uint64(i+1) == k {
+			r.At++
+		}
+		p, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = persist.AppendFrame(journal, uint64(i+1), p)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err = persist.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated {
+		t.Fatalf("re-framed journal reads as torn: %s", res.TruncReason)
+	}
+	rrc := rc
+	rrc.Restore = res
+	_, err = perf.Sample(reviveWorkload(), rrc, 0)
+	if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("perf: restored record %d ", k)) {
+		t.Fatalf("revival from a journal with record %d re-framed returned %v, want the record check's refusal", k, err)
+	}
 }
 
 // TestKilledRepetitionsSameCheckpointTree pins that a killed
@@ -478,10 +570,10 @@ func governedConfig(domains int) perf.RunConfig {
 }
 
 // TestKillRestoreGoverned kills governed runs, sharded and not, early,
-// midway and late: every kill lands with a misdeclaring process
-// quarantined behind an open breaker, in runs whose governor also
-// reserves capacity for aged waiters. The revived run must end exactly
-// where the unkilled one does.
+// midway and late: every checkpoint's snapshot holds a misdeclaring
+// process quarantined behind an open breaker, in runs whose governor
+// also reserves capacity for aged waiters. The revived run must end
+// exactly where the unkilled one does.
 func TestKillRestoreGoverned(t *testing.T) {
 	for _, domains := range []int{0, 4} {
 		for _, frac := range []float64{0.25, 0.5, 0.75} {
@@ -499,7 +591,7 @@ func TestKillRestoreGoverned(t *testing.T) {
 					}
 				}
 				if open == 0 {
-					t.Fatal("no breaker open at the kill")
+					t.Fatal("no breaker open at the snapshot")
 				}
 				assertSameMetrics(t, base, revived)
 			})
