@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rdasched/internal/pp"
 )
@@ -19,7 +20,8 @@ import (
 // ambiguously (untracked fallback admissions, evacuations, steals).
 // When no blame sink is subscribed the decision path pays one length
 // check and allocates nothing; with one attached, the snapshot reuses
-// a scratch buffer that only grows to the high-water resident count.
+// a scratch buffer that only grows to the high-water resident count,
+// and sorts it in place without allocating.
 
 // Blocker is one resident period holding load at a denial: the period's
 // admission ID, its owning process and phase, and its primary (LLC)
@@ -58,7 +60,7 @@ func (s *Scheduler) snapshotBlockers(e Event) {
 			Demand: per.demands[0].WorkingSet,
 		})
 	})
-	sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })
+	slices.SortFunc(buf, func(a, b Blocker) int { return cmp.Compare(a.ID, b.ID) })
 	s.blameBuf = buf
 	for _, bs := range s.blameSinks {
 		bs.RecordDeny(e, buf)

@@ -13,15 +13,22 @@ import (
 )
 
 // TestBeginEndAllocatesNothing pins the registry's steady state: with no
-// sinks, metrics or journal attached, a begin/end pass over a repeated
-// phase allocates nothing once the first periods have been recycled —
-// on a scheduler, on a two-domain set, whose placement refills a
-// scratch buffer, and on a strict scheduler where a second process's
-// period is denied and then woken by the first one's end, which refills
-// the wake scan's scratch slice.
+// metrics or journal attached, a begin/end pass over a repeated phase
+// allocates nothing once the first periods have been recycled — on a
+// scheduler, on a two-domain set, whose placement refills a scratch
+// buffer, and on a strict scheduler where a second process's period is
+// denied and then woken by the first one's end, which refills the wake
+// scan's scratch slice. The last row runs that deny→wake pass with a
+// blame sink subscribed, so every denial also refills and sorts the
+// blocker snapshot.
 func TestBeginEndAllocatesNothing(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	newScheduler := func() gate { return New(StrictPolicy{}, cfg.LLCCapacity) }
+	withBlameSink := func() gate {
+		g := newScheduler()
+		g.AddSink(nopBlameSink{})
+		return g
+	}
 	for _, tc := range []struct {
 		name  string
 		gate  func() gate
@@ -33,6 +40,7 @@ func TestBeginEndAllocatesNothing(t *testing.T) {
 			return mustDomainSet(t, StrictPolicy{}, cfg.LLCCapacity, DomainConfig{Domains: 2})
 		}, 1, pp.MB(1)},
 		{"strict-deny-wake", newScheduler, 2, pp.MB(10)},
+		{"strict-deny-wake-blame", withBlameSink, 2, pp.MB(10)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := declaredProc("p", tc.wss, 1e6)
@@ -72,6 +80,12 @@ func TestBeginEndAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// nopBlameSink takes every event and blocker snapshot and keeps none.
+type nopBlameSink struct{}
+
+func (nopBlameSink) Record(Event)                {}
+func (nopBlameSink) RecordDeny(Event, []Blocker) {}
 
 // handWaker resumes nothing, for tests that call a gate's EnterPhase and
 // ExitPhase themselves instead of running the machine.

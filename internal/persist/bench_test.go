@@ -22,8 +22,8 @@ func (s fixedState) ExportState() core.State { return core.State(s) }
 // revive-mix run (governedConfig: misdeclarations, quarantines,
 // reservations and governor ticks among the decisions) goes through one
 // Checkpointer with periodic snapshots off, so each costs one encode and
-// one write. It reports time, bytes allocated and allocations per
-// record.
+// one write. One untimed pass first sizes the checkpointer's reused
+// buffers. It reports time, bytes allocated and allocations per record.
 func BenchmarkCheckpointerReplay(b *testing.B) {
 	src := b.TempDir()
 	rc := governedConfig(4)
@@ -39,6 +39,9 @@ func BenchmarkCheckpointerReplay(b *testing.B) {
 	cp, err := persist.Attach(persist.Config{Dir: filepath.Join(b.TempDir(), "ckpt")}, fixedState(res.State), 0)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for _, r := range recs {
+		cp.Replay(r)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

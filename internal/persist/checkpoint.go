@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"rdasched/internal/core"
 	"rdasched/internal/sim"
+	"rdasched/internal/telemetry/trace"
 )
 
 // Config sizes a checkpointed run.
@@ -66,7 +68,7 @@ type Checkpointer struct {
 	jw    *journalWriter
 	seq   uint64
 	next  sim.Time // next snapshot cut point (zero = periodic snapshots off)
-	buf   []byte
+	buf   []byte   // the record being appended, reused
 	err   error
 	stats Stats
 }
@@ -113,13 +115,9 @@ func (cp *Checkpointer) Replay(r core.ReplayRecord) {
 	if cp.err != nil {
 		return
 	}
-	payload, err := json.Marshal(&r)
-	if err != nil {
-		cp.err = fmt.Errorf("persist: encode record: %w", err)
-		return
-	}
+	cp.buf = appendRecord(cp.buf[:0], &r)
 	cp.seq++
-	n, err := cp.jw.append(cp.seq, payload)
+	n, err := cp.jw.append(cp.seq, cp.buf)
 	if err != nil {
 		cp.err = fmt.Errorf("persist: append record %d: %w", cp.seq, err)
 		return
@@ -135,6 +133,19 @@ func (cp *Checkpointer) Replay(r core.ReplayRecord) {
 			cp.next = cp.next.Add(cp.cfg.Every)
 		}
 	}
+}
+
+// appendRecord appends r as the bytes json.Marshal gives it: the six
+// fields in declaration order under their Go names, Kind as an HTML-safe
+// JSON string.
+func appendRecord(dst []byte, r *core.ReplayRecord) []byte {
+	dst = strconv.AppendInt(append(dst, `{"At":`...), int64(r.At), 10)
+	dst = trace.AppendJSONString(append(dst, `,"Kind":`...), string(r.Kind))
+	dst = strconv.AppendInt(append(dst, `,"Domain":`...), int64(r.Domain), 10)
+	dst = strconv.AppendUint(append(dst, `,"ID":`...), uint64(r.ID), 10)
+	dst = strconv.AppendInt(append(dst, `,"Proc":`...), int64(r.Proc), 10)
+	dst = strconv.AppendInt(append(dst, `,"Phase":`...), int64(r.Phase), 10)
+	return append(dst, '}')
 }
 
 // snapshotFile wraps a snapshot with its journal anchor: the gate's

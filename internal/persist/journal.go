@@ -53,18 +53,15 @@ const maxFrame = 16 << 20
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame encodes one frame into buf and returns the extended
-// slice.
+// slice. The checksum is taken over the frame's own sequence and payload
+// bytes in buf, so a frame appended into a reused buffer allocates
+// nothing.
 func appendFrame(buf []byte, seq uint64, payload []byte) []byte {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[4:12], seq)
-	buf = append(buf, hdr[:]...)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, payload...)
-	crc := crc32.Update(0, crcTable, hdr[4:12])
-	crc = crc32.Update(crc, crcTable, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	return append(buf, tail[:]...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start+4:], crcTable))
 }
 
 // frameReader iterates a journal stream, truncating (not erroring) at

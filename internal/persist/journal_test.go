@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -185,3 +187,55 @@ func TestDecodeJournalLargeRecord(t *testing.T) {
 	}
 	wantPrefix(t, recs, []core.ReplayRecord{rec}, 1)
 }
+
+// TestAppendRecordMatchesMarshal requires the checkpointer's record
+// encoder to give json.Marshal's bytes for every record kind, for kinds
+// json.Marshal escapes, and for each field's boundary values, and a
+// checkpointer to append a record without allocating.
+func TestAppendRecordMatchesMarshal(t *testing.T) {
+	kinds := []core.RecKind{
+		core.RecBegin, core.RecAdmit, core.RecDeny, core.RecWake, core.RecJoin,
+		core.RecWaitJoin, core.RecLeave, core.RecEnd, core.RecReclaim, core.RecFallback,
+		core.RecReject, core.RecLateEnd, core.RecQuarantine, core.RecReserve, core.RecGovTick,
+		core.RecPlace, core.RecUnmap, core.RecSteal, core.RecStealTick,
+		"", "x", `q"u\o<t>e&`, "nul\x00tab\tnl\n", "line\u2028sep", "bad\xff\xfe", "é",
+	}
+	var recs []core.ReplayRecord
+	for i, k := range kinds {
+		recs = append(recs, core.ReplayRecord{At: sim.Time(i) * 1e9, Kind: k, Domain: i % 3, ID: pp.ID(i), Proc: i, Phase: i % 4})
+	}
+	recs = append(recs,
+		core.ReplayRecord{},
+		core.ReplayRecord{At: math.MaxInt64, Kind: core.RecGovTick, Domain: -1, ID: 0, Proc: -1, Phase: -1},
+		core.ReplayRecord{At: 0, Kind: core.RecPlace, Domain: -1, ID: math.MaxUint64, Proc: -1, Phase: -1},
+		core.ReplayRecord{At: math.MaxInt64, Kind: core.RecEnd, Domain: math.MaxInt, ID: math.MaxUint64, Proc: math.MaxInt, Phase: math.MaxInt},
+	)
+	var buf []byte
+	for _, r := range recs {
+		want, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf = appendRecord(buf[:0], &r); !bytes.Equal(buf, want) {
+			t.Fatalf("record %+v:\n got  %s\n want %s", r, buf, want)
+		}
+	}
+
+	cp, err := Attach(Config{Dir: t.TempDir()}, zeroState{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	cp.Replay(recs[0]) // sizes the reused buffers
+	if n := testing.AllocsPerRun(100, func() { cp.Replay(recs[len(recs)-1]) }); n != 0 {
+		t.Fatalf("Replay allocates %v times per record, want 0", n)
+	}
+	if err := cp.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// zeroState exports the zero gate state.
+type zeroState struct{}
+
+func (zeroState) ExportState() core.State { return core.State{} }

@@ -22,9 +22,10 @@
 package blame
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"rdasched/internal/core"
 	"rdasched/internal/pp"
@@ -222,9 +223,11 @@ type waiter struct {
 	id          pp.ID
 	proc, phase int
 	denyAt      sim.Time
-	// blockers is the denial-time resident snapshot (copied — the
-	// scheduler owns the slice it hands RecordDeny).
-	blockers []core.Blocker
+	// shares is the denial-time resident snapshot, copied (the
+	// scheduler owns the slice it hands RecordDeny) into one share per
+	// blocker with nothing blamed yet; close fills in the blame and
+	// hands the slice to the period's record.
+	shares []Share
 }
 
 // Collector consumes the decision stream and blocker snapshots and
@@ -236,10 +239,13 @@ type Collector struct {
 	waiters   map[pp.ID]*waiter
 	// nBlamed counts open waiters whose blocker snapshot is non-empty,
 	// so segment classification is O(1).
-	nBlamed  int
-	segAt    sim.Time
-	closed   []PeriodBlame
-	matrix   map[[2]int]sim.Duration
+	nBlamed int
+	segAt   sim.Time
+	closed  []PeriodBlame
+	// matrix[b][w] sums the wait blocker process b inflicted on waiter
+	// process w. Rows and columns grow on demand to the highest process
+	// index seen; process indices are the workload's, never negative.
+	matrix   [][]sim.Duration
 	path     Path
 	denies   uint64
 	finished bool
@@ -250,7 +256,6 @@ func NewCollector() *Collector {
 	return &Collector{
 		residents: make(map[pp.ID]resident),
 		waiters:   make(map[pp.ID]*waiter),
-		matrix:    make(map[[2]int]sim.Duration),
 	}
 }
 
@@ -294,7 +299,10 @@ func (c *Collector) RecordDeny(e core.Event, blockers []core.Blocker) {
 	c.denies++
 	w := &waiter{id: e.ID, proc: e.Proc, phase: e.Phase, denyAt: e.At}
 	if len(blockers) > 0 {
-		w.blockers = append([]core.Blocker(nil), blockers...)
+		w.shares = make([]Share, len(blockers))
+		for i, b := range blockers {
+			w.shares[i] = Share{BlockerID: b.ID, BlockerProc: b.Proc, Demand: b.Demand}
+		}
 		c.nBlamed++
 	}
 	c.waiters[e.ID] = w
@@ -322,7 +330,7 @@ func (c *Collector) seal(at sim.Time) {
 // close seals waiter w's interval at time at and attributes its wait.
 func (c *Collector) close(w *waiter, at sim.Time, outcome string) {
 	delete(c.waiters, w.id)
-	if len(w.blockers) > 0 {
+	if len(w.shares) > 0 {
 		c.nBlamed--
 	}
 	wait := at.DurationSince(w.denyAt)
@@ -331,38 +339,48 @@ func (c *Collector) close(w *waiter, at sim.Time, outcome string) {
 		DenyAt: w.denyAt, ClosedAt: at, Outcome: outcome, Wait: wait,
 	}
 	var totalDemand uint64
-	for _, b := range w.blockers {
-		totalDemand += uint64(b.Demand)
+	for _, s := range w.shares {
+		totalDemand += uint64(s.Demand)
 	}
 	if totalDemand == 0 || wait <= 0 {
 		pb.Unattributed = wait
 	} else {
 		// Exact fractional split: share_i = ⌊wait·d_i/D⌋ via 128-bit
 		// intermediate (the quotient fits in 64 bits because d_i ≤ D),
-		// then the remainder — strictly less than len(blockers)
+		// then the remainder — strictly less than len(shares)
 		// picoseconds — goes one picosecond apiece to the lowest
 		// admission IDs. Blockers arrive ID-sorted from the core.
-		pb.Shares = make([]Share, len(w.blockers))
 		var given sim.Duration
-		for i, b := range w.blockers {
-			hi, lo := bits.Mul64(uint64(wait), uint64(b.Demand))
+		for i := range w.shares {
+			hi, lo := bits.Mul64(uint64(wait), uint64(w.shares[i].Demand))
 			q, _ := bits.Div64(hi, lo, totalDemand)
-			s := sim.Duration(q)
-			pb.Shares[i] = Share{
-				BlockerID: b.ID, BlockerProc: b.Proc,
-				Demand: b.Demand, Blamed: s,
-			}
-			given += s
+			w.shares[i].Blamed = sim.Duration(q)
+			given += w.shares[i].Blamed
 		}
 		for i := 0; given < wait; i++ {
-			pb.Shares[i].Blamed++
+			w.shares[i].Blamed++
 			given++
 		}
-		for _, s := range pb.Shares {
-			c.matrix[[2]int{s.BlockerProc, w.proc}] += s.Blamed
+		for _, s := range w.shares {
+			c.addCell(s.BlockerProc, w.proc, s.Blamed)
 		}
+		pb.Shares = w.shares
 	}
 	c.closed = append(c.closed, pb)
+}
+
+// addCell adds d to the (blocker, waiter) cell, growing the table to
+// hold it.
+func (c *Collector) addCell(blocker, waiter int, d sim.Duration) {
+	if blocker >= len(c.matrix) {
+		c.matrix = append(c.matrix, make([][]sim.Duration, blocker+1-len(c.matrix))...)
+	}
+	row := c.matrix[blocker]
+	if waiter >= len(row) {
+		row = append(row, make([]sim.Duration, waiter+1-len(row))...)
+		c.matrix[blocker] = row
+	}
+	row[waiter] += d
 }
 
 // Finish seals the run at time at: the final path segment closes, and
@@ -378,7 +396,7 @@ func (c *Collector) Finish(at sim.Time) {
 	for _, w := range c.waiters {
 		open = append(open, w)
 	}
-	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
+	slices.SortFunc(open, func(a, b *waiter) int { return cmp.Compare(a.id, b.id) })
 	for _, w := range open {
 		c.close(w, at, "unfinished")
 	}
@@ -389,17 +407,29 @@ func (c *Collector) Finish(at sim.Time) {
 // (DenyAt, ID) and the matrix by (BlockerProc, WaiterProc) — both total
 // orders, so the report is deterministic for a deterministic run.
 func (c *Collector) Report() *Report {
+	cells := 0
+	for _, row := range c.matrix {
+		for _, v := range row {
+			if v != 0 {
+				cells++
+			}
+		}
+	}
 	r := &Report{
 		Periods: append([]PeriodBlame(nil), c.closed...),
-		Matrix:  sortMatrix(c.matrix),
+		Matrix:  make([]MatrixCell, 0, cells),
 		Path:    c.path,
 		Denies:  c.denies,
 	}
-	sort.Slice(r.Periods, func(i, j int) bool {
-		if r.Periods[i].DenyAt != r.Periods[j].DenyAt {
-			return r.Periods[i].DenyAt < r.Periods[j].DenyAt
+	for b, row := range c.matrix {
+		for w, v := range row {
+			if v != 0 {
+				r.Matrix = append(r.Matrix, MatrixCell{BlockerProc: b, WaiterProc: w, Blamed: v})
+			}
 		}
-		return r.Periods[i].ID < r.Periods[j].ID
+	}
+	slices.SortFunc(r.Periods, func(a, b PeriodBlame) int {
+		return cmp.Or(cmp.Compare(a.DenyAt, b.DenyAt), cmp.Compare(a.ID, b.ID))
 	})
 	for _, p := range r.Periods {
 		r.TotalWait += p.Wait
@@ -439,16 +469,4 @@ func cellBefore(x, y MatrixCell) bool {
 		return x.BlockerProc < y.BlockerProc
 	}
 	return x.WaiterProc < y.WaiterProc
-}
-
-func sortMatrix(cells map[[2]int]sim.Duration) []MatrixCell {
-	out := make([]MatrixCell, 0, len(cells))
-	for k, v := range cells {
-		if v == 0 {
-			continue
-		}
-		out = append(out, MatrixCell{BlockerProc: k[0], WaiterProc: k[1], Blamed: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return cellBefore(out[i], out[j]) })
-	return out
 }

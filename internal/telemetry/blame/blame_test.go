@@ -285,7 +285,10 @@ func randomWorkload(seed uint64, maxProcs int) proc.Workload {
 //  1. the run completes;
 //  2. conservation: Σ shares + unattributed = wait, per period and in
 //     total, matrix sum = total blamed, path classes sum to makespan;
-//  3. the report is identical across a rerun (determinism).
+//  3. the report is identical across a rerun (determinism);
+//  4. the matrix equals the timeline's shares summed by (blocker
+//     process, waiter process) through a map and sorted, the oracle
+//     for the collector's dense table.
 //
 // Shared by the quick.Check sweep and FuzzBlameInvariants.
 func checkBlameInvariants(seed uint64, polIdx uint8) error {
@@ -318,6 +321,15 @@ func checkBlameInvariants(seed uint64, polIdx uint8) error {
 	}
 	if err := a.Check(); err != nil {
 		return fmt.Errorf("seed %d policy %s: %v", seed, pol.Name(), err)
+	}
+	var shares []MatrixCell
+	for _, p := range a.Periods {
+		for _, s := range p.Shares {
+			shares = append(shares, MatrixCell{BlockerProc: s.BlockerProc, WaiterProc: p.Proc, Blamed: s.Blamed})
+		}
+	}
+	if want := oracleMergeMatrix(shares, nil); !reflect.DeepEqual(a.Matrix, want) {
+		return fmt.Errorf("seed %d policy %s: matrix\n%v\nbut the shares sum to\n%v", seed, pol.Name(), a.Matrix, want)
 	}
 	b, err := run()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"rdasched/internal/sim"
 	"rdasched/internal/telemetry/trace"
@@ -25,9 +26,12 @@ import (
 // byte-identical report.
 //
 // The document streams to the writer through a bufio.Writer, section by
-// section. The heatmap, the only section whose size grows with the
-// square of the process count, appends each cell's <rect> with strconv
-// from strings computed once per row, column and process name, and its
+// section; the 64 KiB writers are pooled across reports. The heatmap
+// draws its n×n grid once, as one rect filled with a one-square
+// <pattern>, and then one titled <rect> per blamed (nonzero) cell of the
+// matrix, so it grows with the pairs that interfered, not with the
+// square of the process count. Each cell's <rect> is appended with
+// strconv from strings computed once per process, and its
 // fixed-precision numbers through appendFixed. The payload is appended
 // field by field in the bytes json.Marshal gives, with trace's JSON
 // float and string appenders. oracle_test.go keeps a fmt- and
@@ -66,7 +70,12 @@ func WriteHTML(w io.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) error 
 			return fmt.Errorf("blame: %w", err)
 		}
 	}
-	b := bufio.NewWriterSize(w, 64<<10)
+	b := htmlWriters.Get().(*bufio.Writer)
+	b.Reset(w)
+	defer func() {
+		b.Reset(nil) // drop w, so the pool does not keep it alive
+		htmlWriters.Put(b)
+	}()
 	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
 	fmt.Fprintf(b, "<title>wait-blame report · %s under %s</title>\n",
 		html.EscapeString(meta.Workload), html.EscapeString(meta.Policy))
@@ -90,6 +99,9 @@ func WriteHTML(w io.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) error 
 	b.WriteString("</script>\n</body>\n</html>\n")
 	return b.Flush()
 }
+
+// htmlWriters holds WriteHTML's buffered writers between reports.
+var htmlWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 const reportCSS = `body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;max-width:60em;color:#222}
 h1{font-size:1.4em}h2{font-size:1.1em;margin-top:2em}.sub{color:#666}
@@ -198,8 +210,18 @@ func writePathBar(b *bufio.Writer, p Path) {
 	b.WriteString("</p>\n")
 }
 
+// heatmapGrid draws every cell's empty square: a 34×34 tile placed at
+// (119, 119) holds one 32×32 square at (1, 1), so the square of cell
+// (i, j) lands on (120+34j, 120+34i), where its titled <rect> goes, and
+// its 1-unit stroke stays inside the tile. writeHeatmap fills one rect
+// spanning the n×n grid with it.
+const heatmapGrid = `<defs><pattern id="rda-grid" x="119" y="119" width="34" height="34" patternUnits="userSpaceOnUse">` +
+	`<rect x="1" y="1" width="32" height="32" fill="none" stroke="#ddd"/></pattern></defs>` + "\n"
+
 // writeHeatmap renders the interference matrix as an SVG grid: rows are
-// blockers, columns waiters, shade ∝ blamed share of the worst cell.
+// blockers, columns waiters, shade ∝ blamed share of the worst cell. The
+// grid is one patterned rect; only blamed cells get their own titled
+// <rect>, in the matrix's (BlockerProc, WaiterProc) order.
 func writeHeatmap(b *bufio.Writer, meta ReportMeta, rpt *Report) {
 	b.WriteString("<h2>Interference matrix: who blocked whom</h2>\n")
 	if len(rpt.Matrix) == 0 {
@@ -224,14 +246,13 @@ func writeHeatmap(b *bufio.Writer, meta ReportMeta, rpt *Report) {
 	for i, p := range procs {
 		idx[p] = i
 	}
-	cells := make([]sim.Duration, n*n) // cells[blocker*n + waiter]
-	for _, c := range rpt.Matrix {
-		cells[idx[c.BlockerProc]*n+idx[c.WaiterProc]] = c.Blamed
-	}
 	const cell, label = 34.0, 120.0
 	w := label + cell*float64(n) + 8
 	h := label + cell*float64(n) + 8
 	fmt.Fprintf(b, "<svg width=\"%.0f\" height=\"%.0f\" role=\"img\" aria-label=\"interference heatmap\">\n", w, h)
+	b.WriteString(heatmapGrid)
+	fmt.Fprintf(b, "<rect x=\"119\" y=\"119\" width=\"%.0f\" height=\"%.0f\" fill=\"url(#rda-grid)\"/>\n",
+		cell*float64(n), cell*float64(n))
 	// A process's name and its grid offset serve as its row (blocker)
 	// and its column (waiter) alike: format each once.
 	names := make([]string, n)
@@ -247,32 +268,33 @@ func writeHeatmap(b *bufio.Writer, meta ReportMeta, rpt *Report) {
 	}
 	size := strconv.FormatFloat(cell-2, 'f', 0, 64)
 	var buf []byte
-	for bi := range procs {
-		for wi := range procs {
-			v := cells[bi*n+wi]
-			frac := 0.0
-			if max > 0 {
-				frac = float64(v) / float64(max)
-			}
-			buf = append(buf[:0], "<rect x=\""...)
-			buf = append(buf, offsets[wi]...)
-			buf = append(buf, "\" y=\""...)
-			buf = append(buf, offsets[bi]...)
-			buf = append(buf, "\" width=\""...)
-			buf = append(buf, size...)
-			buf = append(buf, "\" height=\""...)
-			buf = append(buf, size...)
-			buf = append(buf, "\" fill=\"rgba(178,34,34,"...)
-			buf = appendFixed(buf, frac, 3)
-			buf = append(buf, ")\" stroke=\"#ddd\"><title>"...)
-			buf = append(buf, names[bi]...)
-			buf = append(buf, " → "...)
-			buf = append(buf, names[wi]...)
-			buf = append(buf, ": "...)
-			buf = appendSecs(buf, v)
-			buf = append(buf, "</title></rect>\n"...)
-			b.Write(buf)
+	for _, c := range rpt.Matrix {
+		if c.Blamed == 0 {
+			continue
 		}
+		bi, wi := idx[c.BlockerProc], idx[c.WaiterProc]
+		frac := 0.0
+		if max > 0 {
+			frac = float64(c.Blamed) / float64(max)
+		}
+		buf = append(buf[:0], "<rect x=\""...)
+		buf = append(buf, offsets[wi]...)
+		buf = append(buf, "\" y=\""...)
+		buf = append(buf, offsets[bi]...)
+		buf = append(buf, "\" width=\""...)
+		buf = append(buf, size...)
+		buf = append(buf, "\" height=\""...)
+		buf = append(buf, size...)
+		buf = append(buf, "\" fill=\"rgba(178,34,34,"...)
+		buf = appendFixed(buf, frac, 3)
+		buf = append(buf, ")\" stroke=\"#ddd\"><title>"...)
+		buf = append(buf, names[bi]...)
+		buf = append(buf, " → "...)
+		buf = append(buf, names[wi]...)
+		buf = append(buf, ": "...)
+		buf = appendSecs(buf, c.Blamed)
+		buf = append(buf, "</title></rect>\n"...)
+		b.Write(buf)
 	}
 	b.WriteString("</svg>\n<p class=\"sub\">rows block columns; shade ∝ blamed wait.</p>\n")
 }

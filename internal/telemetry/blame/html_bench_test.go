@@ -2,26 +2,29 @@ package blame
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"rdasched/internal/sim"
 )
 
 // benchReport has the shape of a full-scale E4/E5 cell's report: 96
-// processes, every (blocker, waiter) pair blamed, 337 waitlisted periods
-// and 384 burn samples over the default SLO's two windows.
-func benchReport() (ReportMeta, *Report, *SLOResult) {
+// processes, 337 waitlisted periods and 384 burn samples over the
+// default SLO's two windows. Each (blocker, waiter) pair is blamed with
+// probability density; at 1 every pair is, and the report is the same
+// whatever the density's draws.
+func benchReport(density float64) (ReportMeta, *Report, *SLOResult) {
 	const procs, periods, samples = 96, 337, 384
-	rng := sim.NewRNG(7)
+	rng, keep := sim.NewRNG(7), sim.NewRNG(11)
 	meta := ReportMeta{Workload: "BLAS-3", Policy: "compromise"}
 	rpt := &Report{Denies: periods}
 	for p := 0; p < procs; p++ {
 		meta.Procs = append(meta.Procs, fmt.Sprintf("dgemm-%d", p%4))
 		for w := 0; w < procs; w++ {
 			v := sim.Duration(rng.Uint64n(uint64(sim.Second)) + 1)
-			rpt.Matrix = append(rpt.Matrix, MatrixCell{BlockerProc: p, WaiterProc: w, Blamed: v})
-			rpt.TotalBlamed += v
+			if keep.Float64() < density {
+				rpt.Matrix = append(rpt.Matrix, MatrixCell{BlockerProc: p, WaiterProc: w, Blamed: v})
+				rpt.TotalBlamed += v
+			}
 		}
 	}
 	for i := 0; i < periods; i++ {
@@ -49,12 +52,34 @@ func benchReport() (ReportMeta, *Report, *SLOResult) {
 	return meta, rpt, slo
 }
 
+// countingWriter discards what it is given and counts the bytes.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkWriteHTML writes benchReport's report with every pair blamed
+// (all-pairs) and with 18% of pairs blamed (density=0.18), the share of
+// nonzero cells in observed-sweep's reports. Each reports the bytes one
+// report writes.
 func BenchmarkWriteHTML(b *testing.B) {
-	meta, rpt, slo := benchReport()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := WriteHTML(io.Discard, meta, rpt, slo); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		density float64
+	}{{"all-pairs", 1}, {"density=0.18", 0.18}} {
+		b.Run(bc.name, func(b *testing.B) {
+			meta, rpt, slo := benchReport(bc.density)
+			var w countingWriter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := WriteHTML(&w, meta, rpt, slo); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(w.n)/float64(b.N), "written-B/op")
+		})
 	}
 }

@@ -36,8 +36,12 @@ func sampleReportAndSLO(t *testing.T) (*Report, *SLOResult) {
 	return r, m.Result()
 }
 
+var urlRefRE = regexp.MustCompile(`url\(([^)]*)\)`)
+
 // TestWriteHTMLSelfContained: one file, parseable embedded JSON, no
-// external fetches of any kind.
+// external fetches of any kind. The only url() reference allowed is a
+// fragment naming an element of the document itself, as the heatmap's
+// grid pattern is.
 func TestWriteHTMLSelfContained(t *testing.T) {
 	rpt, slo := sampleReportAndSLO(t)
 	meta := ReportMeta{Workload: "contended", Policy: "strict",
@@ -47,9 +51,19 @@ func TestWriteHTMLSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := buf.String()
-	for _, external := range []string{"http://", "https://", "src=", "@import", "url("} {
+	for _, external := range []string{"http://", "https://", "src=", "@import"} {
 		if strings.Contains(doc, external) {
 			t.Errorf("report references external resource: %q", external)
+		}
+	}
+	refs := urlRefRE.FindAllStringSubmatch(doc, -1)
+	if len(refs) == 0 {
+		t.Error("report draws no patterned heatmap grid")
+	}
+	for _, ref := range refs {
+		id, local := strings.CutPrefix(ref[1], "#")
+		if !local || !strings.Contains(doc, `id="`+id+`"`) {
+			t.Errorf("report references %q, not an element of its own", ref[0])
 		}
 	}
 	var payload htmlPayload

@@ -8,9 +8,11 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"rdasched/internal/pp"
@@ -20,9 +22,13 @@ import (
 // The fmt-based report writer WriteHTML replaced, kept as its test
 // oracle: every section is rendered through fmt.Fprintf into one
 // strings.Builder, the payload is marshaled last, and the document goes
-// to w in a single write. WriteHTML must produce the same bytes and the
-// same errors. Below it, Merge's map-and-sort matrix step is the oracle
-// for the one-pass merge, and strconv.AppendFloat is the oracle for
+// to w in a single write. Its heatmap walks the full n×n grid and draws
+// the blamed cells over one patterned rect, each with the line the
+// full-grid writer drew for it (oracleCellRect). WriteHTML must produce
+// the same bytes and the same errors. Below it, Merge's map-and-sort
+// matrix step is the oracle for the one-pass merge and, fed a
+// timeline's shares, for the collector's dense table
+// (checkBlameInvariants), and strconv.AppendFloat is the oracle for
 // appendFixed.
 
 func oracleProcName(m ReportMeta, i int) string {
@@ -40,7 +46,7 @@ type htmlPayload struct {
 }
 
 // oracleWriteHTML renders the whole document the way WriteHTML did
-// before it streamed.
+// before it streamed, with the patterned heatmap grid.
 func oracleWriteHTML(w io.Writer, meta ReportMeta, rpt *Report, slo *SLOResult) error {
 	if rpt == nil {
 		return fmt.Errorf("blame: WriteHTML needs a report")
@@ -133,14 +139,9 @@ func oraclePathBar(b *strings.Builder, p Path) {
 	b.WriteString("</p>\n")
 }
 
-// oracleHeatmap renders the interference matrix as an SVG grid: rows are
-// blockers, columns waiters, shade ∝ blamed share of the worst cell.
-func oracleHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
-	b.WriteString("<h2>Interference matrix: who blocked whom</h2>\n")
-	if len(rpt.Matrix) == 0 {
-		b.WriteString("<p class=\"sub\">no blamed wait — nothing interfered.</p>\n")
-		return
-	}
+// oracleHeatmapProcs returns the processes the heatmap's rows and columns
+// show, sorted, and the worst cell's blamed wait, which shades 1.
+func oracleHeatmapProcs(rpt *Report) ([]int, sim.Duration) {
 	procSet := map[int]bool{}
 	var max sim.Duration
 	for _, c := range rpt.Matrix {
@@ -154,6 +155,35 @@ func oracleHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
 		procs = append(procs, p)
 	}
 	sort.Ints(procs)
+	return procs, max
+}
+
+// oracleCellRect is the titled <rect> of cell (bi, wi) in procs, blamed
+// v of the worst cell's max: the line the full-grid writer drew for
+// every cell, blamed or not.
+func oracleCellRect(meta ReportMeta, procs []int, bi, wi int, v, max sim.Duration) string {
+	const cell, label = 34.0, 120.0
+	frac := 0.0
+	if max > 0 {
+		frac = float64(v) / float64(max)
+	}
+	return fmt.Sprintf("<rect x=\"%.1f\" y=\"%.1f\" width=\"%.0f\" height=\"%.0f\" fill=\"rgba(178,34,34,%.3f)\" stroke=\"#ddd\"><title>%s → %s: %s</title></rect>\n",
+		label+cell*float64(wi), label+cell*float64(bi), cell-2, cell-2, frac,
+		html.EscapeString(oracleProcName(meta, procs[bi])),
+		html.EscapeString(oracleProcName(meta, procs[wi])), oracleSecs(v))
+}
+
+// oracleHeatmap renders the interference matrix as an SVG grid: rows are
+// blockers, columns waiters, shade ∝ blamed share of the worst cell. One
+// rect filled with a one-square pattern draws the grid; each blamed cell
+// is drawn over it, row by row.
+func oracleHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
+	b.WriteString("<h2>Interference matrix: who blocked whom</h2>\n")
+	if len(rpt.Matrix) == 0 {
+		b.WriteString("<p class=\"sub\">no blamed wait — nothing interfered.</p>\n")
+		return
+	}
+	procs, max := oracleHeatmapProcs(rpt)
 	idx := map[int]int{}
 	for i, p := range procs {
 		idx[p] = i
@@ -163,9 +193,14 @@ func oracleHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
 		cells[[2]int{idx[c.BlockerProc], idx[c.WaiterProc]}] = c.Blamed
 	}
 	const cell, label = 34.0, 120.0
-	w := label + cell*float64(len(procs)) + 8
-	h := label + cell*float64(len(procs)) + 8
-	fmt.Fprintf(b, "<svg width=\"%.0f\" height=\"%.0f\" role=\"img\" aria-label=\"interference heatmap\">\n", w, h)
+	n := float64(len(procs))
+	fmt.Fprintf(b, "<svg width=\"%.0f\" height=\"%.0f\" role=\"img\" aria-label=\"interference heatmap\">\n",
+		label+cell*n+8, label+cell*n+8)
+	fmt.Fprintf(b, "<defs><pattern id=\"rda-grid\" x=\"%.0f\" y=\"%.0f\" width=\"%.0f\" height=\"%.0f\" patternUnits=\"userSpaceOnUse\">"+
+		"<rect x=\"1\" y=\"1\" width=\"%.0f\" height=\"%.0f\" fill=\"none\" stroke=\"#ddd\"/></pattern></defs>\n",
+		label-1, label-1, cell, cell, cell-2, cell-2)
+	fmt.Fprintf(b, "<rect x=\"%.0f\" y=\"%.0f\" width=\"%.0f\" height=\"%.0f\" fill=\"url(#rda-grid)\"/>\n",
+		label-1, label-1, cell*n, cell*n)
 	for i, p := range procs {
 		// Column header (waiter), rotated; row label (blocker).
 		fmt.Fprintf(b, "<text x=\"%.1f\" y=\"%.1f\" font-size=\"11\" transform=\"rotate(-45 %.1f %.1f)\">%s</text>\n",
@@ -175,15 +210,9 @@ func oracleHeatmap(b *strings.Builder, meta ReportMeta, rpt *Report) {
 	}
 	for bi := range procs {
 		for wi := range procs {
-			v := cells[[2]int{bi, wi}]
-			frac := 0.0
-			if max > 0 {
-				frac = float64(v) / float64(max)
+			if v := cells[[2]int{bi, wi}]; v != 0 {
+				b.WriteString(oracleCellRect(meta, procs, bi, wi, v, max))
 			}
-			fmt.Fprintf(b, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.0f\" height=\"%.0f\" fill=\"rgba(178,34,34,%.3f)\" stroke=\"#ddd\"><title>%s → %s: %s</title></rect>\n",
-				label+cell*float64(wi), label+cell*float64(bi), cell-2, cell-2, frac,
-				html.EscapeString(oracleProcName(meta, procs[bi])),
-				html.EscapeString(oracleProcName(meta, procs[wi])), oracleSecs(v))
 		}
 	}
 	b.WriteString("</svg>\n<p class=\"sub\">rows block columns; shade ∝ blamed wait.</p>\n")
@@ -287,9 +316,9 @@ func oracleBurnTimeline(b *strings.Builder, slo *SLOResult) {
 	b.WriteString("</p>\n")
 }
 
-// oracleMergeMatrix is Merge's historical matrix step: sum both
-// matrices through a map, drop zero sums, sort by (BlockerProc,
-// WaiterProc).
+// oracleMergeMatrix is Merge's historical matrix step, and the
+// collector's before its dense table: sum both matrices through a map,
+// drop zero sums, sort by (BlockerProc, WaiterProc).
 func oracleMergeMatrix(a, b []MatrixCell) []MatrixCell {
 	cells := make(map[[2]int]sim.Duration, len(a))
 	for _, c := range a {
@@ -471,6 +500,96 @@ func TestHTMLMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heatmapCellRects returns the titled <rect> lines of doc's heatmap
+// <svg>, newline included, in document order.
+func heatmapCellRects(t *testing.T, doc string) []string {
+	t.Helper()
+	_, svg, ok := strings.Cut(doc, `aria-label="interference heatmap">`)
+	if !ok {
+		return nil
+	}
+	svg, _, ok = strings.Cut(svg, "</svg>")
+	if !ok {
+		t.Fatal("heatmap <svg> is not closed")
+	}
+	var rects []string
+	for _, line := range strings.SplitAfter(svg, "\n") {
+		if strings.HasPrefix(line, "<rect ") && strings.Contains(line, "<title>") {
+			rects = append(rects, line)
+		}
+	}
+	return rects
+}
+
+// TestHeatmapDrawsBlamedCells renders oracleReport's reports, dense and
+// sparse, and requires one titled cell <rect> per matrix cell, in the
+// matrix's order, each the line the full-grid writer drew for that cell.
+func TestHeatmapDrawsBlamedCells(t *testing.T) {
+	for seed := uint64(0); seed < 60; seed++ {
+		rng := sim.NewRNG(seed ^ 0x4ea7)
+		b := func() uint8 { return uint8(rng.Intn(256)) }
+		meta, rpt, _ := oracleReport(seed, b(), b(), b(), "h|<m>", false)
+		var doc bytes.Buffer
+		if err := WriteHTML(&doc, meta, rpt, nil); err != nil {
+			t.Fatal(err)
+		}
+		rects := heatmapCellRects(t, doc.String())
+		if len(rects) != len(rpt.Matrix) {
+			t.Fatalf("seed %d: %d titled cell rects for %d matrix cells", seed, len(rects), len(rpt.Matrix))
+		}
+		procs, max := oracleHeatmapProcs(rpt)
+		for k, c := range rpt.Matrix {
+			bi, _ := slices.BinarySearch(procs, c.BlockerProc)
+			wi, _ := slices.BinarySearch(procs, c.WaiterProc)
+			if want := oracleCellRect(meta, procs, bi, wi, c.Blamed, max); rects[k] != want {
+				t.Fatalf("seed %d: cell %d (%d → %d):\n got  %q\n want %q", seed, k, c.BlockerProc, c.WaiterProc, rects[k], want)
+			}
+		}
+	}
+}
+
+// TestHTMLConcurrentWriters writes reports of several sizes from four
+// goroutines at once, as parallel jobs do, and requires each to match the
+// oracle's: a pooled writer must carry nothing from one report into
+// another.
+func TestHTMLConcurrentWriters(t *testing.T) {
+	type doc struct {
+		meta ReportMeta
+		rpt  *Report
+		slo  *SLOResult
+		want []byte
+	}
+	var docs []doc
+	for seed := uint64(0); seed < 6; seed++ {
+		meta, rpt, slo := oracleReport(seed, uint8(seed*40), uint8(seed*50), 1, "c", seed%2 == 0)
+		var b bytes.Buffer
+		if err := oracleWriteHTML(&b, meta, rpt, slo); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc{meta, rpt, slo, b.Bytes()})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				d := docs[(g+i)%len(docs)]
+				var b bytes.Buffer
+				if err := WriteHTML(&b, d.meta, d.rpt, d.slo); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(b.Bytes(), d.want) {
+					t.Errorf("goroutine %d, report %d differs from the oracle", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMergeMatchesOracle folds random reports, whose matrices hold the

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
+	"sync"
 
 	"rdasched/internal/sim"
 )
@@ -26,7 +28,8 @@ import (
 //     period renders as the "period" slice alone;
 //   - rejects and late ends render as instant events.
 //
-// The document is appended into one byte slice in exactly the layout
+// The document is appended into one byte slice, reused across documents
+// through a sync.Pool, in exactly the layout
 // json.MarshalIndent(doc, "", " ") gives the event structs of the
 // reference encoder in oracle_test.go: fields in declaration order,
 // "dur" and "s" omitted when zero or empty, args in sorted key order,
@@ -71,12 +74,18 @@ func WriteChrome(w io.Writer, spans []Span) error {
 	return writeChromeDoc(w, spans, nil)
 }
 
+// encoders holds chromeEncoders, and so their document buffers, between
+// documents.
+var encoders = sync.Pool{New: func() any { return new(chromeEncoder) }}
+
 func writeChromeDoc(w io.Writer, spans []Span, counters []Counter) error {
-	e := chromeEncoder{
+	e := encoders.Get().(*chromeEncoder)
+	defer encoders.Put(e)
+	*e = chromeEncoder{
 		// Room for a waited span's two events and a counter event, so a
 		// typical document is appended without regrowing.
-		buf:  make([]byte, 0, 64+512*len(spans)+192*len(counters)),
-		name: make([]byte, 0, 64),
+		buf:  slices.Grow(e.buf[:0], 64+512*len(spans)+192*len(counters)),
+		name: slices.Grow(e.name[:0], 64),
 	}
 	e.buf = append(e.buf, "{\n \"traceEvents\": ["...)
 	for i := range spans {

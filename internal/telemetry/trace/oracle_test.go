@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"rdasched/internal/pp"
@@ -257,4 +258,41 @@ func TestChromeMatchesOracle(t *testing.T) {
 			t.Fatalf("value %v: no error", v)
 		}
 	}
+}
+
+// TestChromeConcurrentWriters writes documents of four sizes from four
+// goroutines at once, as parallel jobs do, and requires each to match the
+// oracle's: a pooled document buffer must carry nothing from one document
+// into another.
+func TestChromeConcurrentWriters(t *testing.T) {
+	spans, counters := benchTrace()
+	sizes := []int{0, 1, 37, len(spans)}
+	want := make([][]byte, len(sizes))
+	for k, n := range sizes {
+		var b bytes.Buffer
+		if err := oracleWriteChromeWithCounters(&b, spans[:n], counters[:2*n]); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = b.Bytes()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % len(sizes)
+				var b bytes.Buffer
+				if err := WriteChromeWithCounters(&b, spans[:sizes[k]], counters[:2*sizes[k]]); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(b.Bytes(), want[k]) {
+					t.Errorf("goroutine %d, document %d (%d spans) differs from the oracle", g, i, sizes[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,7 +5,9 @@
 //
 // HTML observability reports (.html) are handled too: the embedded
 // <script type="application/json" id="rda-data"> payload is extracted
-// and validated instead of the document itself.
+// and validated instead of the document itself, and the interference
+// heatmap must draw exactly one titled cell <rect> per cell of the
+// payload's blame.matrix, which holds the blamed (nonzero) cells only.
 //
 // Usage: go run ./scripts/jsoncheck file.json... report.html...
 package main
@@ -31,8 +33,12 @@ func main() {
 	}
 }
 
-var payloadRE = regexp.MustCompile(
-	`(?s)<script type="application/json" id="rda-data">(.*?)</script>`)
+var (
+	payloadRE = regexp.MustCompile(
+		`(?s)<script type="application/json" id="rda-data">(.*?)</script>`)
+	heatmapRE = regexp.MustCompile(`(?s)<svg [^>]*aria-label="interference heatmap">(.*?)</svg>`)
+	cellRE    = regexp.MustCompile(`<rect [^>]*><title>`)
+)
 
 func check(path string) error {
 	data, err := os.ReadFile(path)
@@ -48,10 +54,24 @@ func check(path string) error {
 		if err := json.Unmarshal(m[1], &payload); err != nil {
 			return fmt.Errorf("embedded payload: %w", err)
 		}
-		if _, ok := payload["blame"]; !ok {
+		raw, ok := payload["blame"]
+		if !ok {
 			return fmt.Errorf("embedded payload has no blame section")
 		}
-		fmt.Printf("%s: embedded payload with %d sections\n", path, len(payload))
+		var blame struct {
+			Matrix []json.RawMessage `json:"matrix"`
+		}
+		if err := json.Unmarshal(raw, &blame); err != nil {
+			return fmt.Errorf("embedded blame section: %w", err)
+		}
+		cells := 0
+		if m := heatmapRE.FindSubmatch(data); m != nil {
+			cells = len(cellRE.FindAll(m[1], -1))
+		}
+		if cells != len(blame.Matrix) {
+			return fmt.Errorf("heatmap draws %d titled cells for %d blame.matrix cells", cells, len(blame.Matrix))
+		}
+		fmt.Printf("%s: embedded payload with %d sections, %d heatmap cells\n", path, len(payload), cells)
 		return nil
 	}
 	var doc map[string]json.RawMessage
